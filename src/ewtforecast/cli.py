@@ -26,7 +26,7 @@ from ewtforecast.harness import (
     run_experiment,
     write_report,
 )
-from ewtforecast.metrics import friedman_nemenyi, wilcoxon_signed_rank
+from ewtforecast.metrics import EvalSeries, compute_metrics, friedman_nemenyi, wilcoxon_signed_rank
 from ewtforecast.series import load_csv
 
 EXIT_OK = 0
@@ -129,13 +129,17 @@ def _cmd_compare(args) -> int:
     if len(models) < 2:
         raise ConfigError("reports share fewer than 2 model names")
 
-    # Pairwise test on per-origin absolute errors pooled across reports.
+    # Pairwise test on per-origin absolute errors pooled across reports; the
+    # ranks use RMSE recomputed from the stored forecasts, which every report
+    # has whatever metrics it selected.
     abs_errors = {m: [] for m in models}
+    rmse = {m: [] for m in models}
     for rep in reports:
         actuals = np.asarray(rep["forecasts"]["actuals"])
         for m in models:
             pred = np.asarray(rep["forecasts"]["models"][m])
             abs_errors[m].extend(np.abs(pred - actuals))
+            rmse[m].append(compute_metrics(EvalSeries(actuals, pred)).rmse)
     print(f"{len(reports)} reports, models: {', '.join(models)}")
     print("pairwise signed-rank tests on per-origin absolute errors:")
     for i, a in enumerate(models):
@@ -143,8 +147,7 @@ def _cmd_compare(args) -> int:
             res = wilcoxon_signed_rank(np.asarray(abs_errors[a]), np.asarray(abs_errors[b]))
             print(f"  {a} vs {b}: statistic={res.statistic:.1f} p={res.p_value:.4g} ({res.method})")
 
-    table = np.asarray([[rep["test_metrics"][m]["rmse"] for rep in reports] for m in models])
-    result = friedman_nemenyi(table, alpha=args.alpha)
+    result = friedman_nemenyi(np.asarray([rmse[m] for m in models]), alpha=args.alpha)
     print(f"average ranks over {len(reports)} reports (RMSE, lower rank is better):")
     for m, rank in zip(models, result.average_ranks):
         print(f"  {m}: {rank:.3f}")

@@ -14,7 +14,7 @@ the same seed and settings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -117,18 +117,8 @@ class EdRvflModel:
         return len(self.layers)
 
     def to_dict(self) -> dict:
-        payload = {
-            "config": {
-                "n_layers": self.config.n_layers,
-                "n_enhancement": list(self.config.n_enhancement),
-                "regularization": list(self.config.regularization),
-                "activation": self.config.activation,
-                "input_scale": self.config.input_scale,
-                "ensemble_rule": self.config.ensemble_rule,
-                "output_bias": self.config.output_bias,
-                "layer_norm": self.config.layer_norm,
-                "seed": self.config.seed,
-            },
+        return {
+            "config": asdict(self.config),
             "n_features": self.n_features,
             "layers": [
                 {
@@ -140,22 +130,12 @@ class EdRvflModel:
                 }
                 for layer in self.layers
             ],
-            "scaler": None,
+            "scaler": None if self.scaler is None else self.scaler.to_dict(),
         }
-        if self.scaler is not None:
-            payload["scaler"] = {
-                "kind": self.scaler.kind,
-                "center": self.scaler.center.tolist(),
-                "scale": self.scaler.scale.tolist(),
-            }
-        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EdRvflModel":
-        raw_cfg = dict(payload["config"])
-        raw_cfg["n_enhancement"] = tuple(raw_cfg["n_enhancement"])
-        raw_cfg["regularization"] = tuple(raw_cfg["regularization"])
-        cfg = EdRvflConfig(**raw_cfg)
+        cfg = EdRvflConfig(**payload["config"])
         layers = tuple(
             EdRvflLayer(
                 HiddenLayer(np.asarray(entry["weights"], dtype=np.float64),
@@ -167,11 +147,8 @@ class EdRvflModel:
             )
             for entry in payload["layers"]
         )
-        scaler = None
-        if payload.get("scaler"):
-            s = payload["scaler"]
-            scaler = Scaler(s["kind"], np.asarray(s["center"]), np.asarray(s["scale"]))
-        return cls(cfg, layers, int(payload["n_features"]), scaler)
+        scaler = payload.get("scaler")
+        return cls(cfg, layers, int(payload["n_features"]), Scaler(**scaler) if scaler else None)
 
 
 def _enhancement_features(layer: EdRvflLayer, enh_input: np.ndarray) -> np.ndarray:

@@ -20,9 +20,9 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from ewtforecast.metrics import EvalSeries, compute_metrics
 from ewtforecast.rvfl import RvflConfig, RvflModel
 from ewtforecast.edrvfl import EdRvflConfig, EdRvflModel
 from ewtforecast.series import (
+    SCALER_KINDS,
     SplitSpec,
     TimeSeries,
     WindowedDataset,
@@ -57,6 +58,7 @@ FAMILIES = ("rvfl", "edrvfl", "baseline_persistence", "baseline_linear")
 PIPELINES = ("raw_lags", "walkforward_ewt", "leaky_ewt")
 METRIC_NAMES = ("mae", "mse", "rmse", "mape", "mase", "dstat")
 MIN_RELATIVE_GAIN = 1e-6  # layer acceptance threshold for the layer-wise search
+_DATA = "data_"  # prefix of the ExperimentConfig fields kept under "data" in JSON
 
 
 class ConfigError(ValueError):
@@ -91,6 +93,20 @@ def _require_non_empty(name: str, values) -> tuple:
     return values
 
 
+def _field_names(cls) -> list[str]:
+    return [f.name for f in fields(cls)]
+
+
+def _check_keys(section: str, raw, known) -> dict:
+    """``raw`` itself, once it is known to be a JSON object with only ``known`` keys."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{section} must be a JSON object, got {raw!r}")
+    unknown = set(raw) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+    return raw
+
+
 @dataclass(frozen=True)
 class GridSpace:
     """Candidate values for every tunable axis; single-valued axes pin a choice.
@@ -117,20 +133,9 @@ class GridSpace:
         for name in self.__dataclass_fields__:
             object.__setattr__(self, name, _require_non_empty(name, getattr(self, name)))
 
-    @property
-    def model_size(self) -> int:
-        return (len(self.n_enhancement) * len(self.regularization) * len(self.activation)
-                * len(self.input_scale) * len(self.direct_link) * len(self.output_bias)
-                * len(self.seeds))
-
-    def pipeline_size(self, pipeline: str) -> int:
-        if pipeline == "raw_lags":
-            return len(set(self.lags))
-        return (len(set(self.lags)) * len(set(self.n_bands)) * len(set(self.gamma))
-                * len(set(self.boundary_mode)))
-
     def size(self, pipeline: str) -> int:
-        return self.model_size * self.pipeline_size(pipeline)
+        """Number of distinct (pipeline, model) candidates the search visits."""
+        return len(self.model_candidates()) * len(self.pipeline_candidates(pipeline))
 
     def model_candidates(self) -> list[ModelParams]:
         combos = itertools.product(
@@ -153,25 +158,25 @@ class GridSpace:
             for l, k, g, m in combos
         ]
 
-    def to_dict(self) -> dict:
-        return {name: list(getattr(self, name)) for name in self.__dataclass_fields__}
-
     @classmethod
     def from_dict(cls, raw: dict) -> "GridSpace":
-        unknown = set(raw) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
-        return cls(**{k: tuple(v) for k, v in raw.items()})
+        return cls(**{k: tuple(v) for k, v in _check_keys("grid", raw, _field_names(cls)).items()})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment; its JSON form nests the ``data_*`` fields under ``data``.
+
+    The fields are the schema: :meth:`to_dict` and :meth:`from_dict` derive
+    every key from them, and absent optional keys take the defaults below.
+    """
+
     data_path: str
     split: SplitSpec
     family: str
     pipeline: str
     grid: GridSpace = field(default_factory=GridSpace)
-    data_column: object = 0
+    data_column: int | str = 0
     data_has_header: bool = False
     metrics: tuple = METRIC_NAMES
     output_dir: str = "runs"
@@ -179,11 +184,18 @@ class ExperimentConfig:
     horizon: int = 1
     max_layers: int = 3
     scaler: str = "none"
-    window: object = "auto"
+    window: int | str = "auto"
     refit_on_train_plus_validation: bool = True
     jobs: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "metrics", tuple(self.metrics))
+        for name, kind in get_type_hints(type(self)).items():
+            value = getattr(self, name)
+            # bool is an int subclass, but true/false is no count and no seed.
+            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+                raise ConfigError(f"{name} must be {getattr(kind, '__name__', kind)}, "
+                                  f"got {value!r}")
         if self.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.pipeline not in PIPELINES:
@@ -197,84 +209,49 @@ class ExperimentConfig:
             raise ConfigError("horizon must be >= 1")
         if self.max_layers < 1:
             raise ConfigError("max_layers must be >= 1")
-        if self.scaler not in ("none", "zscore", "minmax"):
+        if self.scaler not in SCALER_KINDS:
             raise ConfigError(f"unknown scaler {self.scaler!r}")
         if isinstance(self.window, str):
             if self.window not in ("auto", "all"):
                 raise ConfigError(f"window must be an int, 'auto' or 'all', got {self.window!r}")
-        elif int(self.window) < 2:
+        elif self.window < 2:
             raise ConfigError("explicit window must be >= 2")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-        object.__setattr__(self, "metrics", tuple(self.metrics))
 
     def to_dict(self) -> dict:
-        return {
-            "data": {"path": self.data_path, "column": self.data_column,
-                     "has_header": self.data_has_header},
-            "split": {"train_fraction": self.split.train_fraction,
-                      "validation_fraction": self.split.validation_fraction},
-            "family": self.family,
-            "pipeline": self.pipeline,
-            "grid": self.grid.to_dict(),
-            "metrics": list(self.metrics),
-            "output_dir": self.output_dir,
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "max_layers": self.max_layers,
-            "scaler": self.scaler,
-            "window": self.window,
-            "refit_on_train_plus_validation": self.refit_on_train_plus_validation,
-            "jobs": self.jobs,
-        }
+        # The JSON round trip turns nested dataclasses into objects, tuples into lists.
+        flat = json.loads(json.dumps(asdict(self)))
+        data = {name[len(_DATA):]: flat.pop(name) for name in list(flat) if name.startswith(_DATA)}
+        return {"data": data, **flat}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {"data", "split", "family", "pipeline", "grid", "metrics", "output_dir",
-                 "seed", "horizon", "max_layers", "scaler", "window",
-                 "refit_on_train_plus_validation", "jobs"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for required in ("data", "split", "family", "pipeline"):
-            if required not in raw:
-                raise ConfigError(f"missing config key {required!r}")
-        data = dict(raw["data"])
-        unknown = set(data) - {"path", "column", "has_header"}
-        if unknown:
-            raise ConfigError(f"unknown data keys: {sorted(unknown)}")
-        if "path" not in data:
-            raise ConfigError("missing data.path")
-        split_raw = dict(raw["split"])
-        unknown = set(split_raw) - {"train_fraction", "validation_fraction"}
-        if unknown:
-            raise ConfigError(f"unknown split keys: {sorted(unknown)}")
+        names = _field_names(cls)
+        required = [f.name for f in fields(cls)
+                    if f.default is MISSING and f.default_factory is MISSING]
         try:
-            split = SplitSpec(**split_raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid split: {exc}") from exc
-        grid = GridSpace.from_dict(raw.get("grid", {}))
-        try:
-            return cls(
-                data_path=data["path"],
-                data_column=data.get("column", 0),
-                data_has_header=bool(data.get("has_header", False)),
-                split=split,
-                family=raw["family"],
-                pipeline=raw["pipeline"],
-                grid=grid,
-                metrics=tuple(raw.get("metrics", METRIC_NAMES)),
-                output_dir=raw.get("output_dir", "runs"),
-                seed=int(raw.get("seed", 0)),
-                horizon=int(raw.get("horizon", 1)),
-                max_layers=int(raw.get("max_layers", 3)),
-                scaler=raw.get("scaler", "none"),
-                window=raw.get("window", "auto"),
-                refit_on_train_plus_validation=bool(raw.get("refit_on_train_plus_validation", True)),
-                jobs=int(raw.get("jobs", 1)),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            _check_keys("config", raw, ["data"] + [n for n in names if not n.startswith(_DATA)])
+            for name in required:
+                key = "data" if name.startswith(_DATA) else name
+                if key not in raw:
+                    raise ConfigError(f"missing config key {key!r}")
+            data = _check_keys("data", raw["data"],
+                               [n[len(_DATA):] for n in names if n.startswith(_DATA)])
+            kwargs = {k: v for k, v in raw.items() if k != "data"}
+            kwargs.update((_DATA + k, v) for k, v in data.items())
+            for name in required:
+                if name not in kwargs:
+                    raise ConfigError(f"missing data.{name[len(_DATA):]}")
+            kwargs["split"] = SplitSpec(**_check_keys("split", raw["split"],
+                                                      _field_names(SplitSpec)))
+            if "grid" in raw:
+                kwargs["grid"] = GridSpace.from_dict(raw["grid"])
+            return cls(**kwargs)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ConfigError(f"malformed config value: {exc}") from exc
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -286,7 +263,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if "schema_version" in raw and "config" in raw:
+    if isinstance(raw, dict) and "schema_version" in raw and "config" in raw:
         raw = raw["config"]
     return ExperimentConfig.from_dict(raw)
 
@@ -441,12 +418,11 @@ class _PipelineBuild:
     """
 
     def __init__(self, ts: TimeSeries, pipeline: str, params: dict, horizon: int,
-                 window_policy, i_train: int, i_val: int, jobs: int):
+                 window_policy, i_train: int, i_val: int):
         self.ts = ts
         self.pipeline = pipeline
         self.params = params
         self.horizon = horizon
-        self.jobs = jobs
         self.i_val = i_val
         n = len(ts)
         h = horizon
@@ -497,7 +473,7 @@ class _PipelineBuild:
             return full.take(np.flatnonzero(keep))
         if self.pipeline == "walkforward_ewt":
             return build_walkforward_features(self.ts, self.wf_cfg, start, stop,
-                                              jobs=self.jobs, frozen_boundaries=frozen)
+                                              frozen_boundaries=frozen)
         return leaky_features(self.ts, self.wf_cfg, start, stop)
 
     def train_rows(self) -> WindowedDataset:
@@ -680,7 +656,7 @@ def _tune_family(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val: int
     for pipe_params in cfg.grid.pipeline_candidates(cfg.pipeline):
         try:
             build = _PipelineBuild(ts, cfg.pipeline, pipe_params, cfg.horizon,
-                                   cfg.window, i_train, i_val, cfg.jobs)
+                                   cfg.window, i_train, i_val)
         except ValueError as exc:
             leaderboard.append({"pipeline": pipe_params, "params": None,
                                 "val_rmse": None, "error": f"feature build failed: {exc}"})

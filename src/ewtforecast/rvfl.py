@@ -14,7 +14,7 @@ symmetric positive-definite factorization, never an explicit inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -239,29 +239,14 @@ class RvflModel:
         object.__setattr__(self, "beta", _frozen(beta))
 
     def to_dict(self) -> dict:
-        payload = {
-            "config": {
-                "n_enhancement": self.config.n_enhancement,
-                "activation": self.config.activation,
-                "regularization": self.config.regularization,
-                "input_scale": self.config.input_scale,
-                "direct_link": self.config.direct_link,
-                "output_bias": self.config.output_bias,
-                "seed": self.config.seed,
-            },
+        return {
+            "config": asdict(self.config),
             "hidden_weights": self.hidden.weights.tolist(),
             "hidden_biases": self.hidden.biases.tolist(),
             "beta": self.beta.tolist(),
             "n_features": self.n_features,
-            "scaler": None,
+            "scaler": None if self.scaler is None else self.scaler.to_dict(),
         }
-        if self.scaler is not None:
-            payload["scaler"] = {
-                "kind": self.scaler.kind,
-                "center": self.scaler.center.tolist(),
-                "scale": self.scaler.scale.tolist(),
-            }
-        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RvflModel":
@@ -271,15 +256,12 @@ class RvflModel:
             weights = weights.reshape(0, int(payload["n_features"]))
         hidden = HiddenLayer(weights, np.asarray(payload["hidden_biases"], dtype=np.float64),
                              cfg.activation)
-        scaler = None
-        if payload.get("scaler"):
-            s = payload["scaler"]
-            scaler = Scaler(s["kind"], np.asarray(s["center"]), np.asarray(s["scale"]))
+        scaler = payload.get("scaler")
         return cls(cfg, hidden, np.asarray(payload["beta"], dtype=np.float64),
-                   int(payload["n_features"]), scaler)
+                   int(payload["n_features"]), Scaler(**scaler) if scaler else None)
 
 
-def fit(X, Y, cfg: RvflConfig, scaler: Scaler | None = None, solver_mode: str = "auto") -> RvflModel:
+def fit(X, Y, cfg: RvflConfig, scaler: Scaler | None = None) -> RvflModel:
     """Init the hidden layer, build the design matrix, solve the output weights.
 
     When ``scaler`` is given, ``X`` must be raw: it is transformed here and the
@@ -292,7 +274,7 @@ def fit(X, Y, cfg: RvflConfig, scaler: Scaler | None = None, solver_mode: str = 
         X = apply_scaler(scaler, X)
     hidden = init_hidden_layer(X.shape[1], cfg)
     design = build_design_matrix(X, hidden, cfg)
-    beta = fit_output_weights(design, Y, cfg.regularization, solver_mode)
+    beta = fit_output_weights(design, Y, cfg.regularization)
     return RvflModel(cfg, hidden, beta, X.shape[1], scaler)
 
 

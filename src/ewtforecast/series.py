@@ -184,6 +184,10 @@ class Scaler:
     def n_features(self) -> int:
         return int(self.center.size)
 
+    def to_dict(self) -> dict:
+        """JSON form; ``Scaler(**d)`` reads it back."""
+        return {"kind": self.kind, "center": self.center.tolist(), "scale": self.scale.tolist()}
+
 
 def fit_scaler(train_rows: np.ndarray, kind: str = "zscore") -> Scaler:
     """Fit scaling statistics on the training rows alone (no leakage)."""

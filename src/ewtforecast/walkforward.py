@@ -15,7 +15,6 @@ values of every band component, giving a fixed dimension of
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -167,7 +166,6 @@ def build_walkforward_features(
     cfg: WalkForwardConfig,
     start: int,
     stop: int,
-    jobs: int = 1,
     frozen_boundaries: EwtBoundaries | None = None,
 ) -> WindowedDataset:
     """Assemble causal feature rows for every origin in ``range(start, stop)``.
@@ -175,12 +173,9 @@ def build_walkforward_features(
     Row layout per origin t: ``[x_{t-lags+1..t} | band-1 tail | ... | band-K
     tail]`` with target ``x_{t+horizon}``. In frozen mode the band edges come
     from the earliest window of the range (a training prefix for every row)
-    unless ``frozen_boundaries`` carries edges frozen earlier. ``jobs > 1``
-    fans the per-origin decompositions out to a thread pool; the result is
-    identical to the sequential order.
+    unless ``frozen_boundaries`` carries edges frozen earlier.
     """
     _check_range(ts, cfg, start, stop)
-    cfg.window_at(start)  # fail fast before spawning workers
     frozen = frozen_boundaries
     if frozen is None and cfg.boundary_mode == FROZEN_FROM_TRAIN:
         frozen = freeze_boundaries(ts, cfg, start)
@@ -189,27 +184,17 @@ def build_walkforward_features(
     values = ts.values
     lags = cfg.lags
 
-    def one_row(t: int) -> tuple[np.ndarray, bool]:
+    X = np.empty((origins.size, cfg.feature_dim))
+    fallbacks = 0
+    for i, t in enumerate(origins):
         cs = causal_decompose_at(ts, int(t), cfg, frozen)
-        feats = np.concatenate([values[t - lags + 1: t + 1], cs.tails.ravel()])
-        return feats, cs.boundaries.uniform_fallback
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one_row, origins))
-    else:
-        rows = [one_row(t) for t in origins]
-
-    X = np.stack([feats for feats, _ in rows])
+        X[i] = np.concatenate([values[t - lags + 1: t + 1], cs.tails.ravel()])
+        fallbacks += cs.boundaries.uniform_fallback
     Y = values[origins + cfg.horizon].reshape(-1, 1)
-    if frozen is not None:
-        fallback_count = int(frozen.uniform_fallback)
-    else:
-        fallback_count = sum(flag for _, flag in rows)
     meta = {
         "pipeline": "walkforward_ewt",
         "boundary_mode": cfg.boundary_mode,
-        "fallback_count": int(fallback_count),
+        "fallback_count": int(frozen.uniform_fallback if frozen is not None else fallbacks),
         "window": cfg.window,
         "window_at_start": cfg.window_at(start),
         "frozen_boundaries": None if frozen is None else [float(w) for w in frozen.omegas],

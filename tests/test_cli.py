@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ewtforecast import cli
+from ewtforecast import cli, harness
 
 
 @pytest.fixture()
@@ -16,7 +16,7 @@ def series_csv(tmp_path):
     return path, values
 
 
-def experiment_config(tmp_path, series_path, out_name="run"):
+def experiment_config(tmp_path, series_path, out_name="run", **extra):
     cfg = {
         "data": {"path": str(series_path)},
         "split": {"train_fraction": 0.6, "validation_fraction": 0.2},
@@ -24,6 +24,7 @@ def experiment_config(tmp_path, series_path, out_name="run"):
         "pipeline": "raw_lags",
         "grid": {"n_enhancement": [10], "regularization": [1.0, 100.0], "lags": [4]},
         "output_dir": str(tmp_path / out_name),
+        **extra,
     }
     path = tmp_path / f"{out_name}.json"
     path.write_text(json.dumps(cfg))
@@ -77,6 +78,16 @@ def test_run_with_unknown_config_key_exits_2(series_csv, tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [{"horizon": [1]}, {"data": "s.csv"}, {"seed": "3"}])
+def test_run_with_malformed_config_value_exits_2(series_csv, tmp_path, capsys, bad):
+    path, _ = series_csv
+    raw = json.loads(experiment_config(tmp_path, path).read_text())
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps({**raw, **bad}))
+    assert cli.main(["run", "--config", str(bad_path)]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+
+
 def test_run_with_missing_file_exits_2(tmp_path, capsys):
     rc = cli.main(["run", "--config", str(tmp_path / "nope.json")])
     assert rc == 2
@@ -92,16 +103,22 @@ def test_decompose_bad_input_exits_2(tmp_path, capsys):
 
 def test_compare_reports(series_csv, tmp_path, capsys):
     path, _ = series_csv
-    for name in ("a", "b"):
-        cfg_path = experiment_config(tmp_path, path, out_name=name)
-        assert cli.main(["run", "--config", str(cfg_path), "--seed",
-                         "1" if name == "a" else "2"]) == 0
-    rc = cli.main(["compare", "--reports", str(tmp_path)])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "average ranks" in out
-    assert "critical difference" in out
-    assert "persistence" in out
+    outputs = []
+    # Reports that did not select rmse compare exactly like those that did.
+    for metrics in (list(harness.METRIC_NAMES), ["mae"]):
+        reports = tmp_path / "_".join(metrics)
+        reports.mkdir()
+        for name in ("a", "b"):
+            cfg_path = experiment_config(reports, path, out_name=name, metrics=metrics)
+            assert cli.main(["run", "--config", str(cfg_path), "--seed",
+                             "1" if name == "a" else "2"]) == 0
+        capsys.readouterr()
+        assert cli.main(["compare", "--reports", str(reports)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "average ranks" in outputs[0]
+    assert "critical difference" in outputs[0]
+    assert "persistence" in outputs[0]
+    assert outputs[1] == outputs[0]
 
 
 def test_compare_needs_two_reports(tmp_path, capsys):

@@ -283,10 +283,13 @@ def test_validation_required_for_multi_candidate_grids(tmp_path):
 def test_zero_validation_single_candidate_runs(tmp_path):
     values = np.cumsum(np.random.default_rng(23).normal(size=200))
     path = write_series(tmp_path, values)
-    cfg = walk_config(tmp_path, path, split=SplitSpec(0.8, 0.0))
+    # Repeated axis values are one candidate, so no validation span is needed.
+    grid = GridSpace(n_enhancement=(10, 10), regularization=(10.0, 10.0), lags=(4, 4))
+    cfg = walk_config(tmp_path, path, split=SplitSpec(0.8, 0.0), grid=grid)
     report = run_experiment(cfg)
     assert report.validation_metrics is None
     assert "rvfl" in report.test_metrics
+    assert report.meta["grid_size"] == grid.size("raw_lags") == 1
 
 
 # ------------------------------------------------------------- config parsing

@@ -130,15 +130,6 @@ def test_leakage_inflates_accuracy_on_a_random_walk():
     assert rmse_lk < rmse_wf
 
 
-def test_worker_pool_output_is_bit_identical():
-    base = noisy_two_tone(300, seed=7)
-    cfg = WalkForwardConfig(n_bands=3, lags=4, window=64)
-    seq = build_walkforward_features(TimeSeries(base), cfg, 150, 200, jobs=1)
-    par = build_walkforward_features(TimeSeries(base), cfg, 150, 200, jobs=4)
-    assert np.array_equal(seq.X, par.X)
-    assert np.array_equal(seq.Y, par.Y)
-
-
 def test_frozen_mode_reuses_one_boundary_set():
     base = noisy_two_tone(400, seed=8)
     ts = TimeSeries(base)
