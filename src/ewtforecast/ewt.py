@@ -124,23 +124,21 @@ def _moving_average(values: np.ndarray, width: int) -> np.ndarray:
     return np.convolve(values, kernel, mode="same")
 
 
-def _local_maxima(values: np.ndarray) -> list[int]:
+def _local_maxima(values: np.ndarray) -> np.ndarray:
     """Plateau-aware local maxima: each flat run strictly above both neighbours
     counts once, at its center bin. Edge runs need only their inner neighbour."""
-    n = values.size
-    out = []
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[j + 1] == values[i]:
-            j += 1
-        left_ok = i == 0 or values[i - 1] < values[i]
-        right_ok = j == n - 1 or values[j + 1] < values[i]
-        spans_all = i == 0 and j == n - 1
-        if left_ok and right_ok and not spans_all:
-            out.append((i + j) // 2)
-        i = j + 1
-    return out
+    if values.size == 0:
+        return np.empty(0, dtype=np.intp)
+    change = np.flatnonzero(values[1:] != values[:-1]) + 1
+    starts = np.concatenate(([0], change))
+    ends = np.append(change - 1, values.size - 1)
+    if starts.size == 1:  # one run spanning every bin has no neighbour to beat
+        return np.empty(0, dtype=np.intp)
+    level = values[starts]
+    left_ok = np.concatenate(([True], level[:-1] < level[1:]))
+    right_ok = np.append(level[1:] < level[:-1], True)
+    keep = left_ok & right_ok
+    return (starts[keep] + ends[keep]) // 2
 
 
 def detect_boundaries(spectrum: Spectrum, n_bands: int, smooth_window: int = 5) -> EwtBoundaries:
@@ -161,14 +159,12 @@ def detect_boundaries(spectrum: Spectrum, n_bands: int, smooth_window: int = 5) 
     mag = spectrum.magnitudes
     smoothed = _moving_average(mag, smooth_window)
     peaks = _local_maxima(smoothed)
-    if len(peaks) < n_bands:
+    if peaks.size < n_bands:
         omegas = np.pi * np.arange(1, n_bands) / n_bands
         return EwtBoundaries(omegas, uniform_fallback=True)
-    ranked = sorted(peaks, key=lambda p: (-smoothed[p], p))[:n_bands]
-    ranked.sort()
-    bins = []
-    for lo, hi in zip(ranked[:-1], ranked[1:]):
-        bins.append(lo + 1 + int(np.argmin(mag[lo + 1:hi])))
+    # Highest peaks first, ties to the lower bin; then back in frequency order.
+    ranked = np.sort(peaks[np.lexsort((peaks, -smoothed[peaks]))[:n_bands]])
+    bins = [lo + 1 + int(np.argmin(mag[lo + 1:hi])) for lo, hi in zip(ranked[:-1], ranked[1:])]
     omegas = 2.0 * np.pi * np.asarray(bins, dtype=np.float64) / spectrum.signal_length
     return EwtBoundaries(omegas)
 
@@ -178,55 +174,64 @@ def _smooth_step(x: np.ndarray) -> np.ndarray:
     return x ** 4 * (35.0 - 84.0 * x + 70.0 * x ** 2 - 20.0 * x ** 3)
 
 
-def build_filter_bank(boundaries: EwtBoundaries, signal_length: int, gamma: float = 0.1) -> EwtFilterBank:
-    """Construct the K band filters for a signal of length ``signal_length``.
+def filter_bank_responses(omegas, signal_length: int, gamma: float):
+    """Frequency responses of a stack of filter banks over the full FFT grid.
 
+    ``omegas`` holds one row of band edges per bank, shape ``(R, K - 1)``.
     Around each edge ``w`` the neighbouring filters cross-fade over the zone
     ``[(1-gamma)*w, (1+gamma)*w]`` with raised-cosine profiles driven by a
-    smooth-step polynomial, so adjacent responses sum to one exactly. ``gamma``
-    is clipped (and the clip flagged) whenever the requested value would make
-    transition zones of consecutive edges overlap.
-    """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    if signal_length < MIN_SIGNAL_LENGTH:
-        raise ValueError(f"signal length must be >= {MIN_SIGNAL_LENGTH}")
-    k_bands = boundaries.n_bands
-    n = signal_length
-    if k_bands == 1:
-        return EwtFilterBank(boundaries, gamma, np.ones((1, n)), n, gamma)
+    smooth-step polynomial, so adjacent responses sum to one exactly. A row's
+    ``gamma`` is clipped whenever the requested value would make transition
+    zones of consecutive edges overlap.
 
-    om = boundaries.omegas
-    gamma_eff = gamma
-    if om.size > 1:
-        ratios = np.diff(om) / (om[1:] + om[:-1])
-        gamma_eff = min(gamma, float(ratios.min()))
-    clipped = gamma_eff < gamma
+    Returns the responses, shape ``(R, K, signal_length)``, and the gamma each
+    row used, shape ``(R,)``; a row was clipped where that is below ``gamma``.
+    """
+    om = np.asarray(omegas, dtype=np.float64)
+    n_rows, n_edges = om.shape
+    n = signal_length
+    if n_edges == 0:
+        return np.ones((n_rows, 1, n)), np.full(n_rows, gamma)
+    gamma_eff = np.full(n_rows, gamma)
+    if n_edges > 1:
+        ratios = np.diff(om, axis=1) / (om[:, 1:] + om[:, :-1])
+        gamma_eff = np.minimum(gamma, ratios.min(axis=1))
 
     # |omega| per FFT bin, computed from index distance so the symmetry
     # response[k] == response[n - k] is bit-exact.
     idx = np.arange(n)
     aw = 2.0 * np.pi * np.minimum(idx, n - idx) / n
 
-    rising = np.empty((om.size, n))
-    falling = np.empty((om.size, n))
-    for i, w in enumerate(om):
-        lo = (1.0 - gamma_eff) * w
-        width = 2.0 * gamma_eff * w
-        x = np.clip((aw - lo) / width, 0.0, 1.0)
-        arg = 0.5 * np.pi * _smooth_step(x)
-        rising[i] = np.sin(arg) ** 2
-        falling[i] = np.cos(arg) ** 2
+    g = gamma_eff[:, None, None]
+    w = om[:, :, None]
+    lo = (1.0 - g) * w
+    width = 2.0 * g * w
+    x = np.clip((aw - lo) / width, 0.0, 1.0)
+    arg = 0.5 * np.pi * _smooth_step(x)
+    rising = np.sin(arg) ** 2    # (R, K - 1, n): band above each edge
+    falling = np.cos(arg) ** 2   # band below each edge
 
-    responses = np.empty((k_bands, n))
-    for k in range(k_bands):
-        resp = np.ones(n)
-        if k > 0:
-            resp = resp * rising[k - 1]
-        if k < k_bands - 1:
-            resp = resp * falling[k]
-        responses[k] = resp
-    return EwtFilterBank(boundaries, gamma_eff, responses, n, gamma, clipped)
+    responses = np.empty((n_rows, n_edges + 1, n))
+    responses[:, 0] = falling[:, 0]
+    responses[:, 1:-1] = rising[:, :-1] * falling[:, 1:]
+    responses[:, -1] = rising[:, -1]
+    return responses, gamma_eff
+
+
+def build_filter_bank(boundaries: EwtBoundaries, signal_length: int, gamma: float = 0.1) -> EwtFilterBank:
+    """Construct the K band filters for a signal of length ``signal_length``.
+
+    The one-bank case of :func:`filter_bank_responses`; the clip of ``gamma``
+    is flagged on the result.
+    """
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    if signal_length < MIN_SIGNAL_LENGTH:
+        raise ValueError(f"signal length must be >= {MIN_SIGNAL_LENGTH}")
+    responses, gamma_eff = filter_bank_responses(boundaries.omegas[None, :], signal_length, gamma)
+    gamma_eff = float(gamma_eff[0])
+    return EwtFilterBank(boundaries, gamma_eff, responses[0], signal_length, gamma,
+                         gamma_eff < gamma)
 
 
 def decompose(signal, bank: EwtFilterBank) -> EwtDecomposition:

@@ -22,7 +22,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
-from typing import NamedTuple, get_type_hints
+from typing import NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from ewtforecast import edrvfl as edrvfl_mod
 from ewtforecast import rvfl as rvfl_mod
 from ewtforecast.ewt import EwtBoundaries
 from ewtforecast.metrics import EvalSeries, compute_metrics
-from ewtforecast.rvfl import RvflConfig, RvflModel
+from ewtforecast.rvfl import ACTIVATIONS, RvflConfig, RvflModel
 from ewtforecast.edrvfl import EdRvflConfig, EdRvflModel
 from ewtforecast.series import (
     SCALER_KINDS,
@@ -44,6 +44,7 @@ from ewtforecast.series import (
     split_boundaries,
 )
 from ewtforecast.walkforward import (
+    BOUNDARY_MODES,
     DEFAULT_WINDOW_FLOOR,
     MIN_WINDOW_MARGIN,
     WalkForwardConfig,
@@ -86,11 +87,27 @@ class ModelParams(NamedTuple):
         return dict(self._asdict())
 
 
-def _require_non_empty(name: str, values) -> tuple:
-    values = tuple(values)
+# Grid axes whose values must be one of these names.
+_AXIS_NAMES = {"activation": tuple(ACTIVATIONS), "boundary_mode": BOUNDARY_MODES}
+
+
+def _axis_values(name: str, values, kind: type) -> tuple:
+    """``values`` as a tuple, once it is a non-empty list of ``kind`` values.
+
+    bool is an int subclass but no count; a float axis also takes ints.
+    """
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"grid axis {name!r} must be a list, got {values!r}")
     if not values:
         raise ConfigError(f"grid axis {name!r} must not be empty")
-    return values
+    kinds = (int, float) if kind is float else kind
+    for value in values:
+        if not isinstance(value, kinds) or (isinstance(value, bool) and kind is not bool):
+            raise ConfigError(f"grid axis {name!r} takes {kind.__name__} values, got {value!r}")
+        if name in _AXIS_NAMES and value not in _AXIS_NAMES[name]:
+            raise ConfigError(f"grid axis {name!r} takes one of {_AXIS_NAMES[name]}, "
+                              f"got {value!r}")
+    return tuple(values)
 
 
 def _field_names(cls) -> list[str]:
@@ -117,31 +134,38 @@ class GridSpace:
     :func:`run_experiment` around it.
     """
 
-    n_enhancement: tuple = (50,)
-    regularization: tuple = (1.0,)
-    activation: tuple = ("sigmoid",)
-    input_scale: tuple = (1.0,)
-    lags: tuple = (8,)
-    n_bands: tuple = (3,)
-    gamma: tuple = (0.1,)
-    direct_link: tuple = (True,)
-    output_bias: tuple = (False,)
-    boundary_mode: tuple = ("adaptive_per_step",)
-    seeds: tuple = (0,)
+    n_enhancement: tuple[int, ...] = (50,)
+    regularization: tuple[float, ...] = (1.0,)
+    activation: tuple[str, ...] = ("sigmoid",)
+    input_scale: tuple[float, ...] = (1.0,)
+    lags: tuple[int, ...] = (8,)
+    n_bands: tuple[int, ...] = (3,)
+    gamma: tuple[float, ...] = (0.1,)
+    direct_link: tuple[bool, ...] = (True,)
+    output_bias: tuple[bool, ...] = (False,)
+    boundary_mode: tuple[str, ...] = ("adaptive_per_step",)
+    seeds: tuple[int, ...] = (0,)
 
     def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            object.__setattr__(self, name, _require_non_empty(name, getattr(self, name)))
+        for name, hint in get_type_hints(type(self)).items():
+            object.__setattr__(self, name,
+                               _axis_values(name, getattr(self, name), get_args(hint)[0]))
 
-    def size(self, pipeline: str) -> int:
-        """Number of distinct (pipeline, model) candidates the search visits."""
-        return len(self.model_candidates()) * len(self.pipeline_candidates(pipeline))
+    def size(self, pipeline: str, family: str) -> int:
+        """Number of distinct (pipeline, model) candidates the search of ``family`` visits."""
+        return len(self.model_candidates(family)) * len(self.pipeline_candidates(pipeline))
 
-    def model_candidates(self) -> list[ModelParams]:
+    def model_candidates(self, family: str) -> list[ModelParams]:
+        """Distinct model settings in sorted order.
+
+        Direct links are structural in ``edrvfl``, so its candidates pin that
+        axis to ``True``.
+        """
+        direct_link = (True,) if family == "edrvfl" else self.direct_link
         combos = itertools.product(
             sorted(set(self.n_enhancement)), sorted(set(self.regularization)),
             sorted(set(self.activation)), sorted(set(self.input_scale)),
-            sorted(set(self.direct_link)), sorted(set(self.output_bias)),
+            sorted(set(direct_link)), sorted(set(self.output_bias)),
             sorted(set(self.seeds)),
         )
         return [ModelParams(*c) for c in combos]
@@ -160,7 +184,7 @@ class GridSpace:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "GridSpace":
-        return cls(**{k: tuple(v) for k, v in _check_keys("grid", raw, _field_names(cls)).items()})
+        return cls(**_check_keys("grid", raw, _field_names(cls)))
 
 
 @dataclass(frozen=True)
@@ -318,7 +342,7 @@ def grid_search(space: GridSpace, train: WindowedDataset, val: WindowedDataset,
     and skipped. Ties break on the lexicographic order of the candidate tuple,
     so permuting the axis lists cannot change the winner.
     """
-    candidates = space.model_candidates()
+    candidates = space.model_candidates("rvfl")
     logger.info("grid search over %d model candidates", len(candidates))
 
     def evaluate(p: ModelParams) -> CandidateOutcome:
@@ -378,7 +402,7 @@ def layerwise_grid_search(space: GridSpace, train: WindowedDataset, val: Windowe
             params = {"layer_nodes": list(nodes), "layer_regs": list(regs), **shared.as_dict()}
             return CandidateOutcome(params, None, str(exc))
 
-    stage1 = sorted({m._replace(direct_link=True) for m in space.model_candidates()})
+    stage1 = space.model_candidates("edrvfl")
     leaderboard = []
     outcomes = _map_candidates(lambda p: evaluate((p.n_enhancement,), (p.regularization,), p),
                                stage1, jobs)
@@ -489,9 +513,16 @@ class _PipelineBuild:
         test = self._build(self.tune_stop, self.test_stop, self.frozen)
         return extract_test_rows(test, np.arange(test.n_samples))
 
-    def fallback_count(self, *datasets) -> int:
-        return sum(int(d.meta["fallback_count"]) for d in datasets
-                   if d.meta and "fallback_count" in d.meta)
+    @staticmethod
+    def decomposition_counters(*datasets) -> dict:
+        """Fallback and clipped-gamma counts summed over EWT feature builds, and
+        the largest imaginary residue any of them discarded."""
+        metas = [d.meta for d in datasets if d.meta and "fallback_count" in d.meta]
+        return {
+            "fallback_count": sum(int(m["fallback_count"]) for m in metas),
+            "gamma_clipped_count": sum(int(m["gamma_clipped_count"]) for m in metas),
+            "max_imag_residue": max((float(m["max_imag_residue"]) for m in metas), default=0.0),
+        }
 
 
 @dataclass
@@ -561,7 +592,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         raise ConfigError("horizon reaches past the start of the test span")
 
     needs_tuning = cfg.family in ("rvfl", "edrvfl", "baseline_linear")
-    grid_size = cfg.grid.size(cfg.pipeline) if needs_tuning else 0
+    grid_size = cfg.grid.size(cfg.pipeline, cfg.family) if needs_tuning else 0
     if needs_tuning and grid_size > 1 and n_val < 1:
         raise ConfigError("tuning over more than one candidate requires a validation segment")
     logger.info("experiment %s/%s: grid size %d", cfg.family, cfg.pipeline, grid_size)
@@ -571,7 +602,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     if cfg.family in ("rvfl", "edrvfl"):
         best = _tune_family(cfg, ts, i_train, i_val, leaderboard)
-    fallbacks = 0
+    counters = _PipelineBuild.decomposition_counters()
 
     # Test-span scaffolding shared by every model.
     test_origins = np.arange(i_val - h, n - h, dtype=np.int64)
@@ -602,7 +633,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             pred = edrvfl_mod.ensemble_predict(final_model, test_ds.X)
         forecasts[cfg.family] = pred.ravel()
         chosen_name = cfg.family
-        fallbacks += build.fallback_count(build.tune, test_ds)
+        counters = build.decomposition_counters(build.tune, test_ds)
         lags_for_baseline = pipe_params["lags"]
     elif cfg.family == "baseline_persistence":
         chosen_name = "persistence"
@@ -641,7 +672,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             "series_length": n,
             "split_indices": {"train_end": i_train, "validation_end": i_val},
             "grid_size": grid_size,
-            "fallback_count": fallbacks,
+            **counters,
             "base_seed": cfg.seed,
             "wall_time_s": round(time.perf_counter() - started, 6),
         },

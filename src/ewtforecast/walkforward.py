@@ -10,6 +10,12 @@ control so the effect of the leak can be measured.
 Each feature row concatenates the raw lag window with the trailing ``lags``
 values of every band component, giving a fixed dimension of
 ``(n_bands + 1) * lags``.
+
+The builder decomposes all windows of a range in chunks of rows: one FFT per
+chunk, one filter bank per window width in frozen mode (a stack of per-row
+banks in adaptive mode), one inverse FFT. :func:`causal_decompose_at` does the
+same for one origin with the scalar EWT functions and is the reference the
+batched rows are tested against, bit for bit.
 """
 
 from __future__ import annotations
@@ -19,12 +25,15 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ewtforecast.ewt import (
     EwtBoundaries,
+    Spectrum,
     build_filter_bank,
     decompose,
     detect_boundaries,
+    filter_bank_responses,
     magnitude_spectrum,
 )
 from ewtforecast.series import TimeSeries, WindowedDataset
@@ -36,6 +45,9 @@ BOUNDARY_MODES = (ADAPTIVE_PER_STEP, FROZEN_FROM_TRAIN)
 # A spectrum needs a few samples beyond the lag window to say anything.
 MIN_WINDOW_MARGIN = 8
 DEFAULT_WINDOW_FLOOR = 128
+# Size of one chunk's band spectra (complex, rows x bands x window). Larger
+# chunks buy little speed and raise peak memory by a few times this amount.
+CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -173,7 +185,12 @@ def build_walkforward_features(
     Row layout per origin t: ``[x_{t-lags+1..t} | band-1 tail | ... | band-K
     tail]`` with target ``x_{t+horizon}``. In frozen mode the band edges come
     from the earliest window of the range (a training prefix for every row)
-    unless ``frozen_boundaries`` carries edges frozen earlier.
+    unless ``frozen_boundaries`` carries edges frozen earlier. Every row equals
+    the one :func:`causal_decompose_at` gives for its origin, bit for bit.
+
+    ``meta`` counts uniform-fallback edges and clipped ``gamma`` (per row in
+    adaptive mode, once for frozen edges) and records the largest imaginary
+    residue the inverse FFTs discarded.
     """
     _check_range(ts, cfg, start, stop)
     frozen = frozen_boundaries
@@ -183,18 +200,44 @@ def build_walkforward_features(
     origins = np.arange(start, stop, dtype=np.int64)
     values = ts.values
     lags = cfg.lags
-
     X = np.empty((origins.size, cfg.feature_dim))
-    fallbacks = 0
-    for i, t in enumerate(origins):
-        cs = causal_decompose_at(ts, int(t), cfg, frozen)
-        X[i] = np.concatenate([values[t - lags + 1: t + 1], cs.tails.ravel()])
-        fallbacks += cs.boundaries.uniform_fallback
+
+    widths = np.array([cfg.window_at(int(t)) for t in origins])
+    group_starts = np.flatnonzero(np.diff(widths, prepend=-1))
+    fallbacks = clipped = 0
+    residue = 0.0
+    for first, last in zip(group_starts, np.append(group_starts[1:], origins.size)):
+        width = int(widths[first])
+        # windows[i] ends at origin first + i; consecutive origins overlap.
+        windows = sliding_window_view(values, width)[start + first - width + 1:
+                                                     start + last - width + 1]
+        if frozen is not None:
+            bank = build_filter_bank(frozen, width, cfg.gamma)
+            responses = bank.responses[None]
+            clipped = int(bank.gamma_clipped)
+        chunk = max(1, CHUNK_BYTES // (16 * cfg.n_bands * width))
+        for lo in range(0, windows.shape[0], chunk):
+            block = windows[lo: lo + chunk]
+            if frozen is None:
+                mags = np.abs(np.fft.rfft(block, axis=1))
+                bounds = [detect_boundaries(Spectrum(m, width), cfg.n_bands, cfg.smooth_window)
+                          for m in mags]
+                responses, gamma_eff = filter_bank_responses(
+                    np.array([b.omegas for b in bounds]), width, cfg.gamma)
+                fallbacks += sum(b.uniform_fallback for b in bounds)
+                clipped += int(np.count_nonzero(gamma_eff < cfg.gamma))
+            bands = np.fft.ifft(responses * np.fft.fft(block, axis=1)[:, None, :], axis=2)
+            residue = max(residue, float(bands.imag.max()), -float(bands.imag.min()))
+            rows = slice(first + lo, first + lo + block.shape[0])
+            X[rows, :lags] = block[:, -lags:]
+            X[rows, lags:] = bands.real[:, :, -lags:].reshape(block.shape[0], -1)
     Y = values[origins + cfg.horizon].reshape(-1, 1)
     meta = {
         "pipeline": "walkforward_ewt",
         "boundary_mode": cfg.boundary_mode,
         "fallback_count": int(frozen.uniform_fallback if frozen is not None else fallbacks),
+        "gamma_clipped_count": clipped,
+        "max_imag_residue": residue,
         "window": cfg.window,
         "window_at_start": cfg.window_at(start),
         "frozen_boundaries": None if frozen is None else [float(w) for w in frozen.omegas],
@@ -214,18 +257,20 @@ def leaky_features(ts: TimeSeries, cfg: WalkForwardConfig, start: int, stop: int
         raise ValueError(f"start origin {start} leaves no full lag window of {cfg.lags}")
     bounds = detect_boundaries(magnitude_spectrum(ts.values), cfg.n_bands, cfg.smooth_window)
     bank = build_filter_bank(bounds, len(ts), cfg.gamma)
-    comps = decompose(ts.values, bank).components
+    dec = decompose(ts.values, bank)
 
     origins = np.arange(start, stop, dtype=np.int64)
     lags = cfg.lags
-    X = np.empty((origins.size, cfg.feature_dim))
-    for i, t in enumerate(origins):
-        X[i] = np.concatenate([ts.values[t - lags + 1: t + 1], comps[:, t - lags + 1: t + 1].ravel()])
+    # (n_bands + 1, n_windows, lags): the series, then each band, windowed.
+    blocks = sliding_window_view(np.vstack([ts.values, dec.components]), lags, axis=1)
+    X = blocks[:, start - lags + 1: stop - lags + 1].transpose(1, 0, 2).reshape(origins.size, -1)
     Y = ts.values[origins + cfg.horizon].reshape(-1, 1)
     meta = {
         "pipeline": "leaky_ewt",
         "boundary_mode": "full_series",
         "fallback_count": int(bounds.uniform_fallback),
+        "gamma_clipped_count": int(bank.gamma_clipped),
+        "max_imag_residue": dec.max_imag_residue,
         "window": "full_series",
         "frozen_boundaries": [float(w) for w in bounds.omegas],
     }

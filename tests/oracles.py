@@ -1,8 +1,9 @@
 """Independent reference implementations used to pin expected values.
 
 Each oracle deliberately avoids the code paths it checks: the ridge solution
-comes from plain gradient descent, spectra from direct O(n^2) summation, and
-the signed-rank null distribution from explicit sign enumeration.
+comes from plain gradient descent, spectra from direct O(n^2) summation,
+spectral peaks from a scan over runs of equal values, and the signed-rank
+null distribution from explicit sign enumeration.
 """
 
 import itertools
@@ -36,6 +37,29 @@ def dft_magnitude(x):
     t = np.arange(n)
     for k in range(bins):
         out[k] = np.abs(np.sum(x * np.exp(-2j * np.pi * k * t / n)))
+    return out
+
+
+def local_maxima_loop(values):
+    """Plateau-aware local maxima by scanning runs of equal values.
+
+    Each flat run strictly above both neighbours counts once, at its center
+    bin; edge runs need only their inner neighbour, and a run spanning every
+    bin is no maximum.
+    """
+    n = len(values)
+    out = []
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and values[j + 1] == values[i]:
+            j += 1
+        left_ok = i == 0 or values[i - 1] < values[i]
+        right_ok = j == n - 1 or values[j + 1] < values[i]
+        spans_all = i == 0 and j == n - 1
+        if left_ok and right_ok and not spans_all:
+            out.append((i + j) // 2)
+        i = j + 1
     return out
 
 

@@ -88,6 +88,22 @@ def test_run_with_malformed_config_value_exits_2(series_csv, tmp_path, capsys, b
     assert "configuration error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("axis, values", [
+    ("n_enhancement", "50"), ("n_enhancement", [50.0]), ("lags", [True]), ("seeds", ["0"]),
+    ("regularization", ["1.0"]), ("direct_link", [1]), ("activation", ["swish"]),
+    ("boundary_mode", ["adaptive"]),
+])
+def test_run_with_malformed_grid_value_exits_2(series_csv, tmp_path, capsys, axis, values):
+    path, _ = series_csv
+    raw = json.loads(experiment_config(tmp_path, path).read_text())
+    raw["grid"][axis] = values
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(raw))
+    assert cli.main(["run", "--config", str(bad_path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and f"grid axis {axis!r}" in err
+
+
 def test_run_with_missing_file_exits_2(tmp_path, capsys):
     rc = cli.main(["run", "--config", str(tmp_path / "nope.json")])
     assert rc == 2

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ewtforecast.ewt import (
     EwtBoundaries,
     Spectrum,
+    _local_maxima,
     build_filter_bank,
     decompose,
     detect_boundaries,
+    filter_bank_responses,
     magnitude_spectrum,
     reconstruct,
 )
 
-from oracles import dft_magnitude
+from oracles import dft_magnitude, local_maxima_loop
 
 
 def two_tone(n, lo_bin, hi_bin, lo_amp=1.0, hi_amp=1.0):
@@ -99,6 +103,13 @@ def test_boundaries_strictly_increasing_randomized():
             assert np.all((b.omegas > 0) & (b.omegas < np.pi))
 
 
+@given(st.lists(st.integers(0, 3), max_size=40) | st.lists(st.floats(0.0, 1e3), max_size=40))
+def test_local_maxima_matches_the_run_scan(values):
+    # Small integers make plateaus and ties common.
+    values = np.asarray(values, dtype=np.float64)
+    assert _local_maxima(values).tolist() == local_maxima_loop(values)
+
+
 def test_band_count_validation():
     spec = magnitude_spectrum(np.sin(np.arange(16)))
     with pytest.raises(ValueError, match=">= 1"):
@@ -134,6 +145,23 @@ def test_partition_of_unity_randomized():
             continue
         bank = build_filter_bank(EwtBoundaries(edges), n, gamma=float(rng.uniform(0.01, 0.5)))
         assert np.abs(bank.responses.sum(axis=0) - 1.0).max() <= 1e-12
+
+
+@given(st.integers(4, 300), st.integers(1, 6), st.integers(1, 5), st.floats(0.01, 0.99),
+       st.integers(0, 2**32 - 1))
+def test_stacked_banks_equal_one_bank_at_a_time(n, n_bands, n_rows, gamma, seed):
+    rng = np.random.default_rng(seed)
+    edges = np.sort(rng.uniform(1e-3, np.pi - 1e-3, size=(n_rows, n_bands - 1)), axis=1)
+    responses, gamma_used = filter_bank_responses(edges, n, gamma)
+    assert responses.shape == (n_rows, n_bands, n)
+    for row, omegas in enumerate(edges):
+        if np.any(np.diff(omegas) <= 0.0):
+            continue  # a repeated draw is no valid boundary set
+        bank = build_filter_bank(EwtBoundaries(omegas), n, gamma)
+        assert responses[row].tobytes() == bank.responses.tobytes()
+        assert gamma_used[row] == bank.gamma
+        assert (gamma_used[row] < gamma) == bank.gamma_clipped
+        assert np.abs(responses[row].sum(axis=0) - 1.0).max() <= 1e-12
 
 
 def test_response_symmetry():

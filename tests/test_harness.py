@@ -19,7 +19,8 @@ from ewtforecast.harness import (
     save_model,
     write_report,
 )
-from ewtforecast.series import SplitSpec
+from ewtforecast.series import SplitSpec, TimeSeries
+from ewtforecast.walkforward import WalkForwardConfig, build_walkforward_features
 
 
 def linear_dataset(seed=0, slope=2.0, n=80, noise=0.0):
@@ -289,7 +290,45 @@ def test_zero_validation_single_candidate_runs(tmp_path):
     report = run_experiment(cfg)
     assert report.validation_metrics is None
     assert "rvfl" in report.test_metrics
-    assert report.meta["grid_size"] == grid.size("raw_lags") == 1
+    assert report.meta["grid_size"] == grid.size("raw_lags", "rvfl") == 1
+
+
+@pytest.mark.parametrize("family", ["rvfl", "edrvfl"])
+def test_grid_size_counts_the_candidates_on_the_leaderboard(tmp_path, family):
+    values = np.cumsum(np.random.default_rng(24).normal(size=200))
+    path = write_series(tmp_path, values)
+    # edrvfl links every layer directly, so its search folds the direct_link axis.
+    grid = GridSpace(n_enhancement=(5, 10), direct_link=(False, True), lags=(3, 4))
+    report = run_experiment(walk_config(tmp_path, path, family=family, grid=grid, max_layers=1))
+    candidates = [e for e in report.leaderboard if e["pipeline"] is not None]
+    assert report.meta["grid_size"] == len(candidates) == (8 if family == "rvfl" else 4)
+
+
+def test_edrvfl_with_only_the_direct_link_axis_needs_no_validation(tmp_path):
+    values = np.cumsum(np.random.default_rng(25).normal(size=200))
+    path = write_series(tmp_path, values)
+    grid = GridSpace(n_enhancement=(10,), regularization=(10.0,), direct_link=(False, True),
+                     lags=(4,))
+    cfg = walk_config(tmp_path, path, family="edrvfl", split=SplitSpec(0.8, 0.0), grid=grid,
+                      max_layers=1)
+    report = run_experiment(cfg)
+    assert report.meta["grid_size"] == 1
+    assert report.validation_metrics is None
+
+
+def test_report_meta_carries_the_decomposition_counters(tmp_path):
+    values = np.cumsum(np.random.default_rng(26).normal(size=200))
+    path = write_series(tmp_path, values)
+    grid = GridSpace(n_enhancement=(10,), regularization=(10.0,), lags=(4,), n_bands=(4,))
+    report = run_experiment(walk_config(tmp_path, path, pipeline="walkforward_ewt", grid=grid))
+    # The chosen build's tuning rows (origins 63..158) and test rows (159..198).
+    wf_cfg = WalkForwardConfig(n_bands=4, lags=4, window=64)
+    metas = [build_walkforward_features(TimeSeries(values), wf_cfg, a, b).meta
+             for a, b in ((63, 159), (159, 199))]
+    assert report.meta["fallback_count"] == sum(m["fallback_count"] for m in metas)
+    assert report.meta["gamma_clipped_count"] == sum(m["gamma_clipped_count"] for m in metas) > 0
+    assert report.meta["max_imag_residue"] == max(m["max_imag_residue"] for m in metas)
+    assert 0.0 < report.meta["max_imag_residue"] < 1e-10
 
 
 # ------------------------------------------------------------- config parsing

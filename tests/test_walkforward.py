@@ -1,13 +1,19 @@
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ewtforecast import walkforward
 from ewtforecast.ewt import build_filter_bank, decompose, detect_boundaries, magnitude_spectrum
 from ewtforecast.series import TimeSeries
 from ewtforecast.walkforward import (
     ADAPTIVE_PER_STEP,
+    BOUNDARY_MODES,
     FROZEN_FROM_TRAIN,
+    MIN_WINDOW_MARGIN,
     WalkForwardConfig,
     build_walkforward_features,
     causal_decompose_at,
@@ -35,6 +41,62 @@ def test_causality_perturbing_the_future_changes_nothing(mode):
     ds2 = build_walkforward_features(TimeSeries(mangled), cfg, 300, stop)
     assert np.array_equal(ds.X, ds2.X)
     assert np.array_equal(ds.Y, ds2.Y)
+
+
+def oracle_build(ts, cfg, start, stop):
+    """Rows, fallback and clipped-gamma counts and imaginary residue, one origin at a time."""
+    frozen = (walkforward.freeze_boundaries(ts, cfg, start)
+              if cfg.boundary_mode == FROZEN_FROM_TRAIN else None)
+    values = ts.values
+    rows, fallbacks, clipped, residue = [], 0, 0, 0.0
+    for t in range(start, stop):
+        cs = causal_decompose_at(ts, t, cfg, frozen)
+        rows.append(np.concatenate([values[t - cfg.lags + 1: t + 1], cs.tails.ravel()]))
+        bank = build_filter_bank(cs.boundaries, cs.window, cfg.gamma)
+        residue = max(residue, decompose(values[t - cs.window + 1: t + 1], bank).max_imag_residue)
+        fallbacks += cs.boundaries.uniform_fallback
+        clipped += bank.gamma_clipped
+    if frozen is not None:
+        fallbacks, clipped = int(frozen.uniform_fallback), int(bank.gamma_clipped)
+    return np.array(rows), fallbacks, clipped, residue
+
+
+def assert_matches_oracle(ts, cfg, start, stop):
+    ds = build_walkforward_features(ts, cfg, start, stop)
+    rows, fallbacks, clipped, residue = oracle_build(ts, cfg, start, stop)
+    assert ds.X.tobytes() == rows.tobytes()
+    assert ds.Y[:, 0].tobytes() == ts.values[start + cfg.horizon: stop + cfg.horizon].tobytes()
+    assert (ds.meta["fallback_count"], ds.meta["gamma_clipped_count"]) == (fallbacks, clipped)
+    assert ds.meta["max_imag_residue"] == residue
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(24, 320), lags=st.integers(1, 8),
+       n_bands=st.integers(1, 4), mode=st.sampled_from(BOUNDARY_MODES),
+       window=st.sampled_from(["auto", "all"]) | st.integers(16, 160),
+       walk=st.booleans(), chunk_rows=st.integers(1, 5), data=st.data())
+def test_batched_rows_equal_the_per_origin_oracle(seed, n, lags, n_bands, mode, window, walk,
+                                                  chunk_rows, data):
+    cfg = WalkForwardConfig(n_bands=n_bands, lags=lags, window=window, boundary_mode=mode)
+    first = window - 1 if isinstance(window, int) else lags + MIN_WINDOW_MARGIN - 1
+    if first >= n - 1:
+        return  # no origin has both a full window and a target
+    start = data.draw(st.integers(first, n - 2), label="start")
+    stop = start + data.draw(st.integers(1, n - 1 - start), label="rows")
+    noise = np.random.default_rng(seed).normal(size=n)
+    ts = TimeSeries(np.cumsum(noise) if walk else noise + np.sin(0.3 * np.arange(n)))
+    # A few rows per chunk, so that most ranges cross chunk edges.
+    chunk_bytes = chunk_rows * 16 * n_bands * cfg.window_at(stop - 1)
+    with mock.patch.object(walkforward, "CHUNK_BYTES", chunk_bytes):
+        assert_matches_oracle(ts, cfg, start, stop)
+
+
+@pytest.mark.parametrize("mode", BOUNDARY_MODES)
+def test_rows_across_the_default_chunk_edges_equal_the_oracle(mode):
+    cfg = WalkForwardConfig(n_bands=4, lags=4, window=64, boundary_mode=mode)
+    rows_per_chunk = walkforward.CHUNK_BYTES // (16 * cfg.n_bands * 64)
+    stop = 63 + 2 * rows_per_chunk + 5
+    assert_matches_oracle(TimeSeries(noisy_two_tone(stop + 1, seed=12)), cfg, 63, stop)
 
 
 def test_causal_decompose_ignores_future_values():
@@ -96,6 +158,18 @@ def test_leaky_features_have_identical_shape():
     assert wf.X.shape == lk.X.shape
     assert np.array_equal(wf.Y, lk.Y)
     assert wf.feature_names == lk.feature_names
+
+
+def test_leaky_rows_equal_the_concatenation_of_lag_windows():
+    base = noisy_two_tone(300, seed=5)
+    cfg = WalkForwardConfig(n_bands=3, lags=4, window=64)
+    bounds = detect_boundaries(magnitude_spectrum(base), cfg.n_bands, cfg.smooth_window)
+    comps = decompose(base, build_filter_bank(bounds, base.size, cfg.gamma)).components
+    start, stop = cfg.lags - 1, 299
+    rows = [np.concatenate([base[t - 3: t + 1], comps[:, t - 3: t + 1].ravel()])
+            for t in range(start, stop)]
+    lk = leaky_features(TimeSeries(base), cfg, start, stop)
+    assert lk.X.tobytes() == np.array(rows).tobytes()
 
 
 def test_all_pass_band_makes_both_pipelines_coincide():
