@@ -18,6 +18,8 @@ import hashlib
 import itertools
 import json
 import logging
+import os
+import secrets
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -152,7 +154,12 @@ class GridSpace:
                                _axis_values(name, getattr(self, name), get_args(hint)[0]))
 
     def size(self, pipeline: str, family: str) -> int:
-        """Number of distinct (pipeline, model) candidates the search of ``family`` visits."""
+        """Number of distinct (pipeline, model) candidates the search of ``family`` visits.
+
+        ``baseline_linear`` fits ridge on raw lags only, over lags x regularization.
+        """
+        if family == "baseline_linear":
+            return len(set(self.lags)) * len(set(self.regularization))
         return len(self.model_candidates(family)) * len(self.pipeline_candidates(pipeline))
 
     def model_candidates(self, family: str) -> list[ModelParams]:
@@ -651,6 +658,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.family == "baseline_linear":
         chosen.update(linear_info)
         chosen["validation_rmse"] = linear_info.get("validation_rmse")
+    n_bad = int(np.count_nonzero(~np.isfinite(forecasts[chosen_name])))
+    if n_bad:
+        raise RuntimeError(f"the refit {cfg.family} model forecast {n_bad} non-finite "
+                           f"values on the test span")
 
     test_metrics = {}
     for name in sorted(forecasts):
@@ -799,6 +810,17 @@ def _linear_baseline(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val:
     return pred, info
 
 
+def _write_atomically(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` in one step: a failed write leaves it as it was."""
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_model(model, path) -> None:
     """Persist a trained model as one JSON document with a payload checksum."""
     if isinstance(model, RvflModel):
@@ -814,7 +836,7 @@ def save_model(model, path) -> None:
         "checksum": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
         "payload": payload,
     }
-    Path(path).write_text(json.dumps(envelope, sort_keys=True), encoding="utf-8")
+    _write_atomically(Path(path), json.dumps(envelope, sort_keys=True))
 
 
 def load_model(path):
@@ -851,8 +873,7 @@ def write_report(report: ExperimentReport, out_dir) -> dict:
         "metrics": out / "metrics.csv",
         "forecasts": out / "forecasts.csv",
     }
-    paths["report"].write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True),
-                               encoding="utf-8")
+    _write_atomically(paths["report"], json.dumps(report.to_dict(), indent=2, sort_keys=True))
 
     selected = [m for m in METRIC_NAMES if m in report.config.metrics]
     columns = ["mape_pct" if m == "mape" else m for m in selected]
@@ -863,11 +884,11 @@ def write_report(report: ExperimentReport, out_dir) -> dict:
         vals = report.test_metrics[model]
         cells = ["" if vals[c] is None else repr(vals[c]) for c in columns]
         lines.append(f"{model},{series_name},{horizon},{len(report.origins)}," + ",".join(cells))
-    paths["metrics"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_atomically(paths["metrics"], "\n".join(lines) + "\n")
 
     rows = ["model,origin,actual,forecast"]
     for model in sorted(report.forecasts):
         for origin, actual, pred in zip(report.origins, report.actuals, report.forecasts[model]):
             rows.append(f"{model},{origin},{repr(actual)},{repr(pred)}")
-    paths["forecasts"].write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _write_atomically(paths["forecasts"], "\n".join(rows) + "\n")
     return paths

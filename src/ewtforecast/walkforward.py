@@ -12,10 +12,11 @@ values of every band component, giving a fixed dimension of
 ``(n_bands + 1) * lags``.
 
 The builder decomposes all windows of a range in chunks of rows: one FFT per
-chunk, one filter bank per window width in frozen mode (a stack of per-row
-banks in adaptive mode), one inverse FFT. :func:`causal_decompose_at` does the
-same for one origin with the scalar EWT functions and is the reference the
-batched rows are tested against, bit for bit.
+chunk, one filter bank per window width in frozen mode (in adaptive mode one
+batched edge detection and a stack of per-row banks), one inverse FFT.
+:func:`causal_decompose_at` does the same for one origin with the scalar EWT
+functions and is the reference the batched rows are tested against, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ewtforecast.ewt import (
     EwtBoundaries,
-    Spectrum,
+    band_edges,
     build_filter_bank,
+    check_edges,
     decompose,
     detect_boundaries,
     filter_bank_responses,
@@ -219,12 +221,11 @@ def build_walkforward_features(
         for lo in range(0, windows.shape[0], chunk):
             block = windows[lo: lo + chunk]
             if frozen is None:
-                mags = np.abs(np.fft.rfft(block, axis=1))
-                bounds = [detect_boundaries(Spectrum(m, width), cfg.n_bands, cfg.smooth_window)
-                          for m in mags]
-                responses, gamma_eff = filter_bank_responses(
-                    np.array([b.omegas for b in bounds]), width, cfg.gamma)
-                fallbacks += sum(b.uniform_fallback for b in bounds)
+                omegas, fallback = band_edges(np.abs(np.fft.rfft(block, axis=1)), width,
+                                              cfg.n_bands, cfg.smooth_window)
+                check_edges(omegas)
+                responses, gamma_eff = filter_bank_responses(omegas, width, cfg.gamma)
+                fallbacks += int(np.count_nonzero(fallback))
                 clipped += int(np.count_nonzero(gamma_eff < cfg.gamma))
             bands = np.fft.ifft(responses * np.fft.fft(block, axis=1)[:, None, :], axis=2)
             residue = max(residue, float(bands.imag.max()), -float(bands.imag.min()))

@@ -2,8 +2,10 @@
 
 Each oracle deliberately avoids the code paths it checks: the ridge solution
 comes from plain gradient descent, spectra from direct O(n^2) summation,
-spectral peaks from a scan over runs of equal values, and the signed-rank
-null distribution from explicit sign enumeration.
+spectral peaks from a scan over runs of equal values, band edges from that scan
+plus a Python ranking and one ``argmin`` per edge, filter banks from the
+closed-form responses evaluated at every FFT bin, and the signed-rank null
+distribution from explicit sign enumeration.
 """
 
 import itertools
@@ -61,6 +63,41 @@ def local_maxima_loop(values):
             out.append((i + j) // 2)
         i = j + 1
     return out
+
+
+def detect_boundaries_loop(magnitudes, smoothed, signal_length, n_bands):
+    """Band edges of one spectrum, one peak and one edge at a time.
+
+    The ``n_bands`` highest local maxima of ``smoothed`` (ties to the lower
+    bin) are kept, and each edge sits at the first minimum of ``magnitudes``
+    strictly between two consecutive kept peaks. Fewer peaks than bands give
+    the uniform split of (0, pi), flagged. Returns ``(omegas, fallback)``.
+    """
+    if n_bands == 1:
+        return np.empty(0), False
+    peaks = local_maxima_loop(smoothed)
+    if len(peaks) < n_bands:
+        return np.pi * np.arange(1, n_bands) / n_bands, True
+    ranked = sorted(sorted(peaks, key=lambda p: (-smoothed[p], p))[:n_bands])
+    bins = [lo + 1 + int(np.argmin(magnitudes[lo + 1:hi]))
+            for lo, hi in zip(ranked[:-1], ranked[1:])]
+    return 2.0 * np.pi * np.asarray(bins, dtype=np.float64) / signal_length, False
+
+
+def filter_bank_full_grid(omegas, signal_length, gamma):
+    """Responses of one bank with edges ``omegas`` at every bin of the full grid.
+
+    ``gamma`` is used as given (no clipping). Bin k sits at
+    ``|omega| = 2*pi*min(k, n - k)/n``.
+    """
+    n = signal_length
+    idx = np.arange(n)
+    aw = 2.0 * np.pi * np.minimum(idx, n - idx) / n
+    w = np.asarray(omegas, dtype=np.float64)[:, None]
+    x = np.clip((aw - (1.0 - gamma) * w) / (2.0 * gamma * w), 0.0, 1.0)
+    arg = 0.5 * np.pi * (x ** 4 * (35.0 - 84.0 * x + 70.0 * x ** 2 - 20.0 * x ** 3))
+    rising, falling = np.sin(arg) ** 2, np.cos(arg) ** 2
+    return np.vstack([falling[:1], rising[:-1] * falling[1:], rising[-1:]])
 
 
 def wilcoxon_exact_bruteforce(diff):

@@ -104,6 +104,18 @@ def test_run_with_malformed_grid_value_exits_2(series_csv, tmp_path, capsys, axi
     assert "configuration error:" in err and f"grid axis {axis!r}" in err
 
 
+def test_run_with_non_finite_forecasts_exits_3_without_a_report(series_csv, tmp_path, capsys,
+                                                                monkeypatch):
+    from test_harness import nan_forecasting_rvfl
+
+    path, _ = series_csv
+    nan_forecasting_rvfl(monkeypatch, 90, 2)  # the test span of 300 samples split 0.6/0.1
+    split = {"train_fraction": 0.6, "validation_fraction": 0.1}
+    assert cli.main(["run", "--config", str(experiment_config(tmp_path, path, split=split))]) == 3
+    assert "rvfl model forecast 2 non-finite values" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_run_with_missing_file_exits_2(tmp_path, capsys):
     rc = cli.main(["run", "--config", str(tmp_path / "nope.json")])
     assert rc == 2

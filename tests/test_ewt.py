@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ewtforecast.ewt import (
     EwtBoundaries,
     Spectrum,
     _local_maxima,
+    _moving_average,
+    band_edges,
     build_filter_bank,
     decompose,
     detect_boundaries,
@@ -15,7 +17,12 @@ from ewtforecast.ewt import (
     reconstruct,
 )
 
-from oracles import dft_magnitude, local_maxima_loop
+from oracles import (
+    detect_boundaries_loop,
+    dft_magnitude,
+    filter_bank_full_grid,
+    local_maxima_loop,
+)
 
 
 def two_tone(n, lo_bin, hi_bin, lo_amp=1.0, hi_amp=1.0):
@@ -110,6 +117,63 @@ def test_local_maxima_matches_the_run_scan(values):
     assert _local_maxima(values).tolist() == local_maxima_loop(values)
 
 
+@st.composite
+def spectrum_stacks(draw):
+    """1-6 rows of one-sided spectra; small integers make plateaus and ties common."""
+    n = draw(st.integers(4, 80))
+    rows = draw(st.integers(1, 6))
+    level = (st.integers(0, 3).map(float) if draw(st.booleans())
+             else st.floats(0.0, 1e3, allow_subnormal=False))
+    mags = draw(st.lists(st.lists(level, min_size=n // 2 + 1, max_size=n // 2 + 1),
+                         min_size=rows, max_size=rows))
+    return np.array(mags), n
+
+
+@given(spectrum_stacks(), st.integers(1, 5), st.integers(1, 7))
+# After smoothing, the raw minimum next to a peak sits on the peak bin itself:
+# edges lie strictly between peaks. The first row of the next example falls back.
+@example((np.array([[3.0, 0.0, 3.0, 0.0, 2.0]]), 8), 2, 3)
+@example((np.array([[1.0, 1.0, 1.0, 1.0, 1.0], [0.0, 2.0, 0.0, 3.0, 0.0]]), 9), 2, 1)
+def test_batched_edges_equal_the_loop_oracle_row_by_row(stack, n_bands, smooth_window):
+    mags, n = stack
+    omegas, fallback = band_edges(mags, n, n_bands, smooth_window)
+    assert omegas.shape == (mags.shape[0], n_bands - 1) and fallback.shape == (mags.shape[0],)
+    for row, mag in enumerate(mags):
+        expected, expected_fallback = detect_boundaries_loop(
+            mag, _moving_average(mag, smooth_window), n, n_bands)
+        assert omegas[row].tobytes() == expected.tobytes()
+        assert fallback[row] == expected_fallback
+        one = detect_boundaries(Spectrum(mag, n), n_bands, smooth_window)
+        assert one.omegas.tobytes() == expected.tobytes()
+        assert one.uniform_fallback == expected_fallback
+
+
+@given(st.integers(1, 7), st.data())
+def test_moving_average_matches_convolve(width, data):
+    values = np.array(data.draw(st.lists(st.floats(0.0, 1e3, allow_subnormal=False),
+                                         min_size=width, max_size=60)))
+    smoothed = _moving_average(values, width)
+    expected = np.convolve(values, np.full(width, 1.0 / width), mode="same")
+    inner = slice(width // 2, values.size - (width - 1) // 2)
+    assert smoothed[inner].tobytes() == expected[inner].tobytes()
+    # Where the window overhangs an end, np.convolve may fuse the multiply-adds.
+    # Either way a sum of at most width - 1 non-negative products is within
+    # width - 1 ulp of the exact sum, so the two are within 2 * (width - 1) ulp.
+    np.testing.assert_array_max_ulp(smoothed, expected, maxulp=2 * (width - 1))
+    stacked = _moving_average(np.vstack([values, values[::-1]]), width)
+    assert stacked[0].tobytes() == smoothed.tobytes()
+    assert stacked[1].tobytes() == _moving_average(values[::-1], width).tobytes()
+
+
+@given(st.integers(1, 6), st.integers(0, 12), st.data())
+def test_stacked_local_maxima_are_the_run_scan_of_each_row(rows, m, data):
+    stack = np.array(data.draw(st.lists(st.lists(st.integers(0, 3).map(float),
+                                                 min_size=m, max_size=m),
+                                        min_size=rows, max_size=rows)))
+    expected = [r * m + p for r in range(rows) for p in local_maxima_loop(stack[r])]
+    assert _local_maxima(stack).tolist() == expected
+
+
 def test_band_count_validation():
     spec = magnitude_spectrum(np.sin(np.arange(16)))
     with pytest.raises(ValueError, match=">= 1"):
@@ -162,6 +226,14 @@ def test_stacked_banks_equal_one_bank_at_a_time(n, n_bands, n_rows, gamma, seed)
         assert gamma_used[row] == bank.gamma
         assert (gamma_used[row] < gamma) == bank.gamma_clipped
         assert np.abs(responses[row].sum(axis=0) - 1.0).max() <= 1e-12
+
+
+@given(st.integers(4, 300), st.integers(2, 6), st.floats(0.01, 0.99), st.integers(0, 2**32 - 1))
+def test_half_grid_bank_equals_the_full_grid_formula(n, n_bands, gamma, seed):
+    edges = np.sort(np.random.default_rng(seed).uniform(1e-3, np.pi - 1e-3, size=(1, n_bands - 1)))
+    responses, gamma_used = filter_bank_responses(edges, n, gamma)
+    expected = filter_bank_full_grid(edges[0], n, float(gamma_used[0]))
+    assert responses[0].tobytes() == expected.tobytes()
 
 
 def test_response_symmetry():

@@ -316,6 +316,79 @@ def test_edrvfl_with_only_the_direct_link_axis_needs_no_validation(tmp_path):
     assert report.validation_metrics is None
 
 
+def test_linear_baseline_grid_size_counts_lags_times_regularization(tmp_path):
+    values = np.cumsum(np.random.default_rng(29).normal(size=200))
+    path = write_series(tmp_path, values)
+    # The model axes play no part in the linear baseline's search.
+    grid = GridSpace(n_enhancement=(5, 10), regularization=(10.0,), lags=(4,))
+    report = run_experiment(walk_config(tmp_path, path, family="baseline_linear",
+                                        split=SplitSpec(0.8, 0.0), grid=grid))
+    assert report.meta["grid_size"] == len(report.leaderboard) == 1
+    grid = GridSpace(n_enhancement=(5, 10), regularization=(1.0, 10.0, 10.0), lags=(3, 4))
+    report = run_experiment(walk_config(tmp_path, path, family="baseline_linear", grid=grid))
+    assert report.meta["grid_size"] == len(report.leaderboard) == 4
+
+
+def nan_forecasting_rvfl(monkeypatch, n_rows, n_bad):
+    """Make rvfl (not the ridge baseline) forecast ``n_bad`` NaNs for ``n_rows`` rows."""
+    original = rvfl.predict
+
+    def predict(model, X):
+        out = original(model, X)
+        if model.config.n_enhancement and len(out) == n_rows:
+            out[:n_bad] = np.nan
+        return out
+
+    monkeypatch.setattr(rvfl, "predict", predict)
+
+
+def test_non_finite_test_forecast_raises(tmp_path, monkeypatch):
+    values = np.cumsum(np.random.default_rng(30).normal(size=200))
+    path = write_series(tmp_path, values)
+    nan_forecasting_rvfl(monkeypatch, 60, 3)  # the test span of a 0.6/0.1 split
+    with pytest.raises(RuntimeError, match="rvfl model forecast 3 non-finite values"):
+        run_experiment(walk_config(tmp_path, path, split=SplitSpec(0.6, 0.1)))
+
+
+def test_report_files_are_replaced_whole_or_not_at_all(tmp_path, monkeypatch):
+    values = np.cumsum(np.random.default_rng(31).normal(size=200))
+    report = run_experiment(walk_config(tmp_path, write_series(tmp_path, values)))
+    out = tmp_path / "report"
+    paths = write_report(report, out)
+    before = {name: p.read_bytes() for name, p in paths.items()}
+    unserialisable = harness.ExperimentReport(**{**report.__dict__,
+                                                 "meta": {**report.meta, "bad": object()}})
+    with pytest.raises(TypeError):
+        write_report(unserialisable, out)
+    assert {name: p.read_bytes() for name, p in paths.items()} == before
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(harness.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        write_report(report, out)
+    assert {name: p.read_bytes() for name, p in paths.items()} == before
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in paths.values())
+
+
+def test_failed_model_save_keeps_the_previous_file(tmp_path, monkeypatch):
+    rng = np.random.default_rng(32)
+    X, Y = rng.normal(size=(20, 3)), rng.normal(size=(20, 1))
+    path = tmp_path / "model.json"
+    save_model(rvfl.fit(X, Y, rvfl.RvflConfig(n_enhancement=4, seed=1)), path)
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(harness.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        save_model(rvfl.fit(X, Y, rvfl.RvflConfig(n_enhancement=5, seed=2)), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
 def test_report_meta_carries_the_decomposition_counters(tmp_path):
     values = np.cumsum(np.random.default_rng(26).normal(size=200))
     path = write_series(tmp_path, values)
