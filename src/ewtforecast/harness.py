@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import NamedTuple, get_args, get_type_hints
 
 import numpy as np
+import scipy
 
 from ewtforecast import edrvfl as edrvfl_mod
 from ewtforecast import rvfl as rvfl_mod
@@ -324,8 +325,13 @@ class LayerwiseResult:
 
 
 def _rmse(pred: np.ndarray, target: np.ndarray) -> float:
+    """Validation RMSE; a non-finite forecast raises ``ValueError`` so that the
+    searches record the candidate as failed instead of ranking a ``nan``."""
     pred = np.asarray(pred).ravel()
     target = np.asarray(target).ravel()
+    n_bad = int(np.count_nonzero(~np.isfinite(pred)))
+    if n_bad:
+        raise ValueError(f"non-finite validation forecast ({n_bad} of {pred.size} values)")
     if target.size == 0:
         # Only reachable for single-candidate grids (no validation span).
         return 0.0
@@ -345,9 +351,10 @@ def grid_search(space: GridSpace, train: WindowedDataset, val: WindowedDataset,
                 base_seed: int = 0, jobs: int = 1) -> GridSearchResult:
     """Exhaustive search of the model axes, scored by validation RMSE.
 
-    Every combination is evaluated; failures are recorded on the leaderboard
-    and skipped. Ties break on the lexicographic order of the candidate tuple,
-    so permuting the axis lists cannot change the winner.
+    Every combination is evaluated; failures, including a non-finite
+    validation forecast, are recorded on the leaderboard and skipped. Ties
+    break on the lexicographic order of the candidate tuple, so permuting the
+    axis lists cannot change the winner.
     """
     candidates = space.model_candidates("rvfl")
     logger.info("grid search over %d model candidates", len(candidates))
@@ -374,7 +381,7 @@ def _map_candidates(fn, candidates, jobs):
 def _pick_winner(candidates, outcomes):
     scored = [(o.val_rmse, tuple(c)) for c, o in zip(candidates, outcomes) if o.val_rmse is not None]
     if not scored:
-        raise RuntimeError("every grid candidate failed; see the leaderboard for reasons")
+        raise RuntimeError(f"every grid candidate failed; the first: {outcomes[0].error}")
     best_rmse, best_tuple = min(scored)
     return type(candidates[0])(*best_tuple), best_rmse
 
@@ -684,11 +691,24 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             "split_indices": {"train_end": i_train, "validation_end": i_val},
             "grid_size": grid_size,
             **counters,
+            **_numeric_stack(),
             "base_seed": cfg.seed,
             "wall_time_s": round(time.perf_counter() - started, 6),
         },
     )
     return report
+
+
+def _numeric_stack() -> dict:
+    """numpy and scipy versions and numpy's BLAS library, which together fix the
+    rounding of the forecasts; ``numpy_blas`` is None where numpy does not say."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        numpy_blas = f"{blas['name']} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):
+        numpy_blas = None
+    return {"numpy_version": np.__version__, "scipy_version": scipy.__version__,
+            "numpy_blas": numpy_blas}
 
 
 def _tune_family(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val: int,
@@ -783,12 +803,12 @@ def _linear_baseline(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val:
                                    output_bias=False, seed=0)
             try:
                 model = rvfl_mod.fit(full.X[train_idx], full.Y[train_idx], ridge_cfg)
+                rmse = (_rmse(rvfl_mod.predict(model, full.X[val_idx]), full.Y[val_idx])
+                        if val_idx.size else 0.0)
             except (ValueError, RuntimeError) as exc:
                 leaderboard.append({"pipeline": None, "params": {"lags": lag, "regularization": reg},
                                     "val_rmse": None, "error": str(exc)})
                 continue
-            rmse = (_rmse(rvfl_mod.predict(model, full.X[val_idx]), full.Y[val_idx])
-                    if val_idx.size else 0.0)
             leaderboard.append({"pipeline": None, "params": {"lags": lag, "regularization": reg},
                                 "val_rmse": rmse, "error": None})
             key = (rmse, lag, reg)

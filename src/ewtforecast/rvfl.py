@@ -10,10 +10,19 @@ training objective is
 whose solution is ``(H'H + I/C)^-1 H'Y`` when the design has no more columns
 than rows and ``H'(HH' + I/C)^-1 Y`` otherwise; both are computed via a
 symmetric positive-definite factorization, never an explicit inverse.
+
+The Cholesky factor is computed by ``numpy.linalg.cholesky``, in the same BLAS
+runtime that forms the Gram matrix. The numpy and scipy wheels each bundle
+their own OpenBLAS with its own thread pool; factoring in scipy's runtime right
+after a multi-threaded product in numpy's made the two pools contend for the
+cores (a stall of several milliseconds per solve from about 128 columns up on a
+2-core host). Only the two triangular solves with the few target columns run in
+scipy, and those stay single-threaded.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -21,6 +30,8 @@ import scipy.linalg
 from scipy.special import expit
 
 from ewtforecast.series import Scaler, _frozen, apply_scaler
+
+logger = logging.getLogger(__name__)
 
 _SELU_ALPHA = 1.6732632423543772
 _SELU_SCALE = 1.0507009873554805
@@ -165,20 +176,30 @@ def build_design_matrix(X: np.ndarray, hidden: HiddenLayer, cfg: RvflConfig) -> 
 
 
 def _solve_spd(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Cholesky solve with a single jitter escalation before giving up."""
+    """Solve ``A X = B`` for symmetric positive-definite ``A`` by Cholesky.
+
+    ``A = L L'`` is factored by numpy, in the BLAS runtime that formed ``A``, so
+    no multi-threaded call goes into scipy's separate runtime (see the module
+    docstring); ``L`` and ``L'`` are then solved by scipy's triangular solver. A
+    factorization that fails is retried once with ``trace(A)/n * 1e-10`` added
+    to the diagonal, with a warning; a second failure raises ``RuntimeError``.
+    """
     try:
-        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), B)
+        L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
-        pass
-    jitter = 1e-10 * np.trace(A) / A.shape[0]
-    A_j = A + jitter * np.eye(A.shape[0])
-    try:
-        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(A_j), B)
-    except np.linalg.LinAlgError:
-        raise RuntimeError(
-            f"ridge system factorization failed even with jitter {jitter:.3e}; "
-            f"condition estimate {np.linalg.cond(A):.3e}"
-        ) from None
+        n = A.shape[0]
+        jitter = 1e-10 * np.trace(A) / n
+        logger.warning("ridge system of size %d is not positive definite; "
+                       "retrying with jitter %.3e on the diagonal", n, jitter)
+        try:
+            L = np.linalg.cholesky(A + jitter * np.eye(n))
+        except np.linalg.LinAlgError:
+            raise RuntimeError(
+                f"ridge system factorization failed even with jitter {jitter:.3e}; "
+                f"condition estimate {np.linalg.cond(A):.3e}"
+            ) from None
+    Z = scipy.linalg.solve_triangular(L, B, lower=True)
+    return scipy.linalg.solve_triangular(L, Z, lower=True, trans="T")
 
 
 def fit_output_weights(H, Y, regularization: float, mode: str = "auto") -> np.ndarray:

@@ -1,7 +1,8 @@
 """Independent reference implementations used to pin expected values.
 
 Each oracle deliberately avoids the code paths it checks: the ridge solution
-comes from plain gradient descent, spectra from direct O(n^2) summation,
+comes from plain gradient descent, and from scipy's ``cho_factor``/``cho_solve``
+on the same primal or dual system, spectra from direct O(n^2) summation,
 spectral peaks from a scan over runs of equal values, band edges from that scan
 plus a Python ranking and one ``argmin`` per edge, filter banks from the
 closed-form responses evaluated at every FFT bin, and the signed-rank null
@@ -11,6 +12,7 @@ distribution from explicit sign enumeration.
 import itertools
 
 import numpy as np
+import scipy.linalg
 
 
 def ridge_gd(H, Y, c_reg, tol=1e-9, max_iter=500_000):
@@ -28,6 +30,23 @@ def ridge_gd(H, Y, c_reg, tol=1e-9, max_iter=500_000):
             break
         beta = beta - step * grad
     return beta
+
+
+def cho_factor_solve(A, B):
+    """Solve the symmetric positive-definite ``A X = B`` with scipy's
+    ``cho_factor`` (upper triangle) and ``cho_solve``."""
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), B)
+
+
+def ridge_cho_factor(H, Y, c_reg, primal):
+    """Ridge weights from the primal ``(H'H + I/C) b = H'Y`` or the dual
+    ``b = H'(HH' + I/C)^-1 Y``, both solved by ``cho_factor_solve``."""
+    H = np.asarray(H, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64).reshape(H.shape[0], -1)
+    delta = 1.0 / c_reg
+    if primal:
+        return cho_factor_solve(H.T @ H + delta * np.eye(H.shape[1]), H.T @ Y)
+    return H.T @ cho_factor_solve(H @ H.T + delta * np.eye(H.shape[0]), Y)
 
 
 def dft_magnitude(x):

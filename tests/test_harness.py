@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 
-from ewtforecast import harness, rvfl
+from ewtforecast import edrvfl, harness, rvfl
 from ewtforecast.edrvfl import EdRvflConfig, fit_edrvfl, ensemble_predict
 from ewtforecast.harness import (
     ConfigError,
@@ -21,6 +22,8 @@ from ewtforecast.harness import (
 )
 from ewtforecast.series import SplitSpec, TimeSeries
 from ewtforecast.walkforward import WalkForwardConfig, build_walkforward_features
+
+from oracles import cho_factor_solve
 
 
 def linear_dataset(seed=0, slope=2.0, n=80, noise=0.0):
@@ -105,7 +108,44 @@ def test_grid_search_jobs_do_not_change_results():
     assert [o.val_rmse for o in r1.leaderboard] == [o.val_rmse for o in r4.leaderboard]
 
 
+def test_grid_search_fails_a_candidate_with_a_non_finite_validation_forecast(monkeypatch):
+    train, val = linear_dataset(17, noise=0.1), linear_dataset(18, noise=0.1)
+    original = rvfl.predict
+
+    def predict(model, X):
+        out = original(model, X)
+        return np.full_like(out, np.nan) if model.config.n_enhancement == 5 else out
+
+    monkeypatch.setattr(rvfl, "predict", predict)
+    result = grid_search(GridSpace(n_enhancement=(5, 10)), train, val)
+    assert result.best.n_enhancement == 10
+    assert np.isfinite(result.best_rmse)
+    failed = result.leaderboard[0]
+    assert failed.params["n_enhancement"] == 5 and failed.val_rmse is None
+    assert failed.error == "non-finite validation forecast (80 of 80 values)"
+    with pytest.raises(RuntimeError, match=r"every grid candidate failed; the first: non-finite"):
+        grid_search(GridSpace(n_enhancement=(5,)), train, val)
+
+
 # ------------------------------------------------------------- layerwise
+
+def test_layerwise_rejects_a_layer_with_a_non_finite_validation_forecast(monkeypatch):
+    train, val = linear_dataset(19, noise=0.1), linear_dataset(20, noise=0.1)
+    original = edrvfl.ensemble_predict
+
+    def ensemble_predict(model, X):
+        out = original(model, X)
+        return np.full_like(out, np.nan) if model.n_layers > 1 else out
+
+    monkeypatch.setattr(edrvfl, "ensemble_predict", ensemble_predict)
+    space = GridSpace(n_enhancement=(5, 10), regularization=(1.0, 10.0))
+    lw = layerwise_grid_search(space, train, val, max_layers=3)
+    assert len(lw.layer_nodes) == 1 and len(lw.history) == 1
+    assert np.isfinite(lw.best_rmse)
+    deeper = [o for o in lw.leaderboard if len(o.params["layer_nodes"]) == 2]
+    assert len(deeper) == 4
+    assert all(o.val_rmse is None and "non-finite validation forecast" in o.error for o in deeper)
+
 
 def test_layerwise_single_layer_equals_grid_search():
     train = linear_dataset(10, noise=0.1)
@@ -342,6 +382,24 @@ def nan_forecasting_rvfl(monkeypatch, n_rows, n_bad):
     monkeypatch.setattr(rvfl, "predict", predict)
 
 
+def test_linear_baseline_skips_a_non_finite_validation_forecast(tmp_path, monkeypatch):
+    values = np.cumsum(np.random.default_rng(33).normal(size=200))
+    original = rvfl.predict
+
+    def predict(model, X):
+        out = original(model, X)
+        return np.full_like(out, np.nan) if model.config.regularization == 1e3 else out
+
+    monkeypatch.setattr(rvfl, "predict", predict)
+    grid = GridSpace(regularization=(1.0, 1e3), lags=(4,))
+    report = run_experiment(walk_config(tmp_path, write_series(tmp_path, values),
+                                        family="baseline_linear", grid=grid))
+    assert report.chosen["model_params"] == {"lags": 4, "regularization": 1.0}
+    [failed] = [e for e in report.leaderboard if e["val_rmse"] is None]
+    assert failed["params"]["regularization"] == 1e3
+    assert failed["error"].startswith("non-finite validation forecast")
+
+
 def test_non_finite_test_forecast_raises(tmp_path, monkeypatch):
     values = np.cumsum(np.random.default_rng(30).normal(size=200))
     path = write_series(tmp_path, values)
@@ -402,6 +460,39 @@ def test_report_meta_carries_the_decomposition_counters(tmp_path):
     assert report.meta["gamma_clipped_count"] == sum(m["gamma_clipped_count"] for m in metas) > 0
     assert report.meta["max_imag_residue"] == max(m["max_imag_residue"] for m in metas)
     assert 0.0 < report.meta["max_imag_residue"] < 1e-10
+
+
+def test_report_meta_records_the_numeric_stack(tmp_path):
+    values = np.cumsum(np.random.default_rng(27).normal(size=200))
+    report = run_experiment(walk_config(tmp_path, write_series(tmp_path, values)))
+    assert report.meta["numpy_version"] == np.__version__
+    assert report.meta["scipy_version"] == scipy.__version__
+    assert "numpy_blas" in report.meta
+
+
+@pytest.mark.parametrize("family", ["rvfl", "edrvfl"])
+def test_forecasts_match_the_scipy_cholesky_solve_within_tolerance(tmp_path, monkeypatch, family):
+    # The ridge systems are factored by numpy, not scipy; forecasts and
+    # validation scores may move by rounding only: 1e-9 relative, with the same
+    # candidate chosen. 150 nodes put the systems above ~128 columns.
+    values = np.sin(np.arange(600) * 0.3) + 0.1 * np.random.default_rng(28).normal(size=600)
+    path = write_series(tmp_path, values)
+    grid = GridSpace(n_enhancement=(150, 60), regularization=(1.0, 1e3), lags=(6,), n_bands=(2,))
+    cfg = walk_config(tmp_path, path, family=family, grid=grid, max_layers=2)
+    report = run_experiment(cfg)
+    monkeypatch.setattr(rvfl, "_solve_spd", cho_factor_solve)
+    reference = run_experiment(cfg)
+    scores = ("validation_rmse", "layerwise_history")
+    for key, ref in reference.chosen.items():
+        if key in scores:
+            assert report.chosen[key] == pytest.approx(ref, rel=1e-9)
+        else:
+            assert report.chosen[key] == ref
+    for name, ref in reference.forecasts.items():
+        got, ref = np.asarray(report.forecasts[name]), np.asarray(ref)
+        assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+    for got, ref in zip(report.leaderboard, reference.leaderboard):
+        assert got["val_rmse"] == pytest.approx(ref["val_rmse"], rel=1e-9)
 
 
 # ------------------------------------------------------------- config parsing

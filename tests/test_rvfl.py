@@ -1,8 +1,14 @@
 import json
+import logging
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ewtforecast import rvfl
+from ewtforecast.edrvfl import EdRvflConfig, fit_edrvfl
 from ewtforecast.rvfl import (
     ACTIVATIONS,
     RvflConfig,
@@ -17,7 +23,7 @@ from ewtforecast.rvfl import (
 )
 from ewtforecast.series import fit_scaler
 
-from oracles import ridge_gd
+from oracles import ridge_cho_factor, ridge_gd
 
 
 def random_problem(rng, n_rows=None, n_cols=None):
@@ -195,6 +201,68 @@ def test_objective_optimality_under_perturbation():
         delta = rng.normal(size=beta.shape)
         delta *= 1e-3 / np.linalg.norm(delta)
         assert ridge_objective(H, Y, beta + delta, c_reg) >= base
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 260), st.integers(2, 300), st.booleans(), st.booleans(),
+       st.floats(-2.0, 4.0), st.integers(0, 2**32 - 1))
+def test_solve_matches_the_scipy_cholesky_oracle(n_cols, n_rows, rvfl_like, primal, log_c, seed):
+    # Sizes straddle the ~128-column point where a multi-threaded factorization
+    # starts. Both solves are backward stable, so they may differ by rounding
+    # amplified by the condition number of the factored system: the stated
+    # tolerance is 2*(3n+1)*eps*cond(A) relative, n the system size (Higham's
+    # Cholesky backward-error constant, once per solve).
+    rng = np.random.default_rng(seed)
+    if rvfl_like:  # sigmoid features of a few inputs: strongly collinear columns
+        H = activate("sigmoid", rng.normal(size=(n_rows, 8)) @ rng.uniform(-1, 1, (8, n_cols)))
+    else:
+        H = rng.normal(size=(n_rows, n_cols))
+    Y = rng.normal(size=(n_rows, 1))
+    c_reg = 10.0 ** log_c
+    beta = fit_output_weights(H, Y, c_reg, mode="primal" if primal else "dual")
+    ref = ridge_cho_factor(H, Y, c_reg, primal)
+    system = H.T @ H if primal else H @ H.T
+    n = system.shape[0]
+    tol = 2 * (3 * n + 1) * np.finfo(float).eps * np.linalg.cond(system + np.eye(n) / c_reg)
+    assert np.abs(beta - ref).max() <= tol * np.abs(ref).max()
+
+
+def test_fit_path_makes_no_call_into_scipy_cholesky(monkeypatch):
+    # scipy's bundled OpenBLAS has its own thread pool: a multi-threaded
+    # factorization there, right after numpy's products, makes the two pools
+    # stall each other. The fit path factors in numpy's runtime only.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the fit path called into scipy's Cholesky")
+
+    for name in ("cho_factor", "cho_solve", "cholesky"):
+        monkeypatch.setattr(scipy.linalg, name, forbidden)
+    rng = np.random.default_rng(40)
+    X, Y = rng.normal(size=(300, 8)), rng.normal(size=(300, 1))
+    H = rng.normal(size=(300, 150))
+    assert np.all(np.isfinite(fit_output_weights(H, Y, 10.0, mode="primal")))
+    assert np.all(np.isfinite(fit_output_weights(H[:100], Y[:100], 10.0, mode="dual")))
+    assert np.all(np.isfinite(predict(fit(X, Y, RvflConfig(n_enhancement=150, seed=1)), X)))
+    ed = fit_edrvfl(X, Y, EdRvflConfig(n_layers=2, n_enhancement=(150, 140),
+                                       regularization=(10.0, 1.0), seed=2))
+    assert len(ed.layers) == 2
+
+
+def test_slightly_indefinite_system_is_solved_after_jitter_with_a_warning(caplog):
+    A = np.diag([1.0, 1.0, -1e-12])
+    b = np.array([[1.0], [2.0], [3.0]])
+    with caplog.at_level(logging.WARNING, logger="ewtforecast.rvfl"):
+        x = rvfl._solve_spd(A, b)
+    jitter = 1e-10 * np.trace(A) / 3
+    assert np.allclose((A + jitter * np.eye(3)) @ x, b, rtol=1e-6)
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    assert "size 3" in record.getMessage() and f"{jitter:.3e}" in record.getMessage()
+
+
+def test_strongly_indefinite_system_raises(caplog):
+    with pytest.raises(RuntimeError, match="failed even with jitter"):
+        rvfl._solve_spd(np.diag([1.0, -1.0]), np.ones((2, 1)))
+    assert len(caplog.records) == 1
 
 
 # ------------------------------------------------------------- fit / predict
