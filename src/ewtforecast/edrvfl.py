@@ -21,7 +21,7 @@ import numpy as np
 from ewtforecast.rvfl import (
     HiddenLayer,
     RvflConfig,
-    activate,
+    _design,
     fit_output_weights,
     init_hidden_layer,
 )
@@ -151,11 +151,6 @@ class EdRvflModel:
         return cls(cfg, layers, int(payload["n_features"]), Scaler(**scaler) if scaler else None)
 
 
-def _enhancement_features(layer: EdRvflLayer, enh_input: np.ndarray) -> np.ndarray:
-    return activate(layer.hidden.activation,
-                    enh_input @ layer.hidden.weights.T + layer.hidden.biases)
-
-
 def _forward_features(A: np.ndarray, layer: EdRvflLayer) -> np.ndarray:
     if layer.norm_center is None:
         return A
@@ -175,43 +170,39 @@ def fit_edrvfl(X, Y, cfg: EdRvflConfig, scaler: Scaler | None = None) -> EdRvflM
 
     layers = []
     carried = None  # features handed to the next layer's random map
+    d = X.shape[1]
     for l in range(cfg.n_layers):
         layer_cfg = cfg.layer_config(l)
         enh_input = X if carried is None else np.hstack([X, carried])
         hidden = init_hidden_layer(enh_input.shape[1], layer_cfg)
-        A = activate(cfg.activation, enh_input @ hidden.weights.T + hidden.biases)
+        H = _design(X, enh_input, hidden, cfg.output_bias)
+        A = H[:, d:d + hidden.n_nodes]
 
         norm_center = norm_scale = None
         if cfg.layer_norm:
             norm_center = A.mean(axis=0)
             norm_scale = np.where(A.std(axis=0) == 0.0, 1.0, A.std(axis=0))
 
-        blocks = [X, A]
-        if cfg.output_bias:
-            blocks.append(np.ones((X.shape[0], 1)))
         try:
-            beta = fit_output_weights(np.hstack(blocks), Y, layer_cfg.regularization)
+            beta = fit_output_weights(H, Y, layer_cfg.regularization)
         except RuntimeError as exc:
             raise RuntimeError(f"layer {l + 1} solve failed: {exc}") from exc
 
         layer = EdRvflLayer(hidden, beta, norm_center, norm_scale)
         layers.append(layer)
         carried = _forward_features(A, layer)
-    return EdRvflModel(cfg, tuple(layers), X.shape[1], scaler)
+    return EdRvflModel(cfg, tuple(layers), d, scaler)
 
 
 def _layer_designs(model: EdRvflModel, X: np.ndarray):
     """Yield each layer's output design matrix for the given raw-input rows."""
     carried = None
-    ones = np.ones((X.shape[0], 1))
+    d = X.shape[1]
     for layer in model.layers:
         enh_input = X if carried is None else np.hstack([X, carried])
-        A = _enhancement_features(layer, enh_input)
-        blocks = [X, A]
-        if model.config.output_bias:
-            blocks.append(ones)
-        yield np.hstack(blocks)
-        carried = _forward_features(A, layer)
+        H = _design(X, enh_input, layer.hidden, model.config.output_bias)
+        yield H
+        carried = _forward_features(H[:, d:d + layer.hidden.n_nodes], layer)
 
 
 def _prepare_input(model: EdRvflModel, X) -> np.ndarray:

@@ -8,6 +8,13 @@ Persistence and plain-ridge baselines are always evaluated alongside so
 improvements stay interpretable. Test rows are assembled exactly once, after
 tuning has finished.
 
+Model search solves each ridge problem once: candidates that differ only in
+regularization share one hidden layer, one pair of designs and one Gram matrix,
+and the layer-wise search fits its fixed layers once and reuses their
+activations and forecasts. Every score is bit for bit that of fitting the
+candidate from scratch, and the winner's validation forecast comes from the
+search, not from a refit.
+
 Reports embed their fully-resolved configuration, so rerunning a report
 reproduces its forecasts bit for bit.
 """
@@ -312,6 +319,7 @@ class GridSearchResult:
     best: ModelParams
     best_rmse: float
     leaderboard: list
+    val_forecast: np.ndarray  # the winner's validation forecast
 
 
 @dataclass
@@ -322,6 +330,7 @@ class LayerwiseResult:
     best_rmse: float
     history: tuple
     leaderboard: list
+    val_forecast: np.ndarray  # the winning ensemble's validation forecast
 
 
 def _rmse(pred: np.ndarray, target: np.ndarray) -> float:
@@ -338,6 +347,16 @@ def _rmse(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.sqrt(np.mean((pred - target) ** 2)))
 
 
+def _outcome(params: dict, forecast, target) -> CandidateOutcome:
+    """Score a validation forecast, or record the exception raised in its place."""
+    if isinstance(forecast, Exception):
+        return CandidateOutcome(params, None, str(forecast))
+    try:
+        return CandidateOutcome(params, _rmse(forecast, target))
+    except ValueError as exc:
+        return CandidateOutcome(params, None, str(exc))
+
+
 def _rvfl_config(p: ModelParams, base_seed: int) -> RvflConfig:
     return RvflConfig(
         n_enhancement=p.n_enhancement, activation=p.activation,
@@ -345,6 +364,73 @@ def _rvfl_config(p: ModelParams, base_seed: int) -> RvflConfig:
         direct_link=p.direct_link, output_bias=p.output_bias,
         seed=base_seed + p.seed,
     )
+
+
+def _edrvfl_config(nodes: tuple, regs: tuple, p: ModelParams, base_seed: int,
+                   ensemble_rule: str = "median") -> EdRvflConfig:
+    return EdRvflConfig(
+        n_layers=len(nodes), n_enhancement=tuple(nodes), regularization=tuple(regs),
+        activation=p.activation, input_scale=p.input_scale, ensemble_rule=ensemble_rule,
+        output_bias=p.output_bias, seed=base_seed + p.seed,
+    )
+
+
+def _groups(candidates, key) -> list[list[int]]:
+    """Indices of ``candidates`` grouped by ``key``, groups in order of first appearance."""
+    groups: dict = {}
+    for i, candidate in enumerate(candidates):
+        groups.setdefault(key(candidate), []).append(i)
+    return list(groups.values())
+
+
+def _without_regularization(p: ModelParams) -> ModelParams:
+    return p._replace(regularization=None)
+
+
+def _group_forecasts(keys, make_config, fit) -> dict:
+    """Per key, its candidate's validation forecast or the exception it raised.
+
+    ``make_config(key)`` validates one candidate's settings, so an invalid value
+    fails its candidate alone; ``fit(configs)`` fits the valid candidates of the
+    group together and returns their forecasts (or exceptions) in order. An
+    exception ``fit`` raises is every valid candidate's failure.
+    """
+    configs, forecasts = {}, {}
+    for key in keys:
+        try:
+            configs[key] = make_config(key)
+        except ValueError as exc:
+            forecasts[key] = exc
+    if configs:
+        try:
+            path = fit(list(configs.values()))
+        except (ValueError, RuntimeError) as exc:
+            path = [exc] * len(configs)
+        forecasts.update(zip(configs, path))
+    return forecasts
+
+
+def _fit_group(configs: list[RvflConfig], train: WindowedDataset, val: WindowedDataset,
+               enh=None, enh_val=None):
+    """Validation forecasts of networks that differ only in regularization.
+
+    ``enh``/``enh_val`` feed the hidden layer (default: the rows' ``X``, which
+    always feeds the direct links). One hidden layer is drawn, the train and
+    validation designs are built once, and one Gram matrix serves every C
+    (:func:`rvfl.ridge_path`). Returns both designs and, per config, the
+    forecast or the exception its solve raised.
+    """
+    if train.n_samples < 1:
+        raise ValueError("X must be a non-empty matrix")
+    enh = train.X if enh is None else enh
+    enh_val = val.X if enh_val is None else enh_val
+    cfg = configs[0]
+    hidden = rvfl_mod.init_hidden_layer(enh.shape[1], cfg)
+    H = rvfl_mod._design(train.X if cfg.direct_link else None, enh, hidden, cfg.output_bias)
+    betas = rvfl_mod.ridge_path(H, train.Y, [c.regularization for c in configs])
+    H_val = rvfl_mod._design(val.X if cfg.direct_link else None, enh_val, hidden,
+                             cfg.output_bias)
+    return H, H_val, [b if isinstance(b, Exception) else H_val @ b for b in betas]
 
 
 def grid_search(space: GridSpace, train: WindowedDataset, val: WindowedDataset,
@@ -355,35 +441,62 @@ def grid_search(space: GridSpace, train: WindowedDataset, val: WindowedDataset,
     validation forecast, are recorded on the leaderboard and skipped. Ties
     break on the lexicographic order of the candidate tuple, so permuting the
     axis lists cannot change the winner.
+
+    Candidates that differ only in ``regularization`` form a group: it draws
+    one hidden layer, builds one train and one validation design and forms one
+    Gram matrix, and each C only adds its ridge and factors. Every score is, bit
+    for bit, that of ``rvfl.fit`` and ``rvfl.predict`` with the candidate's
+    settings. ``jobs`` threads run over the groups.
     """
     candidates = space.model_candidates("rvfl")
     logger.info("grid search over %d model candidates", len(candidates))
 
-    def evaluate(p: ModelParams) -> CandidateOutcome:
-        try:
-            model = rvfl_mod.fit(train.X, train.Y, _rvfl_config(p, base_seed))
-            return CandidateOutcome(p.as_dict(), _rmse(rvfl_mod.predict(model, val.X), val.Y))
-        except (ValueError, RuntimeError) as exc:
-            return CandidateOutcome(p.as_dict(), None, str(exc))
+    def evaluate(group: list[int]) -> dict:
+        return _group_forecasts(group, lambda i: _rvfl_config(candidates[i], base_seed),
+                                lambda configs: _fit_group(configs, train, val)[2])
 
-    outcomes = _map_candidates(evaluate, candidates, jobs)
+    forecasts = {}
+    for group in _map_candidates(evaluate, _groups(candidates, _without_regularization), jobs):
+        forecasts.update(group)
+    outcomes = [_outcome(p.as_dict(), forecasts[i], val.Y) for i, p in enumerate(candidates)]
     best, best_rmse = _pick_winner(candidates, outcomes)
-    return GridSearchResult(best, best_rmse, outcomes)
+    return GridSearchResult(best, best_rmse, outcomes, forecasts[candidates.index(best)])
 
 
-def _map_candidates(fn, candidates, jobs):
+def _map_candidates(fn, items, jobs):
+    """``fn`` over ``items`` in order, on ``jobs`` threads; results are yielded as consumed."""
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, candidates))
-    return [fn(c) for c in candidates]
+            yield from pool.map(fn, items)
+    else:
+        yield from map(fn, items)
+
+
+def _no_winner(outcomes) -> RuntimeError:
+    return RuntimeError(f"every grid candidate failed; the first: {outcomes[0].error}")
 
 
 def _pick_winner(candidates, outcomes):
     scored = [(o.val_rmse, tuple(c)) for c, o in zip(candidates, outcomes) if o.val_rmse is not None]
     if not scored:
-        raise RuntimeError(f"every grid candidate failed; the first: {outcomes[0].error}")
+        raise _no_winner(outcomes)
     best_rmse, best_tuple = min(scored)
     return type(candidates[0])(*best_tuple), best_rmse
+
+
+@dataclass(frozen=True)
+class _Prefix:
+    """The fixed layers of the layer-wise search, as far as the next layer needs them."""
+
+    train_in: np.ndarray  # the next layer's enhancement input [X | A], train rows
+    val_in: np.ndarray    # the same for the validation rows
+    forecasts: tuple = ()  # each fixed layer's validation forecast
+
+    def extend(self, n_features: int, n_nodes: int, H, H_val, forecast) -> "_Prefix":
+        """The prefix with one more layer, from that layer's designs ``[X | A | 1?]``."""
+        width = n_features + n_nodes
+        return _Prefix(np.ascontiguousarray(H[:, :width]), np.ascontiguousarray(H_val[:, :width]),
+                       self.forecasts + (forecast,))
 
 
 def layerwise_grid_search(space: GridSpace, train: WindowedDataset, val: WindowedDataset,
@@ -396,50 +509,83 @@ def layerwise_grid_search(space: GridSpace, train: WindowedDataset, val: Windowe
     layers stay fixed, and the layer is kept only when validation RMSE improves
     by at least a relative ``1e-6``; otherwise the search stops early. Direct
     links are structural in this architecture, so that axis is ignored.
+
+    The fixed layers are fitted once: the search keeps the accepted layers'
+    activations and validation forecasts, and a candidate fits only its new
+    layer and combines its forecast with theirs. Candidates of a stage that
+    differ only in the new layer's ``regularization`` share its hidden layer,
+    designs and Gram matrix. Every score is, bit for bit, that of
+    ``fit_edrvfl`` and ``ensemble_predict`` on the candidate's whole stack.
+    ``jobs`` threads run over the groups; only the running winner's designs are
+    kept.
     """
     if max_layers < 1:
         raise ValueError("max_layers must be >= 1")
-
-    def evaluate(nodes: tuple, regs: tuple, shared: ModelParams) -> CandidateOutcome:
-        try:
-            cfg = EdRvflConfig(
-                n_layers=len(nodes), n_enhancement=nodes, regularization=regs,
-                activation=shared.activation, input_scale=shared.input_scale,
-                ensemble_rule=ensemble_rule, output_bias=shared.output_bias,
-                seed=base_seed + shared.seed,
-            )
-            model = edrvfl_mod.fit_edrvfl(train.X, train.Y, cfg)
-            rmse = _rmse(edrvfl_mod.ensemble_predict(model, val.X), val.Y)
-            params = {"layer_nodes": list(nodes), "layer_regs": list(regs), **shared.as_dict()}
-            return CandidateOutcome(params, rmse)
-        except (ValueError, RuntimeError) as exc:
-            params = {"layer_nodes": list(nodes), "layer_regs": list(regs), **shared.as_dict()}
-            return CandidateOutcome(params, None, str(exc))
-
-    stage1 = space.model_candidates("edrvfl")
     leaderboard = []
-    outcomes = _map_candidates(lambda p: evaluate((p.n_enhancement,), (p.regularization,), p),
-                               stage1, jobs)
-    leaderboard.extend(outcomes)
-    shared, best_rmse = _pick_winner(stage1, outcomes)
-    nodes = (shared.n_enhancement,)
-    regs = (shared.regularization,)
+
+    def evaluate(prefix: _Prefix, stage: list, group: list[int]):
+        """Fit one group's new layer; score each candidate's ensemble."""
+        designs = [None, None]
+
+        def fit(configs: list[EdRvflConfig]) -> list:
+            layer = configs[0].n_layers
+            H, H_val, path = _fit_group([c.layer_config(layer - 1) for c in configs],
+                                        train, val, prefix.train_in, prefix.val_in)
+            designs[:] = H, H_val
+            return [RuntimeError(f"layer {layer} solve failed: {f}")
+                    if isinstance(f, RuntimeError) else f for f in path]
+
+        forecasts = _group_forecasts(
+            group, lambda k: _edrvfl_config(*stage[k], base_seed, ensemble_rule), fit)
+        scored = []
+        for k in group:
+            nodes, regs, shared = stage[k]
+            layer_forecast = ensemble = forecasts[k]
+            if not isinstance(layer_forecast, Exception):
+                ensemble = edrvfl_mod.combine_predictions(
+                    np.stack(prefix.forecasts + (layer_forecast,)), ensemble_rule)
+            params = {"layer_nodes": list(nodes), "layer_regs": list(regs), **shared.as_dict()}
+            scored.append((k, _outcome(params, ensemble, val.Y), layer_forecast, ensemble))
+        return scored, *designs
+
+    def run_stage(prefix: _Prefix, stage: list):
+        """Leaderboard entries of one stage, and its winner with its designs (None if none)."""
+        outcomes = [None] * len(stage)
+        best = None
+        groups = _groups(stage, lambda s: (s[0], _without_regularization(s[2])))
+        for scored, H, H_val in _map_candidates(lambda g: evaluate(prefix, stage, g), groups, jobs):
+            for k, outcome, layer_forecast, ensemble in scored:
+                outcomes[k] = outcome
+                nodes, regs, shared = stage[k]
+                key = (outcome.val_rmse, nodes, regs, tuple(shared))
+                if outcome.val_rmse is not None and (best is None or key < best[0]):
+                    best = (key, shared, layer_forecast, ensemble, H, H_val)
+        leaderboard.extend(outcomes)
+        return outcomes, best
+
+    stage1 = [((p.n_enhancement,), (p.regularization,), p)
+              for p in space.model_candidates("edrvfl")]
+    prefix = _Prefix(train.X, val.X)
+    outcomes, best = run_stage(prefix, stage1)
+    if best is None:
+        raise _no_winner(outcomes)
+    (best_rmse, nodes, regs, _), shared, *_ = best
     history = [best_rmse]
 
     pairs = sorted(set(itertools.product(space.n_enhancement, space.regularization)))
     for _ in range(2, max_layers + 1):
-        stage = [(nodes + (l,), regs + (c,)) for l, c in pairs]
-        outcomes = _map_candidates(lambda nc: evaluate(nc[0], nc[1], shared), stage, jobs)
-        leaderboard.extend(outcomes)
-        scored = [(o.val_rmse, s) for s, o in zip(stage, outcomes) if o.val_rmse is not None]
-        if not scored:
+        _, _, layer_forecast, _, H, H_val = best
+        prefix = prefix.extend(train.n_features, nodes[-1], H, H_val, layer_forecast)
+        stage = [(nodes + (l,), regs + (c,), shared) for l, c in pairs]
+        _, stage_best = run_stage(prefix, stage)
+        if stage_best is None:
             break
-        rmse_l, (nodes_l, regs_l) = min(scored)
+        (rmse_l, nodes_l, regs_l, _), *_ = stage_best
         if rmse_l > best_rmse * (1.0 - MIN_RELATIVE_GAIN):
             break
-        nodes, regs, best_rmse = nodes_l, regs_l, rmse_l
+        nodes, regs, best_rmse, best = nodes_l, regs_l, rmse_l, stage_best
         history.append(best_rmse)
-    return LayerwiseResult(nodes, regs, shared, best_rmse, tuple(history), leaderboard)
+    return LayerwiseResult(nodes, regs, shared, best_rmse, tuple(history), leaderboard, best[3])
 
 
 def extract_test_rows(dataset: WindowedDataset, indices: np.ndarray) -> WindowedDataset:
@@ -612,7 +758,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     logger.info("experiment %s/%s: grid size %d", cfg.family, cfg.pipeline, grid_size)
 
     leaderboard: list[dict] = []
-    best = None  # (rmse, pipe_tuple, model_tuple, build, chosen dict)
+    best = None  # (rmse, pipeline params, build, model info, validation forecast)
 
     if cfg.family in ("rvfl", "edrvfl"):
         best = _tune_family(cfg, ts, i_train, i_val, leaderboard)
@@ -630,11 +776,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     validation_metrics = None
 
     if cfg.family in ("rvfl", "edrvfl"):
-        rmse_val, pipe_params, build, model_info = best
+        rmse_val, pipe_params, build, model_info, val_pred = best
         chosen.update({"pipeline_params": pipe_params, **model_info,
                        "validation_rmse": rmse_val})
-        final_model, val_pred, val_rows = _refit_chosen(cfg, build, model_info)
-        if val_rows is not None and val_rows.n_samples:
+        final_model = _refit_chosen(cfg, build, model_info)
+        val_rows = build.val_rows()
+        if val_rows.n_samples:
             ev = EvalSeries(val_rows.Y.ravel(), val_pred.ravel(),
                             ts.values[val_rows.origin_indices + h - 1], ts.values[:i_train])
             validation_metrics = _filter_metrics(compute_metrics(ev), cfg.metrics)
@@ -713,7 +860,8 @@ def _numeric_stack() -> dict:
 
 def _tune_family(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val: int,
                  leaderboard: list):
-    """Search pipeline x model candidates; return the winning build and params."""
+    """Search pipeline x model candidates; return the winning build, params and
+    the winner's validation forecast."""
     best = None
     for pipe_params in cfg.grid.pipeline_candidates(cfg.pipeline):
         try:
@@ -744,40 +892,24 @@ def _tune_family(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val: int
         for outcome in result.leaderboard:
             leaderboard.append({"pipeline": pipe_params, **outcome.__dict__})
         if best is None or key < best[0]:
-            best = (key, pipe_params, build, model_info)
+            best = (key, pipe_params, build, model_info, result.val_forecast)
     if best is None:
-        raise RuntimeError("every pipeline candidate failed; see the leaderboard")
-    key, pipe_params, build, model_info = best
-    return key[0], pipe_params, build, model_info
+        # Only feature builds fail here: a search whose every candidate fails raises.
+        raise RuntimeError(f"every pipeline candidate failed; the first: {leaderboard[0]['error']}")
+    key, pipe_params, build, model_info, val_forecast = best
+    return key[0], pipe_params, build, model_info, val_forecast
 
 
 def _refit_chosen(cfg: ExperimentConfig, build: _PipelineBuild, model_info: dict):
-    """Refit the winner on train(+validation) rows; also return its validation fit."""
-    train_rows, val_rows = build.train_rows(), build.val_rows()
+    """Refit the winner on train(+validation) rows."""
     refit_rows = build.refit_rows(cfg.refit_on_train_plus_validation)
     scaler = None if cfg.scaler == "none" else fit_scaler(refit_rows.X, cfg.scaler)
-    tuning_scaler = None if cfg.scaler == "none" else fit_scaler(train_rows.X, cfg.scaler)
-
     params = ModelParams(**model_info["model_params"])
     if cfg.family == "rvfl":
-        rvfl_cfg = _rvfl_config(params, cfg.seed)
-        val_model = rvfl_mod.fit(train_rows.X, train_rows.Y, rvfl_cfg, tuning_scaler)
-        val_pred = rvfl_mod.predict(val_model, val_rows.X) if val_rows.n_samples else np.empty((0, 1))
-        final = rvfl_mod.fit(refit_rows.X, refit_rows.Y, rvfl_cfg, scaler)
-        return final, val_pred, val_rows
+        return rvfl_mod.fit(refit_rows.X, refit_rows.Y, _rvfl_config(params, cfg.seed), scaler)
 
-    ed_cfg = EdRvflConfig(
-        n_layers=len(model_info["layer_nodes"]),
-        n_enhancement=tuple(model_info["layer_nodes"]),
-        regularization=tuple(model_info["layer_regs"]),
-        activation=params.activation, input_scale=params.input_scale,
-        output_bias=params.output_bias, seed=cfg.seed + params.seed,
-    )
-    val_model = edrvfl_mod.fit_edrvfl(train_rows.X, train_rows.Y, ed_cfg, tuning_scaler)
-    val_pred = (edrvfl_mod.ensemble_predict(val_model, val_rows.X)
-                if val_rows.n_samples else np.empty((0, 1)))
-    final = edrvfl_mod.fit_edrvfl(refit_rows.X, refit_rows.Y, ed_cfg, scaler)
-    return final, val_pred, val_rows
+    ed_cfg = _edrvfl_config(model_info["layer_nodes"], model_info["layer_regs"], params, cfg.seed)
+    return edrvfl_mod.fit_edrvfl(refit_rows.X, refit_rows.Y, ed_cfg, scaler)
 
 
 def _linear_baseline(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val: int,
@@ -798,21 +930,16 @@ def _linear_baseline(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val:
         val_idx = np.flatnonzero((targets >= i_train) & (targets < i_val))
         if train_idx.size == 0:
             continue
+        # One Gram matrix per lag serves every regularization value.
+        train_rows, val_rows = full.take(train_idx), full.take(val_idx)
+        forecasts = _group_forecasts(reg_candidates, _ridge_config,
+                                     lambda configs: _fit_group(configs, train_rows, val_rows)[2])
         for reg in reg_candidates:
-            ridge_cfg = RvflConfig(n_enhancement=0, regularization=reg, direct_link=True,
-                                   output_bias=False, seed=0)
-            try:
-                model = rvfl_mod.fit(full.X[train_idx], full.Y[train_idx], ridge_cfg)
-                rmse = (_rmse(rvfl_mod.predict(model, full.X[val_idx]), full.Y[val_idx])
-                        if val_idx.size else 0.0)
-            except (ValueError, RuntimeError) as exc:
-                leaderboard.append({"pipeline": None, "params": {"lags": lag, "regularization": reg},
-                                    "val_rmse": None, "error": str(exc)})
-                continue
-            leaderboard.append({"pipeline": None, "params": {"lags": lag, "regularization": reg},
-                                "val_rmse": rmse, "error": None})
-            key = (rmse, lag, reg)
-            if best is None or key < best[0]:
+            outcome = _outcome({"lags": lag, "regularization": reg}, forecasts[reg],
+                               val_rows.Y)
+            leaderboard.append({"pipeline": None, **outcome.__dict__})
+            key = (outcome.val_rmse, lag, reg)
+            if outcome.val_rmse is not None and (best is None or key < best[0]):
                 best = (key, lag, reg, full)
     if best is None:
         raise RuntimeError("linear baseline could not be fit on any lag candidate")
@@ -821,13 +948,17 @@ def _linear_baseline(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val:
     refit_end = i_val if cfg.refit_on_train_plus_validation else i_train
     refit_idx = np.flatnonzero(targets < refit_end)
     test_idx = np.flatnonzero(targets >= i_val)
-    ridge_cfg = RvflConfig(n_enhancement=0, regularization=reg, direct_link=True,
-                           output_bias=False, seed=0)
-    model = rvfl_mod.fit(full.X[refit_idx], full.Y[refit_idx], ridge_cfg)
+    model = rvfl_mod.fit(full.X[refit_idx], full.Y[refit_idx], _ridge_config(reg))
     test_rows = extract_test_rows(full, test_idx)
     pred = rvfl_mod.predict(model, test_rows.X).ravel()
     info = {"model_params": {"lags": lag, "regularization": reg}, "validation_rmse": rmse}
     return pred, info
+
+
+def _ridge_config(regularization: float) -> RvflConfig:
+    """Plain ridge on the raw lags: direct links only, no bias."""
+    return RvflConfig(n_enhancement=0, regularization=regularization, direct_link=True,
+                      output_bias=False, seed=0)
 
 
 def _write_atomically(path: Path, text: str) -> None:

@@ -18,6 +18,13 @@ after a multi-threaded product in numpy's made the two pools contend for the
 cores (a stall of several milliseconds per solve from about 128 columns up on a
 2-core host). Only the two triangular solves with the few target columns run in
 scipy, and those stay single-threaded.
+
+Model search fits many networks that share one hidden layer and differ only in
+C. :func:`ridge_path` serves them from one design: it forms the Gram matrix
+once and factors ``G + I/C`` per C. That is the same floating-point operation
+as a one-C solve, so each weight vector equals :func:`fit_output_weights`' bit
+for bit (the latter is the one-C case). Designs are written into one buffer,
+activated in place.
 """
 
 from __future__ import annotations
@@ -37,33 +44,69 @@ _SELU_ALPHA = 1.6732632423543772
 _SELU_SCALE = 1.0507009873554805
 
 
+# Each activation overwrites its float64 argument and returns it, so that a
+# design matrix is activated where it is built; the operations are those of
+# the textbook formulas, so the values are the same bit for bit.
+
+def _relu(x: np.ndarray) -> np.ndarray:
+    return np.maximum(0.0, x, out=x)
+
+
+def _radbas(x: np.ndarray) -> np.ndarray:
+    np.square(x, out=x)
+    np.negative(x, out=x)
+    return np.exp(x, out=x)
+
+
+def _hardlim(x: np.ndarray) -> np.ndarray:
+    x[...] = x <= 0.0
+    return x
+
+
+def _tribas(x: np.ndarray) -> np.ndarray:
+    np.abs(x, out=x)
+    np.subtract(1.0, x, out=x)
+    return np.maximum(x, 0.0, out=x)
+
+
+def _tanh(x: np.ndarray) -> np.ndarray:
+    # (1 - e^-x) / (1 + e^-x) = 2 * sigmoid(x) - 1
+    expit(x, out=x)
+    x *= 2.0
+    x -= 1.0
+    return x
+
+
 def _selu(x: np.ndarray) -> np.ndarray:
-    neg = _SELU_ALPHA * np.expm1(np.minimum(x, 0.0))
-    return _SELU_SCALE * np.where(x > 0.0, x, neg)
+    neg = np.expm1(np.minimum(x, 0.0))
+    neg *= _SELU_ALPHA
+    np.copyto(x, neg, where=~(x > 0.0))
+    x *= _SELU_SCALE
+    return x
 
 
 ACTIVATIONS = {
-    "sigmoid": expit,
-    "sign": np.sign,
-    "relu": lambda x: np.maximum(0.0, x),
-    "sine": np.sin,
-    "radbas": lambda x: np.exp(-np.square(x)),
-    "hardlim": lambda x: np.where(x <= 0.0, 1.0, 0.0),
-    "tribas": lambda x: np.maximum(1.0 - np.abs(x), 0.0),
-    "tanh": lambda x: 2.0 * expit(x) - 1.0,  # (1 - e^-x) / (1 + e^-x)
+    "sigmoid": lambda x: expit(x, out=x),
+    "sign": lambda x: np.sign(x, out=x),
+    "relu": _relu,
+    "sine": lambda x: np.sin(x, out=x),
+    "radbas": _radbas,
+    "hardlim": _hardlim,
+    "tribas": _tribas,
+    "tanh": _tanh,
     "selu": _selu,
 }
 
 
 def activate(name: str, x) -> np.ndarray:
-    """Apply a named activation elementwise."""
+    """Apply a named activation elementwise to a copy of ``x``."""
     try:
         fn = ACTIVATIONS[name]
     except KeyError:
         raise ValueError(
             f"unknown activation {name!r}; supported: {sorted(ACTIVATIONS)}"
         ) from None
-    return fn(np.asarray(x, dtype=np.float64))
+    return fn(np.array(x, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -164,15 +207,30 @@ def build_design_matrix(X: np.ndarray, hidden: HiddenLayer, cfg: RvflConfig) -> 
         raise ValueError(
             f"hidden layer expects {hidden.n_inputs} inputs, X has {X.shape[1]} columns"
         )
-    blocks = []
-    if cfg.direct_link:
-        blocks.append(X)
-    if hidden.n_nodes:
-        blocks.append(activate(hidden.activation, X @ hidden.weights.T + hidden.biases))
-    if cfg.output_bias:
-        blocks.append(np.ones((X.shape[0], 1)))
-    H = np.hstack(blocks)
+    H = _design(X if cfg.direct_link else None, X, hidden, cfg.output_bias)
     return DesignMatrix(H, X.shape[1] if cfg.direct_link else 0, hidden.n_nodes, cfg.output_bias)
+
+
+def _design(direct, enh_input: np.ndarray, hidden: HiddenLayer, output_bias: bool) -> np.ndarray:
+    """``[direct | g(enh_input W' + b) | 1]`` written into one preallocated buffer.
+
+    The direct block (``None`` for none) is copied in, the product lands in its
+    columns, and the bias and activation ``g`` are applied there in place. The
+    values are those of stacking the three blocks, bit for bit.
+    """
+    n_direct = 0 if direct is None else direct.shape[1]
+    n_nodes = hidden.n_nodes
+    H = np.empty((enh_input.shape[0], n_direct + n_nodes + int(output_bias)))
+    if n_direct:
+        H[:, :n_direct] = direct
+    if n_nodes:
+        A = H[:, n_direct:n_direct + n_nodes]
+        np.matmul(enh_input, hidden.weights.T, out=A)
+        A += hidden.biases
+        ACTIVATIONS[hidden.activation](A)
+    if output_bias:
+        H[:, -1] = 1.0
+    return H
 
 
 def _solve_spd(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -202,11 +260,16 @@ def _solve_spd(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return scipy.linalg.solve_triangular(L, Z, lower=True, trans="T")
 
 
-def fit_output_weights(H, Y, regularization: float, mode: str = "auto") -> np.ndarray:
-    """Closed-form output weights for the ridge objective.
+def ridge_path(H, Y, regularizations, mode: str = "auto") -> list:
+    """Closed-form output weights for each C in ``regularizations``, from one Gram matrix.
 
-    ``mode`` forces the primal or dual form for testing; ``"auto"`` follows the
-    dimension rule (primal when columns <= rows).
+    ``H`` and ``Y`` are checked once, and ``H'H`` and ``H'Y`` (``HH'`` in the
+    dual form) are formed once; each C then adds ``I/C`` and is factored on its
+    own. ``A = G + I/C`` is the same floating-point operation as a one-C solve,
+    so entry k is, bit for bit, what ``fit_output_weights(H, Y, C_k, mode)``
+    returns, or the exception it would raise for that C alone (``ValueError``
+    for C <= 0, ``RuntimeError`` for a failed factorization). A bad shape or a
+    non-finite value in ``H`` or ``Y`` raises for every C.
     """
     if isinstance(H, DesignMatrix):
         H = H.H
@@ -218,19 +281,39 @@ def fit_output_weights(H, Y, regularization: float, mode: str = "auto") -> np.nd
         raise ValueError(f"incompatible shapes H {H.shape}, Y {Y.shape}")
     if not (np.all(np.isfinite(H)) and np.all(np.isfinite(Y))):
         raise ValueError("design matrix and targets must be finite")
-    if regularization <= 0.0:
-        raise ValueError("regularization must be > 0")
     if mode not in ("auto", "primal", "dual"):
         raise ValueError(f"mode must be auto, primal or dual, got {mode!r}")
 
     n_rows, n_cols = H.shape
-    delta = 1.0 / regularization
     use_primal = n_cols <= n_rows if mode == "auto" else mode == "primal"
-    if use_primal:
-        A = H.T @ H + delta * np.eye(n_cols)
-        return _solve_spd(A, H.T @ Y)
-    G = H @ H.T + delta * np.eye(n_rows)
-    return H.T @ _solve_spd(G, Y)
+    gram = rhs = None
+    betas = []
+    for regularization in regularizations:
+        if regularization <= 0.0:
+            betas.append(ValueError("regularization must be > 0"))
+            continue
+        if gram is None:
+            gram, rhs = (H.T @ H, H.T @ Y) if use_primal else (H @ H.T, Y)
+        delta = 1.0 / regularization
+        try:
+            solution = _solve_spd(gram + delta * np.eye(gram.shape[0]), rhs)
+        except RuntimeError as exc:
+            betas.append(exc)
+            continue
+        betas.append(solution if use_primal else H.T @ solution)
+    return betas
+
+
+def fit_output_weights(H, Y, regularization: float, mode: str = "auto") -> np.ndarray:
+    """Closed-form output weights for the ridge objective.
+
+    ``mode`` forces the primal or dual form for testing; ``"auto"`` follows the
+    dimension rule (primal when columns <= rows).
+    """
+    [beta] = ridge_path(H, Y, [regularization], mode)
+    if isinstance(beta, Exception):
+        raise beta
+    return beta
 
 
 def ridge_objective(H, Y, beta: np.ndarray, regularization: float) -> float:

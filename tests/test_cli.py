@@ -116,6 +116,18 @@ def test_run_with_non_finite_forecasts_exits_3_without_a_report(series_csv, tmp_
     assert not (tmp_path / "run").exists()
 
 
+def test_run_where_every_feature_build_fails_names_the_first_reason(series_csv, tmp_path, capsys):
+    path, _ = series_csv
+    # A 150-sample window puts every target past a 40 % training span of 300 samples.
+    cfg = experiment_config(tmp_path, path, pipeline="walkforward_ewt", window=150,
+                            split={"train_fraction": 0.4, "validation_fraction": 0.2},
+                            grid={"n_enhancement": [10], "lags": [4], "n_bands": [40]})
+    assert cli.main(["run", "--config", str(cfg)]) == 3
+    assert ("error: every pipeline candidate failed; the first: feature build failed: "
+            "no training rows inside the training span") in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_run_with_missing_file_exits_2(tmp_path, capsys):
     rc = cli.main(["run", "--config", str(tmp_path / "nope.json")])
     assert rc == 2

@@ -1,8 +1,11 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ewtforecast import edrvfl, harness, rvfl
 from ewtforecast.edrvfl import EdRvflConfig, fit_edrvfl, ensemble_predict
@@ -20,9 +23,11 @@ from ewtforecast.harness import (
     save_model,
     write_report,
 )
-from ewtforecast.series import SplitSpec, TimeSeries
+from ewtforecast.rvfl import ACTIVATIONS
+from ewtforecast.series import SplitSpec, TimeSeries, WindowedDataset
 from ewtforecast.walkforward import WalkForwardConfig, build_walkforward_features
 
+import oracles
 from oracles import cho_factor_solve
 
 
@@ -31,7 +36,6 @@ def linear_dataset(seed=0, slope=2.0, n=80, noise=0.0):
     x = rng.uniform(-1, 1, size=n)
     X = x.reshape(-1, 1)
     Y = (slope * x + noise * rng.normal(size=n)).reshape(-1, 1)
-    from ewtforecast.series import WindowedDataset
     return WindowedDataset(X, Y, lags=1, horizon=1, origin_indices=np.arange(n))
 
 
@@ -88,14 +92,123 @@ def test_grid_search_records_failures_and_skips_them():
     assert "direct links" in failures[0].error
 
 
-def test_grid_search_winner_is_permutation_independent():
-    train = linear_dataset(6)
-    val = linear_dataset(7)
-    a = GridSpace(n_enhancement=(20, 5, 10), regularization=(10.0, 0.1))
-    b = GridSpace(n_enhancement=(10, 20, 5), regularization=(0.1, 10.0))
-    ra = grid_search(a, train, val)
-    rb = grid_search(b, train, val)
-    assert ra.best == rb.best
+def small_problem(seed, n_train, n_val, n_features):
+    """A small random regression split into train and validation rows."""
+    rng = np.random.default_rng(seed)
+    n = n_train + n_val
+    X = rng.normal(size=(n, n_features))
+    Y = np.tanh(X @ rng.normal(size=(n_features, 1))) + 0.1 * rng.normal(size=(n, 1))
+    return (WindowedDataset(X[:n_train], Y[:n_train], 1, 1, np.arange(n_train)),
+            WindowedDataset(X[n_train:], Y[n_train:], 1, 1, np.arange(n_train, n)))
+
+
+def axis(values, max_size=3):
+    return st.lists(values, min_size=1, max_size=max_size).map(tuple)
+
+
+# Repeated and unsorted axis values, invalid values (C <= 0; 0 nodes, which
+# fails without direct links and in every edrvfl layer), both bias settings.
+grid_spaces = st.builds(
+    GridSpace,
+    n_enhancement=axis(st.integers(0, 6)),
+    regularization=axis(st.sampled_from([-1.0, 0.0, 1e-3, 0.5, 1e4])),
+    activation=axis(st.sampled_from(sorted(ACTIVATIONS)), 2),
+    input_scale=axis(st.sampled_from([0.5, 2.0]), 2),
+    direct_link=axis(st.booleans(), 2),
+    output_bias=axis(st.booleans(), 2),
+    seeds=axis(st.integers(0, 3), 2),
+)
+problems = st.builds(small_problem, st.integers(0, 2 ** 16), st.integers(1, 24),
+                     st.integers(0, 10), st.integers(1, 4))
+
+
+def outcome_or_error(search, *args, **kwargs):
+    try:
+        return search(*args, **kwargs)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+def assert_same_search(got, ref):
+    """Equal leaderboards (params, val_rmse bits, error strings), winners and forecasts."""
+    if isinstance(ref, str):
+        assert got == ref
+        return
+    for name in ref.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(ref, name)
+        if isinstance(b, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        else:
+            assert a == b, name
+
+
+def failing_large_ridges(solve):
+    """``_solve_spd`` that fails every system whose diagonal is all >= 1000
+    (C = 1e-3 and below), so that some candidates' solves fail."""
+    def patched(A, B):
+        if np.diag(A).min() >= 1e3:
+            raise RuntimeError("injected factorization failure")
+        return solve(A, B)
+    return patched
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=problems, space=grid_spaces, base_seed=st.integers(0, 3),
+       max_layers=st.integers(1, 3), rule=st.sampled_from(["median", "mean"]),
+       fail_solves=st.booleans())
+def test_grouped_searches_equal_the_per_candidate_oracle(problem, space, base_seed, max_layers,
+                                                         rule, fail_solves):
+    train, val = problem
+    solve = failing_large_ridges(rvfl._solve_spd) if fail_solves else rvfl._solve_spd
+    with mock.patch.object(rvfl, "_solve_spd", solve):
+        assert_same_search(outcome_or_error(grid_search, space, train, val, base_seed),
+                           outcome_or_error(oracles.grid_search_per_candidate, space, train,
+                                            val, base_seed))
+        assert_same_search(
+            outcome_or_error(layerwise_grid_search, space, train, val, max_layers, base_seed,
+                             ensemble_rule=rule),
+            outcome_or_error(oracles.layerwise_per_candidate, space, train, val, max_layers,
+                             base_seed, ensemble_rule=rule))
+
+
+@settings(max_examples=25, deadline=None)
+@given(values=st.lists(st.floats(-3.0, 3.0), min_size=40, max_size=80),
+       regs=axis(st.sampled_from([-1.0, 0.0, 1e-3, 0.5, 1e4]), 4),
+       lags=axis(st.integers(1, 6)), fail_solves=st.booleans())
+def test_grouped_linear_baseline_equals_the_per_candidate_oracle(values, regs, lags, fail_solves):
+    ts = TimeSeries(np.cumsum(values))
+    cfg = ExperimentConfig(data_path="unused.csv", split=SplitSpec(0.6, 0.2),
+                           family="baseline_linear", pipeline="raw_lags",
+                           grid=GridSpace(regularization=regs, lags=lags))
+    i_train, i_val = harness.split_boundaries(len(ts), cfg.split)
+    solve = failing_large_ridges(rvfl._solve_spd) if fail_solves else rvfl._solve_spd
+    with mock.patch.object(rvfl, "_solve_spd", solve):
+        got, ref = [], []
+        try:
+            pred, info = harness._linear_baseline(cfg, ts, i_train, i_val, None, got)
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError, match=str(exc)):
+                oracles.linear_baseline_per_candidate(cfg, ts, i_train, i_val, None, ref)
+            assert got == ref
+            return
+        ref_pred, ref_info = oracles.linear_baseline_per_candidate(cfg, ts, i_train, i_val,
+                                                                   None, ref)
+    assert got == ref and info == ref_info
+    assert pred.tobytes() == ref_pred.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(problem=problems, space=grid_spaces, max_layers=st.integers(1, 3), data=st.data())
+def test_grid_search_winner_is_permutation_independent(problem, space, max_layers, data):
+    # Permuting the axis lists changes neither search: candidates are visited in
+    # sorted order and ties break on the candidate tuple.
+    train, val = problem
+    permuted = GridSpace(**{name: data.draw(st.permutations(getattr(space, name)))
+                            for name in space.__dataclass_fields__})
+    assert_same_search(outcome_or_error(grid_search, permuted, train, val),
+                       outcome_or_error(grid_search, space, train, val))
+    assert_same_search(outcome_or_error(layerwise_grid_search, permuted, train, val, max_layers),
+                       outcome_or_error(layerwise_grid_search, space, train, val, max_layers))
 
 
 def test_grid_search_jobs_do_not_change_results():
@@ -108,15 +221,60 @@ def test_grid_search_jobs_do_not_change_results():
     assert [o.val_rmse for o in r1.leaderboard] == [o.val_rmse for o in r4.leaderboard]
 
 
+# On this problem the median search keeps four layers and the mean search three.
+deep_problem = (36, 60, 30, 3)
+deep_space = GridSpace(n_enhancement=(4, 9, 2), regularization=(1.0, 0.1, 10.0),
+                       activation=("sigmoid", "relu"), output_bias=(False, True))
+
+
+@pytest.mark.parametrize("rule", ["median", "mean"])
+def test_deep_layerwise_search_equals_the_per_candidate_oracle(rule):
+    train, val = small_problem(*deep_problem)
+    lw = layerwise_grid_search(deep_space, train, val, 4, ensemble_rule=rule)
+    assert len(lw.layer_nodes) >= 3
+    assert_same_search(lw, oracles.layerwise_per_candidate(deep_space, train, val, 4,
+                                                           ensemble_rule=rule))
+
+
+def test_layerwise_jobs_do_not_change_results():
+    train, val = small_problem(*deep_problem)
+    lw = layerwise_grid_search(deep_space, train, val, 4, jobs=2)
+    assert len(lw.layer_nodes) == 4
+    assert_same_search(lw, layerwise_grid_search(deep_space, train, val, 4, jobs=1))
+
+
+def test_a_failed_solve_fails_only_its_candidate():
+    train, val = small_problem(35, 40, 20, 2)
+    space = GridSpace(n_enhancement=(3, 6), regularization=(1e-3, 1.0))
+    with mock.patch.object(rvfl, "_solve_spd", failing_large_ridges(rvfl._solve_spd)):
+        gs = grid_search(space, train, val)
+        lw = layerwise_grid_search(space, train, val, max_layers=2)
+    failed = [o for o in gs.leaderboard if o.error is not None]
+    assert [o.params["regularization"] for o in failed] == [1e-3, 1e-3]
+    assert all(o.error == "injected factorization failure" for o in failed)
+    assert gs.best.regularization == 1.0
+    stage2 = [o for o in lw.leaderboard if len(o.params["layer_nodes"]) == 2]
+    assert [o.error for o in stage2 if o.params["layer_regs"][1] == 1e-3] == \
+        ["layer 2 solve failed: injected factorization failure"] * 2
+    assert all(o.val_rmse is not None for o in stage2 if o.params["layer_regs"][1] == 1.0)
+
+
+def with_nan_weights(monkeypatch, poisoned):
+    """Make ``rvfl.ridge_path`` return all-NaN weights where ``poisoned(H, C)`` holds."""
+    original = rvfl.ridge_path
+
+    def ridge_path(H, Y, regularizations, mode="auto"):
+        betas = original(H, Y, regularizations, mode)
+        return [np.full_like(b, np.nan) if poisoned(np.asarray(H), c) else b
+                for b, c in zip(betas, regularizations)]
+
+    monkeypatch.setattr(rvfl, "ridge_path", ridge_path)
+
+
 def test_grid_search_fails_a_candidate_with_a_non_finite_validation_forecast(monkeypatch):
     train, val = linear_dataset(17, noise=0.1), linear_dataset(18, noise=0.1)
-    original = rvfl.predict
-
-    def predict(model, X):
-        out = original(model, X)
-        return np.full_like(out, np.nan) if model.config.n_enhancement == 5 else out
-
-    monkeypatch.setattr(rvfl, "predict", predict)
+    # One input column plus 5 nodes: the 5-node candidate's weights are NaN.
+    with_nan_weights(monkeypatch, lambda H, c: H.shape[1] == 6)
     result = grid_search(GridSpace(n_enhancement=(5, 10)), train, val)
     assert result.best.n_enhancement == 10
     assert np.isfinite(result.best_rmse)
@@ -131,13 +289,14 @@ def test_grid_search_fails_a_candidate_with_a_non_finite_validation_forecast(mon
 
 def test_layerwise_rejects_a_layer_with_a_non_finite_validation_forecast(monkeypatch):
     train, val = linear_dataset(19, noise=0.1), linear_dataset(20, noise=0.1)
-    original = edrvfl.ensemble_predict
+    original = edrvfl.combine_predictions
 
-    def ensemble_predict(model, X):
-        out = original(model, X)
-        return np.full_like(out, np.nan) if model.n_layers > 1 else out
+    # The search ensembles the fixed layers' forecasts with the new layer's.
+    def combine_predictions(stacked, rule):
+        out = original(stacked, rule)
+        return np.full_like(out, np.nan) if len(stacked) > 1 else out
 
-    monkeypatch.setattr(edrvfl, "ensemble_predict", ensemble_predict)
+    monkeypatch.setattr(edrvfl, "combine_predictions", combine_predictions)
     space = GridSpace(n_enhancement=(5, 10), regularization=(1.0, 10.0))
     lw = layerwise_grid_search(space, train, val, max_layers=3)
     assert len(lw.layer_nodes) == 1 and len(lw.history) == 1
@@ -158,12 +317,12 @@ def test_layerwise_single_layer_equals_grid_search():
     gs = grid_search(space, train, val)
     assert lw.layer_nodes[0] == gs.best.n_enhancement
     assert lw.layer_regs[0] == gs.best.regularization
-    assert lw.best_rmse == pytest.approx(gs.best_rmse)
+    assert lw.best_rmse == gs.best_rmse
+    assert lw.val_forecast.tobytes() == gs.val_forecast.tobytes()
 
 
 def test_layerwise_history_is_non_increasing():
     rng = np.random.default_rng(12)
-    from ewtforecast.series import WindowedDataset
     X = rng.normal(size=(120, 4))
     Y = np.tanh(X @ rng.normal(size=(4, 1))) + 0.05 * rng.normal(size=(120, 1))
     train = WindowedDataset(X[:80], Y[:80], 1, 1, np.arange(80))
@@ -281,6 +440,42 @@ def test_edrvfl_experiment_runs(tmp_path):
     assert "edrvfl" in report.test_metrics
 
 
+@pytest.mark.parametrize("family", ["rvfl", "edrvfl"])
+@pytest.mark.parametrize("scaler", ["none", "zscore"])
+def test_validation_metrics_and_chosen_match_per_candidate_search_and_refit(tmp_path, monkeypatch,
+                                                                            family, scaler):
+    # The search hands the winner's validation forecast to the report. The
+    # report must read as when every candidate is fitted on its own and the
+    # winner is refitted on the training rows to forecast the validation rows.
+    values = np.sin(np.arange(320) * 0.21) + 0.2 * np.random.default_rng(37).normal(size=320)
+    path = write_series(tmp_path, values)
+    grid = GridSpace(n_enhancement=(12, 5), regularization=(0.1, 10.0), lags=(4,),
+                     n_bands=(2, 3), output_bias=(False, True))
+    cfg = walk_config(tmp_path, path, family=family, pipeline="walkforward_ewt", grid=grid,
+                      scaler=scaler, max_layers=3)
+    report = json.loads(write_report(run_experiment(cfg), tmp_path / "a")["report"].read_text())
+
+    monkeypatch.setattr(harness, "grid_search", lambda space, tr, va, base_seed=0, jobs=1:
+                        oracles.grid_search_per_candidate(space, tr, va, base_seed))
+    monkeypatch.setattr(harness, "layerwise_grid_search",
+                        lambda space, tr, va, max_layers, base_seed=0, jobs=1:
+                        oracles.layerwise_per_candidate(space, tr, va, max_layers, base_seed))
+    chosen = run_experiment(cfg).chosen
+    ts = harness.load_csv(cfg.data_path)
+    i_train, i_val = harness.split_boundaries(len(ts), cfg.split)
+    build = harness._PipelineBuild(ts, cfg.pipeline, chosen["pipeline_params"], cfg.horizon,
+                                   cfg.window, i_train, i_val)
+    val_rows = build.val_rows()
+    forecast = oracles.validation_refit_forecast(cfg, build, chosen)
+    ev = harness.EvalSeries(val_rows.Y.ravel(), forecast.ravel(),
+                            ts.values[val_rows.origin_indices + cfg.horizon - 1],
+                            ts.values[:i_train])
+    metrics = harness._filter_metrics(harness.compute_metrics(ev), cfg.metrics)
+    for got, ref in ((report["chosen"], {**chosen, "name": family}),
+                     (report["validation_metrics"], metrics)):
+        assert json.dumps(got, indent=2, sort_keys=True) == json.dumps(ref, indent=2, sort_keys=True)
+
+
 def test_test_rows_extracted_once_after_tuning(tmp_path, monkeypatch):
     rng = np.random.default_rng(21)
     values = np.cumsum(rng.normal(size=300))
@@ -384,13 +579,7 @@ def nan_forecasting_rvfl(monkeypatch, n_rows, n_bad):
 
 def test_linear_baseline_skips_a_non_finite_validation_forecast(tmp_path, monkeypatch):
     values = np.cumsum(np.random.default_rng(33).normal(size=200))
-    original = rvfl.predict
-
-    def predict(model, X):
-        out = original(model, X)
-        return np.full_like(out, np.nan) if model.config.regularization == 1e3 else out
-
-    monkeypatch.setattr(rvfl, "predict", predict)
+    with_nan_weights(monkeypatch, lambda H, c: c == 1e3)
     grid = GridSpace(regularization=(1.0, 1e3), lags=(4,))
     report = run_experiment(walk_config(tmp_path, write_series(tmp_path, values),
                                         family="baseline_linear", grid=grid))

@@ -23,7 +23,7 @@ from ewtforecast.rvfl import (
 )
 from ewtforecast.series import fit_scaler
 
-from oracles import ridge_cho_factor, ridge_gd
+from oracles import ACTIVATION_FORMULAS, ridge_cho_factor, ridge_gd
 
 
 def random_problem(rng, n_rows=None, n_cols=None):
@@ -135,6 +135,22 @@ def test_design_matrix_column_count_with_bias():
     design = build_design_matrix(X, init_hidden_layer(4, cfg), cfg)
     assert design.H.shape[1] == 4 + 6 + 1
     assert np.all(design.H[:, -1] == 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+@pytest.mark.parametrize("direct_link, output_bias", [(True, False), (False, True), (True, True)])
+def test_design_buffer_equals_the_stacked_formula_bit_for_bit(name, direct_link, output_bias):
+    # The design is written into one buffer and activated in place; its bytes
+    # must be those of stacking [X | g(XW' + b) | 1] with the textbook g.
+    rng = np.random.default_rng(36)
+    X = 3.0 * rng.normal(size=(300, 7))
+    cfg = RvflConfig(n_enhancement=40, activation=name, direct_link=direct_link,
+                     output_bias=output_bias, input_scale=2.0)
+    hidden = init_hidden_layer(7, cfg)
+    enhancement = ACTIVATION_FORMULAS[name](X @ hidden.weights.T + hidden.biases)
+    blocks = [X] * direct_link + [enhancement] + [np.ones((300, 1))] * output_bias
+    assert build_design_matrix(X, hidden, cfg).H.tobytes() == np.hstack(blocks).tobytes()
+    assert activate(name, X).tobytes() == ACTIVATION_FORMULAS[name](X).tobytes()
 
 
 def test_design_matrix_dimension_mismatch():
