@@ -6,10 +6,8 @@ from ewtforecast.series import (
     TimeSeries,
     WindowedDataset,
     apply_scaler,
-    chronological_split,
     embed,
     fit_scaler,
-    invert_scaler,
     load_csv,
 )
 from ewtforecast.ewt import (
@@ -55,7 +53,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Scaler", "SplitSpec", "TimeSeries", "WindowedDataset",
-    "apply_scaler", "chronological_split", "embed", "fit_scaler", "invert_scaler", "load_csv",
+    "apply_scaler", "embed", "fit_scaler", "load_csv",
     "EwtBoundaries", "EwtDecomposition", "EwtFilterBank", "Spectrum",
     "build_filter_bank", "decompose", "detect_boundaries", "magnitude_spectrum", "reconstruct",
     "WalkForwardConfig", "build_walkforward_features", "causal_decompose_at", "leaky_features",

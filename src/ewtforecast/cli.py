@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-    forecast run --config experiment.json [--seed N] [--jobs N]
+    forecast run --config experiment.json [--seed N] [--out DIR]
     forecast decompose --input series.csv --bands K --out bands.csv
     forecast compare --reports DIR [--alpha 0.05]
 
@@ -42,7 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one experiment from a JSON config")
     run_p.add_argument("--config", required=True, help="experiment config (or report) JSON file")
     run_p.add_argument("--seed", type=int, default=None, help="override the global seed")
-    run_p.add_argument("--jobs", type=int, default=None, help="worker bound for grid candidates")
     run_p.add_argument("--out", default=None, help="override the output directory")
 
     dec_p = sub.add_parser("decompose", help="emit a band decomposition of a series as CSV")
@@ -64,8 +63,6 @@ def _cmd_run(args) -> int:
     cfg = load_experiment_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.jobs is not None:
-        cfg = replace(cfg, jobs=args.jobs)
     if args.out is not None:
         cfg = replace(cfg, output_dir=args.out)
     report = run_experiment(cfg)

@@ -214,17 +214,6 @@ def _prepare_input(model: EdRvflModel, X) -> np.ndarray:
     return X
 
 
-def predict_layer(model: EdRvflModel, X, layer_index: int) -> np.ndarray:
-    """Forecast of one layer's output head."""
-    if not 0 <= layer_index < model.n_layers:
-        raise IndexError(f"layer index {layer_index} out of range for {model.n_layers} layers")
-    X = _prepare_input(model, X)
-    for l, design in enumerate(_layer_designs(model, X)):
-        if l == layer_index:
-            return design @ model.layers[l].beta
-    raise AssertionError("unreachable")
-
-
 def layer_predictions(model: EdRvflModel, X) -> np.ndarray:
     """All per-layer forecasts, stacked as (n_layers, N, c)."""
     X = _prepare_input(model, X)

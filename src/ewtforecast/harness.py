@@ -21,14 +21,15 @@ reproduces its forecasts bit for bit.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import itertools
 import json
 import logging
 import os
 import secrets
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple, get_args, get_type_hints
@@ -70,6 +71,10 @@ PIPELINES = ("raw_lags", "walkforward_ewt", "leaky_ewt")
 METRIC_NAMES = ("mae", "mse", "rmse", "mape", "mase", "dstat")
 MIN_RELATIVE_GAIN = 1e-6  # layer acceptance threshold for the layer-wise search
 _DATA = "data_"  # prefix of the ExperimentConfig fields kept under "data" in JSON
+# Config keys that are read and dropped, whatever their value. Every report
+# written while the model search had a thread pool carries "jobs": 1; the key
+# never changed a forecast, and dropping it keeps those reports rerunnable.
+_IGNORED_KEYS = ("jobs",)
 
 
 class ConfigError(ValueError):
@@ -186,11 +191,17 @@ class GridSpace:
         return [ModelParams(*c) for c in combos]
 
     def pipeline_candidates(self, pipeline: str) -> list[dict]:
+        """Distinct feature-build settings in sorted order.
+
+        The full-series decomposition of ``leaky_ewt`` has no boundary mode, so
+        its candidates pin that axis to its first sorted value.
+        """
         if pipeline == "raw_lags":
             return [{"lags": int(l)} for l in sorted(set(self.lags))]
+        modes = sorted(set(self.boundary_mode))
         combos = itertools.product(
-            sorted(set(self.lags)), sorted(set(self.n_bands)),
-            sorted(set(self.gamma)), sorted(set(self.boundary_mode)),
+            sorted(set(self.lags)), sorted(set(self.n_bands)), sorted(set(self.gamma)),
+            modes[:1] if pipeline == "leaky_ewt" else modes,
         )
         return [
             {"lags": int(l), "n_bands": int(k), "gamma": float(g), "boundary_mode": m}
@@ -225,7 +236,6 @@ class ExperimentConfig:
     scaler: str = "none"
     window: int | str = "auto"
     refit_on_train_plus_validation: bool = True
-    jobs: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "metrics", tuple(self.metrics))
@@ -255,8 +265,6 @@ class ExperimentConfig:
                 raise ConfigError(f"window must be an int, 'auto' or 'all', got {self.window!r}")
         elif self.window < 2:
             raise ConfigError("explicit window must be >= 2")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
 
     def to_dict(self) -> dict:
         # The JSON round trip turns nested dataclasses into objects, tuples into lists.
@@ -270,14 +278,15 @@ class ExperimentConfig:
         required = [f.name for f in fields(cls)
                     if f.default is MISSING and f.default_factory is MISSING]
         try:
-            _check_keys("config", raw, ["data"] + [n for n in names if not n.startswith(_DATA)])
+            _check_keys("config", raw, ["data", *_IGNORED_KEYS]
+                        + [n for n in names if not n.startswith(_DATA)])
             for name in required:
                 key = "data" if name.startswith(_DATA) else name
                 if key not in raw:
                     raise ConfigError(f"missing config key {key!r}")
             data = _check_keys("data", raw["data"],
                                [n[len(_DATA):] for n in names if n.startswith(_DATA)])
-            kwargs = {k: v for k, v in raw.items() if k != "data"}
+            kwargs = {k: v for k, v in raw.items() if k not in ("data", *_IGNORED_KEYS)}
             kwargs.update((_DATA + k, v) for k, v in data.items())
             for name in required:
                 if name not in kwargs:
@@ -434,7 +443,7 @@ def _fit_group(configs: list[RvflConfig], train: WindowedDataset, val: WindowedD
 
 
 def grid_search(space: GridSpace, train: WindowedDataset, val: WindowedDataset,
-                base_seed: int = 0, jobs: int = 1) -> GridSearchResult:
+                base_seed: int = 0) -> GridSearchResult:
     """Exhaustive search of the model axes, scored by validation RMSE.
 
     Every combination is evaluated; failures, including a non-finite
@@ -446,30 +455,17 @@ def grid_search(space: GridSpace, train: WindowedDataset, val: WindowedDataset,
     one hidden layer, builds one train and one validation design and forms one
     Gram matrix, and each C only adds its ridge and factors. Every score is, bit
     for bit, that of ``rvfl.fit`` and ``rvfl.predict`` with the candidate's
-    settings. ``jobs`` threads run over the groups.
+    settings.
     """
     candidates = space.model_candidates("rvfl")
     logger.info("grid search over %d model candidates", len(candidates))
-
-    def evaluate(group: list[int]) -> dict:
-        return _group_forecasts(group, lambda i: _rvfl_config(candidates[i], base_seed),
-                                lambda configs: _fit_group(configs, train, val)[2])
-
     forecasts = {}
-    for group in _map_candidates(evaluate, _groups(candidates, _without_regularization), jobs):
-        forecasts.update(group)
+    for group in _groups(candidates, _without_regularization):
+        forecasts.update(_group_forecasts(group, lambda i: _rvfl_config(candidates[i], base_seed),
+                                          lambda configs: _fit_group(configs, train, val)[2]))
     outcomes = [_outcome(p.as_dict(), forecasts[i], val.Y) for i, p in enumerate(candidates)]
     best, best_rmse = _pick_winner(candidates, outcomes)
     return GridSearchResult(best, best_rmse, outcomes, forecasts[candidates.index(best)])
-
-
-def _map_candidates(fn, items, jobs):
-    """``fn`` over ``items`` in order, on ``jobs`` threads; results are yielded as consumed."""
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(fn, items)
-    else:
-        yield from map(fn, items)
 
 
 def _no_winner(outcomes) -> RuntimeError:
@@ -501,7 +497,7 @@ class _Prefix:
 
 def layerwise_grid_search(space: GridSpace, train: WindowedDataset, val: WindowedDataset,
                           max_layers: int, base_seed: int = 0,
-                          ensemble_rule: str = "median", jobs: int = 1) -> LayerwiseResult:
+                          ensemble_rule: str = "median") -> LayerwiseResult:
     """Greedy deep-network tuning: fix each layer's size/regularization in turn.
 
     Stage one searches the full model grid for a one-layer network. Each later
@@ -516,50 +512,42 @@ def layerwise_grid_search(space: GridSpace, train: WindowedDataset, val: Windowe
     differ only in the new layer's ``regularization`` share its hidden layer,
     designs and Gram matrix. Every score is, bit for bit, that of
     ``fit_edrvfl`` and ``ensemble_predict`` on the candidate's whole stack.
-    ``jobs`` threads run over the groups; only the running winner's designs are
-    kept.
+    Only the running winner's designs are kept.
     """
     if max_layers < 1:
         raise ValueError("max_layers must be >= 1")
     leaderboard = []
 
-    def evaluate(prefix: _Prefix, stage: list, group: list[int]):
-        """Fit one group's new layer; score each candidate's ensemble."""
-        designs = [None, None]
-
-        def fit(configs: list[EdRvflConfig]) -> list:
-            layer = configs[0].n_layers
-            H, H_val, path = _fit_group([c.layer_config(layer - 1) for c in configs],
-                                        train, val, prefix.train_in, prefix.val_in)
-            designs[:] = H, H_val
-            return [RuntimeError(f"layer {layer} solve failed: {f}")
-                    if isinstance(f, RuntimeError) else f for f in path]
-
-        forecasts = _group_forecasts(
-            group, lambda k: _edrvfl_config(*stage[k], base_seed, ensemble_rule), fit)
-        scored = []
-        for k in group:
-            nodes, regs, shared = stage[k]
-            layer_forecast = ensemble = forecasts[k]
-            if not isinstance(layer_forecast, Exception):
-                ensemble = edrvfl_mod.combine_predictions(
-                    np.stack(prefix.forecasts + (layer_forecast,)), ensemble_rule)
-            params = {"layer_nodes": list(nodes), "layer_regs": list(regs), **shared.as_dict()}
-            scored.append((k, _outcome(params, ensemble, val.Y), layer_forecast, ensemble))
-        return scored, *designs
-
     def run_stage(prefix: _Prefix, stage: list):
         """Leaderboard entries of one stage, and its winner with its designs (None if none)."""
         outcomes = [None] * len(stage)
         best = None
-        groups = _groups(stage, lambda s: (s[0], _without_regularization(s[2])))
-        for scored, H, H_val in _map_candidates(lambda g: evaluate(prefix, stage, g), groups, jobs):
-            for k, outcome, layer_forecast, ensemble in scored:
-                outcomes[k] = outcome
+        for group in _groups(stage, lambda s: (s[0], _without_regularization(s[2]))):
+            designs = [None, None]
+
+            def fit(configs: list[EdRvflConfig]) -> list:
+                """Fit the group's new layer; its forecast (or failure) per config."""
+                layer = configs[0].n_layers
+                H, H_val, path = _fit_group([c.layer_config(layer - 1) for c in configs],
+                                            train, val, prefix.train_in, prefix.val_in)
+                designs[:] = H, H_val
+                return [RuntimeError(f"layer {layer} solve failed: {f}")
+                        if isinstance(f, RuntimeError) else f for f in path]
+
+            forecasts = _group_forecasts(
+                group, lambda k: _edrvfl_config(*stage[k], base_seed, ensemble_rule), fit)
+            for k in group:
                 nodes, regs, shared = stage[k]
+                layer_forecast = ensemble = forecasts[k]
+                if not isinstance(layer_forecast, Exception):
+                    ensemble = edrvfl_mod.combine_predictions(
+                        np.stack(prefix.forecasts + (layer_forecast,)), ensemble_rule)
+                params = {"layer_nodes": list(nodes), "layer_regs": list(regs),
+                          **shared.as_dict()}
+                outcomes[k] = outcome = _outcome(params, ensemble, val.Y)
                 key = (outcome.val_rmse, nodes, regs, tuple(shared))
                 if outcome.val_rmse is not None and (best is None or key < best[0]):
-                    best = (key, shared, layer_forecast, ensemble, H, H_val)
+                    best = (key, shared, layer_forecast, ensemble, *designs)
         leaderboard.extend(outcomes)
         return outcomes, best
 
@@ -874,13 +862,12 @@ def _tune_family(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val: int
         train_rows, val_rows = build.train_rows(), build.val_rows()
         scaler, scaled_train, scaled_val = _scale_pair(cfg.scaler, train_rows, val_rows)
         if cfg.family == "rvfl":
-            result = grid_search(cfg.grid, scaled_train, scaled_val,
-                                 base_seed=cfg.seed, jobs=cfg.jobs)
+            result = grid_search(cfg.grid, scaled_train, scaled_val, base_seed=cfg.seed)
             model_info = {"model_params": result.best.as_dict()}
             key = (result.best_rmse, tuple(sorted(pipe_params.items())), tuple(result.best))
         else:
             result = layerwise_grid_search(cfg.grid, scaled_train, scaled_val, cfg.max_layers,
-                                           base_seed=cfg.seed, jobs=cfg.jobs)
+                                           base_seed=cfg.seed)
             model_info = {
                 "model_params": result.shared.as_dict(),
                 "layer_nodes": list(result.layer_nodes),
@@ -972,6 +959,14 @@ def _write_atomically(path: Path, text: str) -> None:
         raise
 
 
+def _csv_text(rows) -> str:
+    """``rows`` as CSV text, one ``\n``-terminated line each; a cell holding a
+    comma or a quote is quoted."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
 def save_model(model, path) -> None:
     """Persist a trained model as one JSON document with a payload checksum."""
     if isinstance(model, RvflModel):
@@ -1028,18 +1023,17 @@ def write_report(report: ExperimentReport, out_dir) -> dict:
 
     selected = [m for m in METRIC_NAMES if m in report.config.metrics]
     columns = ["mape_pct" if m == "mape" else m for m in selected]
-    series_name = report.meta["series_name"]
-    horizon = report.config.horizon
-    lines = ["model,series,horizon,n_test," + ",".join(columns)]
+    metrics = [["model", "series", "horizon", "n_test", *columns]]
     for model in sorted(report.test_metrics):
         vals = report.test_metrics[model]
         cells = ["" if vals[c] is None else repr(vals[c]) for c in columns]
-        lines.append(f"{model},{series_name},{horizon},{len(report.origins)}," + ",".join(cells))
-    _write_atomically(paths["metrics"], "\n".join(lines) + "\n")
+        metrics.append([model, report.meta["series_name"], report.config.horizon,
+                        len(report.origins), *cells])
+    _write_atomically(paths["metrics"], _csv_text(metrics))
 
-    rows = ["model,origin,actual,forecast"]
+    rows = [["model", "origin", "actual", "forecast"]]
     for model in sorted(report.forecasts):
         for origin, actual, pred in zip(report.origins, report.actuals, report.forecasts[model]):
-            rows.append(f"{model},{origin},{repr(actual)},{repr(pred)}")
-    _write_atomically(paths["forecasts"], "\n".join(rows) + "\n")
+            rows.append([model, origin, repr(actual), repr(pred)])
+    _write_atomically(paths["forecasts"], _csv_text(rows))
     return paths

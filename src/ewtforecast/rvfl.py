@@ -98,17 +98,6 @@ ACTIVATIONS = {
 }
 
 
-def activate(name: str, x) -> np.ndarray:
-    """Apply a named activation elementwise to a copy of ``x``."""
-    try:
-        fn = ACTIVATIONS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown activation {name!r}; supported: {sorted(ACTIVATIONS)}"
-        ) from None
-    return fn(np.array(x, dtype=np.float64))
-
-
 @dataclass(frozen=True)
 class RvflConfig:
     """Hyper-parameters of one shallow network.
@@ -178,28 +167,10 @@ def init_hidden_layer(n_inputs: int, cfg: RvflConfig) -> HiddenLayer:
     return HiddenLayer(weights, biases, cfg.activation)
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Output-layer design: [direct-link block | enhancement block | ones?]."""
-
-    H: np.ndarray
-    n_direct: int
-    n_enhancement: int
-    has_bias: bool
-
-    def __post_init__(self):
-        H = np.asarray(self.H, dtype=np.float64)
-        expected = self.n_direct + self.n_enhancement + int(self.has_bias)
-        if H.ndim != 2 or H.shape[1] != expected:
-            raise ValueError(f"design matrix has {H.shape[1]} columns, layout says {expected}")
-        object.__setattr__(self, "H", _frozen(H))
-
-    @property
-    def n_columns(self) -> int:
-        return int(self.H.shape[1])
-
-
-def build_design_matrix(X: np.ndarray, hidden: HiddenLayer, cfg: RvflConfig) -> DesignMatrix:
+def build_design_matrix(X: np.ndarray, hidden: HiddenLayer, cfg: RvflConfig) -> np.ndarray:
+    """The output-layer design ``[X | g(X W' + b) | 1]`` of ``cfg``'s network:
+    the direct-link block only with ``cfg.direct_link``, the ones column only
+    with ``cfg.output_bias``."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be a matrix")
@@ -207,8 +178,7 @@ def build_design_matrix(X: np.ndarray, hidden: HiddenLayer, cfg: RvflConfig) -> 
         raise ValueError(
             f"hidden layer expects {hidden.n_inputs} inputs, X has {X.shape[1]} columns"
         )
-    H = _design(X if cfg.direct_link else None, X, hidden, cfg.output_bias)
-    return DesignMatrix(H, X.shape[1] if cfg.direct_link else 0, hidden.n_nodes, cfg.output_bias)
+    return _design(X if cfg.direct_link else None, X, hidden, cfg.output_bias)
 
 
 def _design(direct, enh_input: np.ndarray, hidden: HiddenLayer, output_bias: bool) -> np.ndarray:
@@ -271,8 +241,6 @@ def ridge_path(H, Y, regularizations, mode: str = "auto") -> list:
     for C <= 0, ``RuntimeError`` for a failed factorization). A bad shape or a
     non-finite value in ``H`` or ``Y`` raises for every C.
     """
-    if isinstance(H, DesignMatrix):
-        H = H.H
     H = np.asarray(H, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim == 1:
@@ -314,14 +282,6 @@ def fit_output_weights(H, Y, regularization: float, mode: str = "auto") -> np.nd
     if isinstance(beta, Exception):
         raise beta
     return beta
-
-
-def ridge_objective(H, Y, beta: np.ndarray, regularization: float) -> float:
-    """Value of the training objective at ``beta``."""
-    if isinstance(H, DesignMatrix):
-        H = H.H
-    residual = H @ beta - Y
-    return 0.5 * regularization * float(np.sum(residual ** 2)) + 0.5 * float(np.sum(beta ** 2))
 
 
 @dataclass(frozen=True)
@@ -377,8 +337,7 @@ def fit(X, Y, cfg: RvflConfig, scaler: Scaler | None = None) -> RvflModel:
     if scaler is not None:
         X = apply_scaler(scaler, X)
     hidden = init_hidden_layer(X.shape[1], cfg)
-    design = build_design_matrix(X, hidden, cfg)
-    beta = fit_output_weights(design, Y, cfg.regularization)
+    beta = fit_output_weights(build_design_matrix(X, hidden, cfg), Y, cfg.regularization)
     return RvflModel(cfg, hidden, beta, X.shape[1], scaler)
 
 
@@ -389,5 +348,4 @@ def predict(model: RvflModel, X) -> np.ndarray:
         raise ValueError(f"expected {model.n_features} feature columns, got shape {X.shape}")
     if model.scaler is not None:
         X = apply_scaler(model.scaler, X)
-    design = build_design_matrix(X, model.hidden, model.config)
-    return design.H @ model.beta
+    return build_design_matrix(X, model.hidden, model.config) @ model.beta

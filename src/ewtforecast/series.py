@@ -76,25 +76,6 @@ def split_boundaries(n: int, spec: SplitSpec) -> tuple[int, int]:
     return i_train, i_val
 
 
-def chronological_split(ts: TimeSeries, spec: SplitSpec) -> tuple[TimeSeries, TimeSeries, TimeSeries]:
-    """Split a series into contiguous train/validation/test segments, in order.
-
-    Boundaries are ``floor(n * train)`` and ``floor(n * (train + validation))``;
-    the remainder goes to test. Any empty segment is an error.
-    """
-    n = len(ts)
-    i_train, i_val = split_boundaries(n, spec)
-    for label, length in (("train", i_train), ("validation", i_val - i_train), ("test", n - i_val)):
-        if length < 1:
-            raise ValueError(f"empty {label} segment for n={n}, {spec}")
-    v = ts.values
-    return (
-        TimeSeries(v[:i_train], name=f"{ts.name}[train]", sampling=ts.sampling),
-        TimeSeries(v[i_train:i_val], name=f"{ts.name}[val]", sampling=ts.sampling),
-        TimeSeries(v[i_val:], name=f"{ts.name}[test]", sampling=ts.sampling),
-    )
-
-
 @dataclass(frozen=True)
 class WindowedDataset:
     """Lag-embedded supervised dataset: inputs X (N x d), targets Y (N x c).
@@ -164,11 +145,8 @@ def embed(ts: TimeSeries, lags: int, horizon: int) -> WindowedDataset:
 
 @dataclass(frozen=True)
 class Scaler:
-    """Per-feature affine transform fitted on training rows only.
-
-    ``transform(x) = (x - center) / scale``; the inverse is exact to within
-    floating-point rounding.
-    """
+    """Per-feature affine transform fitted on training rows only:
+    ``transform(x) = (x - center) / scale``."""
 
     kind: str
     center: np.ndarray
@@ -207,30 +185,18 @@ def fit_scaler(train_rows: np.ndarray, kind: str = "zscore") -> Scaler:
     if kind == "minmax":
         lo = rows.min(axis=0)
         span = rows.max(axis=0) - lo
-        span = np.where(span == 0.0, 1.0, span)  # constant columns map to 0 and invert exactly
+        span = np.where(span == 0.0, 1.0, span)  # constant columns map to 0
         return Scaler("minmax", lo, span)
     raise ValueError(f"unknown scaler kind {kind!r}, expected one of {SCALER_KINDS}")
 
 
-def _check_width(s: Scaler, rows: np.ndarray) -> np.ndarray:
+def apply_scaler(s: Scaler, rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != s.n_features:
         raise ValueError(f"expected {s.n_features} feature columns, got shape {rows.shape}")
-    return rows
-
-
-def apply_scaler(s: Scaler, rows: np.ndarray) -> np.ndarray:
-    rows = _check_width(s, rows)
     if s.kind == "none":
         return rows.copy()
     return (rows - s.center) / s.scale
-
-
-def invert_scaler(s: Scaler, rows: np.ndarray) -> np.ndarray:
-    rows = _check_width(s, rows)
-    if s.kind == "none":
-        return rows.copy()
-    return rows * s.scale + s.center
 
 
 def load_csv(path, column=0, has_header: bool = False) -> TimeSeries:

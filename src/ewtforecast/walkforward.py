@@ -21,7 +21,6 @@ bit.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -277,16 +276,3 @@ def leaky_features(ts: TimeSeries, cfg: WalkForwardConfig, start: int, stop: int
     }
     return WindowedDataset(X, Y, lags, cfg.horizon, origins, feature_names(cfg), meta)
 
-
-def features_to_csv(dataset: WindowedDataset, path) -> None:
-    """Write one row per origin: origin, feature columns, final target column."""
-    names = dataset.feature_names or tuple(f"x_{i}" for i in range(dataset.n_features))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["origin", *names, "target"])
-        for i in range(dataset.n_samples):
-            writer.writerow(
-                [int(dataset.origin_indices[i])]
-                + [repr(float(v)) for v in dataset.X[i]]
-                + [repr(float(dataset.Y[i, 0]))]
-            )

@@ -2,7 +2,7 @@
 
 Each oracle deliberately avoids the code paths it checks: the ridge solution
 comes from plain gradient descent, and from scipy's ``cho_factor``/``cho_solve``
-on the same primal or dual system, the model searches fit every candidate from
+on the same primal or dual system, the ridge objective is evaluated term by term, the model searches fit every candidate from
 scratch (one ``rvfl.fit``/``fit_edrvfl`` and one prediction each, one ridge fit
 per regularization value in the linear baseline), spectra from direct O(n^2) summation,
 spectral peaks from a scan over runs of equal values, band edges from that scan
@@ -54,6 +54,12 @@ def ridge_cho_factor(H, Y, c_reg, primal):
     if primal:
         return cho_factor_solve(H.T @ H + delta * np.eye(H.shape[1]), H.T @ Y)
     return H.T @ cho_factor_solve(H @ H.T + delta * np.eye(H.shape[0]), Y)
+
+
+def ridge_objective(H, Y, beta, c_reg):
+    """Value of the training objective (C/2)||H b - Y||^2 + (1/2)||b||^2 at ``beta``."""
+    residual = H @ beta - Y
+    return 0.5 * c_reg * float(np.sum(residual ** 2)) + 0.5 * float(np.sum(beta ** 2))
 
 
 # The activations as textbook formulas, each returning a new array.

@@ -67,6 +67,14 @@ def test_run_seed_override_lands_in_report(series_csv, tmp_path):
     assert report["config"]["seed"] == 5
 
 
+def test_run_no_longer_takes_a_jobs_option(series_csv, tmp_path, capsys):
+    path, _ = series_csv
+    rc = cli.main(["run", "--config", str(experiment_config(tmp_path, path)), "--jobs", "2"])
+    assert rc == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_run_with_unknown_config_key_exits_2(series_csv, tmp_path, capsys):
     path, _ = series_csv
     raw = json.loads(experiment_config(tmp_path, path).read_text())

@@ -11,7 +11,6 @@ from ewtforecast.edrvfl import (
     ensemble_predict,
     fit_edrvfl,
     layer_predictions,
-    predict_layer,
 )
 
 
@@ -101,15 +100,6 @@ def test_ensemble_lies_within_layer_envelope():
         ens = ensemble_predict(model, X)
         assert np.all(ens >= per_layer.min(axis=0) - 1e-12)
         assert np.all(ens <= per_layer.max(axis=0) + 1e-12)
-
-
-def test_predict_layer_and_bounds():
-    X, Y = make_data(9)
-    cfg = EdRvflConfig(n_layers=2, n_enhancement=10, seed=2)
-    model = fit_edrvfl(X, Y, cfg)
-    assert np.array_equal(predict_layer(model, X, 1), layer_predictions(model, X)[1])
-    with pytest.raises(IndexError):
-        predict_layer(model, X, 2)
 
 
 def test_layer_norm_smoke_and_single_layer_equivalence():

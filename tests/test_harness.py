@@ -1,3 +1,4 @@
+import csv
 import json
 from unittest import mock
 
@@ -211,16 +212,6 @@ def test_grid_search_winner_is_permutation_independent(problem, space, max_layer
                        outcome_or_error(layerwise_grid_search, space, train, val, max_layers))
 
 
-def test_grid_search_jobs_do_not_change_results():
-    train = linear_dataset(8)
-    val = linear_dataset(9)
-    space = GridSpace(n_enhancement=(5, 10), regularization=(1.0, 10.0))
-    r1 = grid_search(space, train, val, jobs=1)
-    r4 = grid_search(space, train, val, jobs=4)
-    assert r1.best == r4.best
-    assert [o.val_rmse for o in r1.leaderboard] == [o.val_rmse for o in r4.leaderboard]
-
-
 # On this problem the median search keeps four layers and the mean search three.
 deep_problem = (36, 60, 30, 3)
 deep_space = GridSpace(n_enhancement=(4, 9, 2), regularization=(1.0, 0.1, 10.0),
@@ -234,13 +225,6 @@ def test_deep_layerwise_search_equals_the_per_candidate_oracle(rule):
     assert len(lw.layer_nodes) >= 3
     assert_same_search(lw, oracles.layerwise_per_candidate(deep_space, train, val, 4,
                                                            ensemble_rule=rule))
-
-
-def test_layerwise_jobs_do_not_change_results():
-    train, val = small_problem(*deep_problem)
-    lw = layerwise_grid_search(deep_space, train, val, 4, jobs=2)
-    assert len(lw.layer_nodes) == 4
-    assert_same_search(lw, layerwise_grid_search(deep_space, train, val, 4, jobs=1))
 
 
 def test_a_failed_solve_fails_only_its_candidate():
@@ -384,6 +368,38 @@ def test_report_rerun_reproduces_forecasts(tmp_path):
     assert paths["forecasts"].read_text() == paths2["forecasts"].read_text()
 
 
+def test_report_with_a_jobs_key_reruns_to_the_same_forecasts(tmp_path):
+    # Reports written while the search had a thread pool carry "jobs": 1.
+    values = np.cumsum(np.random.default_rng(17).normal(size=300))
+    cfg = walk_config(tmp_path, write_series(tmp_path, values), family="edrvfl",
+                      grid=GridSpace(n_enhancement=(5, 10), regularization=(1.0, 10.0),
+                                     lags=(4,)))
+    paths = write_report(run_experiment(cfg), tmp_path / "first")
+    old = json.loads(paths["report"].read_text())
+    old["config"]["jobs"] = 1
+    old_report = tmp_path / "old_report.json"
+    old_report.write_text(json.dumps(old))
+    rerun = load_experiment_config(old_report)
+    assert rerun == cfg
+    assert ExperimentConfig.from_dict({**old["config"], "jobs": 8}) == cfg
+    paths2 = write_report(run_experiment(rerun), tmp_path / "rerun")
+    assert paths2["forecasts"].read_bytes() == paths["forecasts"].read_bytes()
+
+
+def test_metrics_csv_quotes_a_series_name_with_a_comma(tmp_path):
+    path = tmp_path / "load.csv"
+    values = np.cumsum(np.random.default_rng(32).normal(size=200))
+    path.write_text('"load, kW"\n' + "".join(f"{float(v)!r}\n" for v in values))
+    cfg = walk_config(tmp_path, path, data_column="load, kW", data_has_header=True)
+    paths = write_report(run_experiment(cfg), cfg.output_dir)
+    with open(paths["metrics"], newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["model", "series", "horizon", "n_test",
+                       "mae", "mse", "rmse", "mape_pct", "mase", "dstat"]
+    assert [len(row) for row in rows[1:]] == [10, 10, 10]
+    assert {row[1] for row in rows[1:]} == {"load, kW"}
+
+
 def test_report_files_shape(tmp_path):
     rng = np.random.default_rng(18)
     values = np.cumsum(rng.normal(size=260))
@@ -455,11 +471,8 @@ def test_validation_metrics_and_chosen_match_per_candidate_search_and_refit(tmp_
                       scaler=scaler, max_layers=3)
     report = json.loads(write_report(run_experiment(cfg), tmp_path / "a")["report"].read_text())
 
-    monkeypatch.setattr(harness, "grid_search", lambda space, tr, va, base_seed=0, jobs=1:
-                        oracles.grid_search_per_candidate(space, tr, va, base_seed))
-    monkeypatch.setattr(harness, "layerwise_grid_search",
-                        lambda space, tr, va, max_layers, base_seed=0, jobs=1:
-                        oracles.layerwise_per_candidate(space, tr, va, max_layers, base_seed))
+    monkeypatch.setattr(harness, "grid_search", oracles.grid_search_per_candidate)
+    monkeypatch.setattr(harness, "layerwise_grid_search", oracles.layerwise_per_candidate)
     chosen = run_experiment(cfg).chosen
     ts = harness.load_csv(cfg.data_path)
     i_train, i_val = harness.split_boundaries(len(ts), cfg.split)
@@ -505,6 +518,29 @@ def test_test_rows_extracted_once_after_tuning(tmp_path, monkeypatch):
     search_positions = [i for i, e in enumerate(events) if e == "grid_search"]
     assert len(extract_positions) == 2
     assert min(extract_positions) > max(search_positions)
+
+
+def test_split_leaving_an_empty_train_segment_is_a_config_error(tmp_path):
+    values = np.cumsum(np.random.default_rng(22).normal(size=200))
+    cfg = walk_config(tmp_path, write_series(tmp_path, values), split=SplitSpec(0.004, 0.5))
+    with pytest.raises(ConfigError, match="empty train or test segment for n=200"):
+        run_experiment(cfg)
+
+
+def test_leaky_pipeline_visits_each_candidate_once_whatever_the_boundary_modes(tmp_path):
+    # The full-series decomposition ignores the boundary mode, so that axis
+    # must not multiply the leaky candidates.
+    values = np.cumsum(np.random.default_rng(33).normal(size=300))
+    path = write_series(tmp_path, values)
+    grid = GridSpace(n_enhancement=(10,), regularization=(10.0,), lags=(4,), n_bands=(2,),
+                     boundary_mode=("frozen_from_train", "adaptive_per_step"))
+    assert grid.size("leaky_ewt", "rvfl") == 1
+    assert grid.size("walkforward_ewt", "rvfl") == 2
+    for split in (SplitSpec(0.6, 0.2), SplitSpec(0.8, 0.0)):
+        report = run_experiment(walk_config(tmp_path, path, pipeline="leaky_ewt", grid=grid,
+                                            split=split))
+        assert report.meta["grid_size"] == len(report.leaderboard) == 1
+        assert report.chosen["pipeline_params"]["boundary_mode"] == "adaptive_per_step"
 
 
 def test_validation_required_for_multi_candidate_grids(tmp_path):
@@ -682,6 +718,13 @@ def test_forecasts_match_the_scipy_cholesky_solve_within_tolerance(tmp_path, mon
         assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
     for got, ref in zip(report.leaderboard, reference.leaderboard):
         assert got["val_rmse"] == pytest.approx(ref["val_rmse"], rel=1e-9)
+
+
+def test_every_public_name_resolves():
+    import ewtforecast
+
+    assert len(set(ewtforecast.__all__)) == len(ewtforecast.__all__)
+    assert [name for name in ewtforecast.__all__ if not hasattr(ewtforecast, name)] == []
 
 
 # ------------------------------------------------------------- config parsing

@@ -57,7 +57,6 @@ configs = st.builds(
     scaler=st.sampled_from(SCALER_KINDS),
     window=st.one_of(st.sampled_from(["auto", "all"]), st.integers(2, 10_000)),
     refit_on_train_plus_validation=st.booleans(),
-    jobs=st.integers(1, 8),
 )
 
 

@@ -6,11 +6,10 @@ from ewtforecast.series import (
     SplitSpec,
     TimeSeries,
     apply_scaler,
-    chronological_split,
     embed,
     fit_scaler,
-    invert_scaler,
     load_csv,
+    split_boundaries,
 )
 
 
@@ -80,21 +79,18 @@ def test_timeseries_rejects_empty():
 # ---------------------------------------------------------------- split
 
 def test_split_fractions_example():
-    ts = TimeSeries(np.arange(10.0))
-    train, val, test = chronological_split(ts, SplitSpec(0.6, 0.2))
-    assert (len(train), len(val), len(test)) == (6, 2, 2)
+    assert split_boundaries(10, SplitSpec(0.6, 0.2)) == (6, 8)
 
 
 def test_split_small_series():
-    ts = TimeSeries(np.arange(5.0))
-    train, val, test = chronological_split(ts, SplitSpec(0.6, 0.2))
-    assert (len(train), len(val), len(test)) == (3, 1, 1)
+    # floor(5 * 0.6) = 3 and floor(5 * 0.8) = 4: train 3, validation 1, test 1.
+    assert split_boundaries(5, SplitSpec(0.6, 0.2)) == (3, 4)
 
 
-def test_split_degenerate_errors():
-    ts = TimeSeries(np.arange(10.0))
-    with pytest.raises(ValueError, match="empty"):
-        chronological_split(ts, SplitSpec(0.9, 0.09))
+def test_split_boundaries_floor_and_may_leave_the_validation_span_empty():
+    # floor(10 * 0.9) = floor(10 * 0.99) = 9; run_experiment rejects an empty
+    # train or test span, and a multi-candidate grid without validation rows.
+    assert split_boundaries(10, SplitSpec(0.9, 0.09)) == (9, 9)
 
 
 def test_split_spec_validation():
@@ -110,13 +106,10 @@ def test_split_segments_cover_input_exactly():
         n = int(rng.integers(5, 200))
         tf = float(rng.uniform(0.2, 0.7))
         vf = float(rng.uniform(0.05, 0.25))
-        ts = TimeSeries(rng.normal(size=n))
-        try:
-            train, val, test = chronological_split(ts, SplitSpec(tf, vf))
-        except ValueError:
-            continue
-        joined = np.concatenate([train.values, val.values, test.values])
-        assert np.array_equal(joined, ts.values)
+        i_train, i_val = split_boundaries(n, SplitSpec(tf, vf))
+        assert (i_train, i_val) == (int(np.floor(n * tf)), int(np.floor(n * (tf + vf))))
+        spans = [range(0, i_train), range(i_train, i_val), range(i_val, n)]
+        assert [i for span in spans for i in span] == list(range(n))
 
 
 # ---------------------------------------------------------------- embed
@@ -175,13 +168,17 @@ def test_minmax_example():
 
 
 def test_scaler_round_trip_randomized():
+    # apply_scaler is (x - center) / scale exactly, and x * scale + center
+    # inverts it to within rounding.
     rng = np.random.default_rng(3)
     for kind in ("none", "zscore", "minmax"):
         for _ in range(20):
             rows = rng.normal(scale=rng.uniform(0.1, 50), size=(int(rng.integers(2, 40)), 5))
             s = fit_scaler(rows, kind)
             other = rng.normal(size=(7, 5))
-            back = invert_scaler(s, apply_scaler(s, other))
+            scaled = apply_scaler(s, other)
+            assert scaled.tobytes() == ((other - s.center) / s.scale).tobytes()
+            back = scaled * s.scale + s.center
             scale = max(1.0, float(np.abs(rows).max()), float(np.abs(other).max()))
             assert np.abs(back - other).max() <= 1e-12 * scale
 
@@ -205,7 +202,9 @@ def test_zscore_rejects_constant_column():
 def test_minmax_constant_column_round_trips():
     rows = np.column_stack([np.ones(4), np.arange(4.0)])
     s = fit_scaler(rows, "minmax")
-    assert np.array_equal(invert_scaler(s, apply_scaler(s, rows)), rows)
+    scaled = apply_scaler(s, rows)
+    assert np.array_equal(scaled[:, 0], np.zeros(4)) and s.scale[0] == 1.0
+    assert np.array_equal(scaled * s.scale + s.center, rows)
 
 
 def test_apply_scaler_dimension_mismatch():

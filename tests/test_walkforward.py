@@ -1,4 +1,3 @@
-import csv
 from unittest import mock
 
 import numpy as np
@@ -17,7 +16,6 @@ from ewtforecast.walkforward import (
     WalkForwardConfig,
     build_walkforward_features,
     causal_decompose_at,
-    features_to_csv,
     freeze_boundaries,
     leaky_features,
 )
@@ -41,6 +39,50 @@ def test_causality_perturbing_the_future_changes_nothing(mode):
     ds2 = build_walkforward_features(TimeSeries(mangled), cfg, 300, stop)
     assert np.array_equal(ds.X, ds2.X)
     assert np.array_equal(ds.Y, ds2.Y)
+
+
+def origin_rows(builder, values, cfg, start, stop, origin, future):
+    """The row of ``origin`` built from ``values``, and again once every value
+    after the origin is overwritten with ``future``."""
+    mangled = values.copy()
+    mangled[origin + 1:] = future
+    return [builder(TimeSeries(v), cfg, start, stop).X[origin - start] for v in (values, mangled)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(24, 320), lags=st.integers(1, 8),
+       n_bands=st.integers(1, 4), mode=st.sampled_from(BOUNDARY_MODES),
+       window=st.sampled_from(["auto", "all"]) | st.integers(16, 160),
+       chunk_rows=st.integers(1, 5), scale=st.sampled_from([1.0, 1e6]), data=st.data())
+def test_no_row_sees_a_value_after_its_origin(seed, n, lags, n_bands, mode, window, chunk_rows,
+                                              scale, data):
+    cfg = WalkForwardConfig(n_bands=n_bands, lags=lags, window=window, boundary_mode=mode)
+    first = window - 1 if isinstance(window, int) else lags + MIN_WINDOW_MARGIN - 1
+    if first >= n - 1:
+        return  # no origin has both a full window and a target
+    start = data.draw(st.integers(first, n - 2), label="start")
+    stop = start + data.draw(st.integers(1, n - 1 - start), label="rows")
+    origin = data.draw(st.integers(start, stop - 1), label="origin")
+    rng = np.random.default_rng(seed)
+    values = np.cumsum(rng.normal(size=n))
+    future = scale * rng.normal(size=n - origin - 1)
+    # A few rows per chunk, so that the origin's row often sits mid-chunk.
+    chunk_bytes = chunk_rows * 16 * n_bands * cfg.window_at(stop - 1)
+    with mock.patch.object(walkforward, "CHUNK_BYTES", chunk_bytes):
+        row, row_after = origin_rows(build_walkforward_features, values, cfg, start, stop,
+                                     origin, future)
+    assert row.tobytes() == row_after.tobytes()
+
+
+def test_the_causality_check_catches_the_leaky_control():
+    values = noisy_two_tone(300, seed=3)
+    cfg = WalkForwardConfig(n_bands=3, lags=4, window=64)
+    future = np.random.default_rng(4).normal(size=300 - 201)
+    row, row_after = origin_rows(build_walkforward_features, values, cfg, 150, 250, 200, future)
+    assert row.tobytes() == row_after.tobytes()
+    row, row_after = origin_rows(leaky_features, values, cfg, 150, 250, 200, future)
+    assert np.array_equal(row[:cfg.lags], row_after[:cfg.lags])  # the raw lags stay causal
+    assert not np.array_equal(row[cfg.lags:], row_after[cfg.lags:])
 
 
 def oracle_build(ts, cfg, start, stop):
@@ -240,15 +282,3 @@ def test_auto_window_caps_at_history():
     assert cfg.window_at(63) == 64   # capped at the available history
     assert cfg.window_at(500) == 128
 
-
-def test_features_csv_export(tmp_path):
-    cfg = WalkForwardConfig(n_bands=2, lags=2, window=32)
-    ds = build_walkforward_features(TimeSeries(noisy_two_tone(100)), cfg, 50, 55)
-    out = tmp_path / "features.csv"
-    features_to_csv(ds, out)
-    with open(out) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["origin", "raw_lag_1", "raw_lag_2", "band_1_lag_1", "band_1_lag_2",
-                       "band_2_lag_1", "band_2_lag_2", "target"]
-    assert len(rows) == 6
-    assert float(rows[1][-1]) == ds.Y[0, 0]
