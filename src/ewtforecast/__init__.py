@@ -19,7 +19,6 @@ from ewtforecast.ewt import (
     decompose,
     detect_boundaries,
     magnitude_spectrum,
-    reconstruct,
 )
 from ewtforecast.walkforward import (
     WalkForwardConfig,
@@ -55,7 +54,7 @@ __all__ = [
     "Scaler", "SplitSpec", "TimeSeries", "WindowedDataset",
     "apply_scaler", "embed", "fit_scaler", "load_csv",
     "EwtBoundaries", "EwtDecomposition", "EwtFilterBank", "Spectrum",
-    "build_filter_bank", "decompose", "detect_boundaries", "magnitude_spectrum", "reconstruct",
+    "build_filter_bank", "decompose", "detect_boundaries", "magnitude_spectrum",
     "WalkForwardConfig", "build_walkforward_features", "causal_decompose_at", "leaky_features",
     "RvflConfig", "RvflModel", "EdRvflConfig", "EdRvflModel",
     "EvalSeries", "MetricSet", "compute_metrics", "dstat",

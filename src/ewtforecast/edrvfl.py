@@ -59,8 +59,10 @@ class EdRvflConfig:
         regs = _per_layer(self.regularization, self.n_layers, "regularization")
         if any(l < 1 for l in nodes):
             raise ValueError("every layer needs at least one enhancement node")
-        if any(c <= 0.0 for c in regs):
+        if not all(c > 0.0 for c in regs):
             raise ValueError("regularization must be > 0 in every layer")
+        if not np.all(np.isfinite(regs)):
+            raise ValueError("regularization must be finite in every layer")
         if self.ensemble_rule not in ENSEMBLE_RULES:
             raise ValueError(f"ensemble_rule must be one of {ENSEMBLE_RULES}")
         if self.seed < 0:

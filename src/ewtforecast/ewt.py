@@ -17,6 +17,8 @@ import numpy as np
 from ewtforecast.series import _as_float_vector, _frozen
 
 MIN_SIGNAL_LENGTH = 4
+# Width of the moving average that smooths a spectrum before peak picking.
+SMOOTH_WINDOW = 5
 
 
 @dataclass(frozen=True)
@@ -35,10 +37,6 @@ class Spectrum:
         if np.any(mag < 0.0):
             raise ValueError("magnitudes must be non-negative")
         object.__setattr__(self, "magnitudes", _frozen(mag))
-
-    def omegas(self) -> np.ndarray:
-        """Normalized frequency of each grid bin."""
-        return 2.0 * np.pi * np.arange(self.magnitudes.size) / self.signal_length
 
 
 @dataclass(frozen=True)
@@ -175,19 +173,19 @@ def check_edges(omegas: np.ndarray) -> None:
         raise ValueError("boundaries must be strictly increasing")
 
 
-def band_edges(magnitudes, signal_length: int, n_bands: int, smooth_window: int = 5):
+def band_edges(magnitudes, signal_length: int, n_bands: int):
     """Place ``n_bands - 1`` band edges on each row of a stack of spectra.
 
     ``magnitudes`` holds one one-sided magnitude spectrum per row, shape
     ``(R, signal_length // 2 + 1)``. In each row the ``n_bands`` largest local
-    maxima of the (optionally smoothed) spectrum are retained, highest first
-    with ties to the lower bin, and each edge sits at the first global minimum
-    of the raw spectrum strictly between two consecutive retained peaks. A row
-    with fewer peaks than bands segments (0, pi) uniformly and is flagged.
+    maxima of the spectrum smoothed by a moving average of width
+    ``SMOOTH_WINDOW`` are retained, highest first with ties to the lower bin,
+    and each edge sits at the first global minimum of the raw spectrum strictly
+    between two consecutive retained peaks. A row with fewer peaks than bands
+    segments (0, pi) uniformly and is flagged.
 
-    ``smooth_window`` is the moving-average width applied before peak picking;
-    1 disables smoothing. Returns the edges, shape ``(R, n_bands - 1)``, and the
-    fallback flags, shape ``(R,)``.
+    Returns the edges, shape ``(R, n_bands - 1)``, and the fallback flags, shape
+    ``(R,)``.
     """
     if n_bands < 1:
         raise ValueError(f"band count must be >= 1, got {n_bands}")
@@ -195,7 +193,7 @@ def band_edges(magnitudes, signal_length: int, n_bands: int, smooth_window: int 
     n_rows, m = mag.shape
     if n_bands == 1:
         return np.empty((n_rows, 0)), np.zeros(n_rows, dtype=bool)
-    smoothed = _moving_average(mag, smooth_window)
+    smoothed = _moving_average(mag, SMOOTH_WINDOW)
     peaks = _local_maxima(smoothed)
     rows = peaks // m
     # By row, then highest first; the stable sort breaks ties to the lower bin.
@@ -214,10 +212,9 @@ def band_edges(magnitudes, signal_length: int, n_bands: int, smooth_window: int 
     return omegas, ~ok
 
 
-def detect_boundaries(spectrum: Spectrum, n_bands: int, smooth_window: int = 5) -> EwtBoundaries:
+def detect_boundaries(spectrum: Spectrum, n_bands: int) -> EwtBoundaries:
     """Band edges of one spectrum: the one-row case of :func:`band_edges`."""
-    omegas, fallback = band_edges(spectrum.magnitudes[None], spectrum.signal_length,
-                                  n_bands, smooth_window)
+    omegas, fallback = band_edges(spectrum.magnitudes[None], spectrum.signal_length, n_bands)
     return EwtBoundaries(omegas[0], uniform_fallback=bool(fallback[0]))
 
 
@@ -298,23 +295,3 @@ def decompose(signal, bank: EwtFilterBank) -> EwtDecomposition:
     filtered = np.fft.ifft(bank.responses * spectrum[None, :], axis=1)
     residue = float(np.abs(filtered.imag).max()) if filtered.size else 0.0
     return EwtDecomposition(filtered.real, bank, residue)
-
-
-def reconstruct(decomposition) -> np.ndarray:
-    """Elementwise sum of band components.
-
-    Accepts an :class:`EwtDecomposition` or any 2-D array-like of equal-length
-    components.
-    """
-    if isinstance(decomposition, EwtDecomposition):
-        comp = decomposition.components
-    else:
-        try:
-            comp = np.asarray(decomposition, dtype=np.float64)
-        except ValueError:
-            raise ValueError("components have ragged lengths") from None
-        if comp.ndim != 2:
-            raise ValueError(f"expected a stack of equal-length components, got shape {comp.shape}")
-    if comp.shape[0] < 1:
-        raise ValueError("no components to reconstruct from")
-    return comp.sum(axis=0)

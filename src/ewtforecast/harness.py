@@ -27,10 +27,11 @@ import io
 import itertools
 import json
 import logging
+import math
 import os
 import secrets
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple, get_args, get_type_hints
 
@@ -109,7 +110,8 @@ _AXIS_NAMES = {"activation": tuple(ACTIVATIONS), "boundary_mode": BOUNDARY_MODES
 def _axis_values(name: str, values, kind: type) -> tuple:
     """``values`` as a tuple, once it is a non-empty list of ``kind`` values.
 
-    bool is an int subclass but no count; a float axis also takes ints.
+    bool is an int subclass but no count; a float axis also takes ints, but not
+    the ``NaN`` and ``Infinity`` that JSON parsing lets through.
     """
     if not isinstance(values, (list, tuple)):
         raise ConfigError(f"grid axis {name!r} must be a list, got {values!r}")
@@ -119,6 +121,8 @@ def _axis_values(name: str, values, kind: type) -> tuple:
     for value in values:
         if not isinstance(value, kinds) or (isinstance(value, bool) and kind is not bool):
             raise ConfigError(f"grid axis {name!r} takes {kind.__name__} values, got {value!r}")
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"grid axis {name!r} takes finite values, got {value!r}")
         if name in _AXIS_NAMES and value not in _AXIS_NAMES[name]:
             raise ConfigError(f"grid axis {name!r} takes one of {_AXIS_NAMES[name]}, "
                               f"got {value!r}")
@@ -375,12 +379,11 @@ def _rvfl_config(p: ModelParams, base_seed: int) -> RvflConfig:
     )
 
 
-def _edrvfl_config(nodes: tuple, regs: tuple, p: ModelParams, base_seed: int,
-                   ensemble_rule: str = "median") -> EdRvflConfig:
+def _edrvfl_config(nodes: tuple, regs: tuple, p: ModelParams, base_seed: int) -> EdRvflConfig:
     return EdRvflConfig(
         n_layers=len(nodes), n_enhancement=tuple(nodes), regularization=tuple(regs),
-        activation=p.activation, input_scale=p.input_scale, ensemble_rule=ensemble_rule,
-        output_bias=p.output_bias, seed=base_seed + p.seed,
+        activation=p.activation, input_scale=p.input_scale, output_bias=p.output_bias,
+        seed=base_seed + p.seed,
     )
 
 
@@ -496,10 +499,10 @@ class _Prefix:
 
 
 def layerwise_grid_search(space: GridSpace, train: WindowedDataset, val: WindowedDataset,
-                          max_layers: int, base_seed: int = 0,
-                          ensemble_rule: str = "median") -> LayerwiseResult:
+                          max_layers: int, base_seed: int = 0) -> LayerwiseResult:
     """Greedy deep-network tuning: fix each layer's size/regularization in turn.
 
+    Candidates are ranked by the validation RMSE of their median ensemble.
     Stage one searches the full model grid for a one-layer network. Each later
     stage searches nodes x regularization for the new layer while all earlier
     layers stay fixed, and the layer is kept only when validation RMSE improves
@@ -535,13 +538,13 @@ def layerwise_grid_search(space: GridSpace, train: WindowedDataset, val: Windowe
                         if isinstance(f, RuntimeError) else f for f in path]
 
             forecasts = _group_forecasts(
-                group, lambda k: _edrvfl_config(*stage[k], base_seed, ensemble_rule), fit)
+                group, lambda k: _edrvfl_config(*stage[k], base_seed), fit)
             for k in group:
                 nodes, regs, shared = stage[k]
                 layer_forecast = ensemble = forecasts[k]
                 if not isinstance(layer_forecast, Exception):
                     ensemble = edrvfl_mod.combine_predictions(
-                        np.stack(prefix.forecasts + (layer_forecast,)), ensemble_rule)
+                        np.stack(prefix.forecasts + (layer_forecast,)), "median")
                 params = {"layer_nodes": list(nodes), "layer_regs": list(regs),
                           **shared.as_dict()}
                 outcomes[k] = outcome = _outcome(params, ensemble, val.Y)
@@ -595,7 +598,6 @@ class _PipelineBuild:
         self.pipeline = pipeline
         self.params = params
         self.horizon = horizon
-        self.i_val = i_val
         n = len(ts)
         h = horizon
         lags = params["lags"]
@@ -703,11 +705,8 @@ def _scale_pair(kind: str, train: WindowedDataset, val: WindowedDataset):
     if kind == "none":
         return None, train, val
     scaler = fit_scaler(train.X, kind)
-    scaled_train = WindowedDataset(apply_scaler(scaler, train.X), train.Y, train.lags,
-                                   train.horizon, train.origin_indices, train.feature_names)
-    scaled_val = WindowedDataset(apply_scaler(scaler, val.X), val.Y, val.lags,
-                                 val.horizon, val.origin_indices, val.feature_names)
-    return scaler, scaled_train, scaled_val
+    return (scaler, replace(train, X=apply_scaler(scaler, train.X)),
+            replace(val, X=apply_scaler(scaler, val.X)))
 
 
 def _filter_metrics(metric_set, selection) -> dict:
@@ -906,19 +905,17 @@ def _linear_baseline(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val:
     The lag budget follows the chosen model when one exists; regularization is
     tuned on the validation span. Features stay unscaled by definition.
     """
-    h = cfg.horizon
     lag_candidates = [lags] if lags is not None else sorted(set(cfg.grid.lags))
     reg_candidates = sorted(set(cfg.grid.regularization))
     best = None
     for lag in lag_candidates:
-        full = embed(ts, lag, h)
-        targets = full.origin_indices + h
-        train_idx = np.flatnonzero(targets < i_train)
-        val_idx = np.flatnonzero((targets >= i_train) & (targets < i_val))
-        if train_idx.size == 0:
+        try:
+            build = _PipelineBuild(ts, "raw_lags", {"lags": lag}, cfg.horizon, cfg.window,
+                                   i_train, i_val)
+        except ValueError:
             continue
         # One Gram matrix per lag serves every regularization value.
-        train_rows, val_rows = full.take(train_idx), full.take(val_idx)
+        train_rows, val_rows = build.train_rows(), build.val_rows()
         forecasts = _group_forecasts(reg_candidates, _ridge_config,
                                      lambda configs: _fit_group(configs, train_rows, val_rows)[2])
         for reg in reg_candidates:
@@ -927,17 +924,13 @@ def _linear_baseline(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val:
             leaderboard.append({"pipeline": None, **outcome.__dict__})
             key = (outcome.val_rmse, lag, reg)
             if outcome.val_rmse is not None and (best is None or key < best[0]):
-                best = (key, lag, reg, full)
+                best = (key, build)
     if best is None:
         raise RuntimeError("linear baseline could not be fit on any lag candidate")
-    (rmse, _, _), lag, reg, full = best
-    targets = full.origin_indices + h
-    refit_end = i_val if cfg.refit_on_train_plus_validation else i_train
-    refit_idx = np.flatnonzero(targets < refit_end)
-    test_idx = np.flatnonzero(targets >= i_val)
-    model = rvfl_mod.fit(full.X[refit_idx], full.Y[refit_idx], _ridge_config(reg))
-    test_rows = extract_test_rows(full, test_idx)
-    pred = rvfl_mod.predict(model, test_rows.X).ravel()
+    (rmse, lag, reg), build = best
+    refit_rows = build.refit_rows(cfg.refit_on_train_plus_validation)
+    model = rvfl_mod.fit(refit_rows.X, refit_rows.Y, _ridge_config(reg))
+    pred = rvfl_mod.predict(model, build.test_rows().X).ravel()
     info = {"model_params": {"lags": lag, "regularization": reg}, "validation_rmse": rmse}
     return pred, info
 

@@ -98,6 +98,15 @@ ACTIVATIONS = {
 }
 
 
+def _positive_error(name: str, value) -> ValueError | None:
+    """The error for a ``name`` that is not finite and > 0 (``NaN`` is not > 0), else None."""
+    if not value > 0.0:
+        return ValueError(f"{name} must be > 0")
+    if not np.isfinite(value):
+        return ValueError(f"{name} must be finite")
+    return None
+
+
 @dataclass(frozen=True)
 class RvflConfig:
     """Hyper-parameters of one shallow network.
@@ -121,10 +130,10 @@ class RvflConfig:
             raise ValueError("n_enhancement must be >= 0")
         if not self.direct_link and self.n_enhancement < 1:
             raise ValueError("without direct links the model needs at least one enhancement node")
-        if self.regularization <= 0.0:
-            raise ValueError("regularization must be > 0")
-        if self.input_scale <= 0.0:
-            raise ValueError("input_scale must be > 0")
+        for name in ("regularization", "input_scale"):
+            error = _positive_error(name, getattr(self, name))
+            if error is not None:
+                raise error
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}; supported: {sorted(ACTIVATIONS)}")
         if self.seed < 0:
@@ -238,8 +247,9 @@ def ridge_path(H, Y, regularizations, mode: str = "auto") -> list:
     own. ``A = G + I/C`` is the same floating-point operation as a one-C solve,
     so entry k is, bit for bit, what ``fit_output_weights(H, Y, C_k, mode)``
     returns, or the exception it would raise for that C alone (``ValueError``
-    for C <= 0, ``RuntimeError`` for a failed factorization). A bad shape or a
-    non-finite value in ``H`` or ``Y`` raises for every C.
+    for a C that is not finite and > 0, ``RuntimeError`` for a failed
+    factorization). A bad shape or a non-finite value in ``H`` or ``Y`` raises
+    for every C.
     """
     H = np.asarray(H, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -257,8 +267,9 @@ def ridge_path(H, Y, regularizations, mode: str = "auto") -> list:
     gram = rhs = None
     betas = []
     for regularization in regularizations:
-        if regularization <= 0.0:
-            betas.append(ValueError("regularization must be > 0"))
+        error = _positive_error("regularization", regularization)
+        if error is not None:
+            betas.append(error)
             continue
         if gram is None:
             gram, rhs = (H.T @ H, H.T @ Y) if use_primal else (H @ H.T, Y)

@@ -26,15 +26,10 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """An ordered sequence of finite real observations.
-
-    No timestamp arithmetic is performed; ``sampling`` is free text kept for
-    provenance only.
-    """
+    """An ordered sequence of finite real observations."""
 
     values: np.ndarray
     name: str = "series"
-    sampling: str | None = None
 
     def __post_init__(self):
         arr = _as_float_vector(self.values, "series values")
@@ -64,10 +59,6 @@ class SplitSpec:
         if self.train_fraction + self.validation_fraction >= 1.0:
             raise ValueError("train_fraction + validation_fraction must be < 1")
 
-    @property
-    def test_fraction(self) -> float:
-        return 1.0 - self.train_fraction - self.validation_fraction
-
 
 def split_boundaries(n: int, spec: SplitSpec) -> tuple[int, int]:
     """Indices (end of train, end of validation) for a series of length ``n``."""
@@ -81,16 +72,12 @@ class WindowedDataset:
     """Lag-embedded supervised dataset: inputs X (N x d), targets Y (N x c).
 
     ``origin_indices[i]`` is the 0-based index of the last observation that
-    contributed to row ``i``; the row's target is the observation ``horizon``
-    steps after it.
+    contributed to row ``i``; the row's target lies a fixed horizon after it.
     """
 
     X: np.ndarray
     Y: np.ndarray
-    lags: int
-    horizon: int
     origin_indices: np.ndarray
-    feature_names: tuple[str, ...] | None = None
     meta: dict | None = None
 
     def __post_init__(self):
@@ -105,8 +92,6 @@ class WindowedDataset:
             raise ValueError("origin_indices must have one entry per row")
         if origins.size > 1 and not np.all(np.diff(origins) > 0):
             raise ValueError("origin_indices must be strictly increasing")
-        if self.feature_names is not None and len(self.feature_names) != X.shape[1]:
-            raise ValueError("feature_names length must match feature dimension")
         object.__setattr__(self, "X", _frozen(X))
         object.__setattr__(self, "Y", _frozen(Y))
         object.__setattr__(self, "origin_indices", _frozen(origins))
@@ -122,10 +107,7 @@ class WindowedDataset:
     def take(self, indices) -> "WindowedDataset":
         """Row subset in the given (strictly increasing) order."""
         idx = np.asarray(indices)
-        return WindowedDataset(
-            self.X[idx], self.Y[idx], self.lags, self.horizon,
-            self.origin_indices[idx], self.feature_names, self.meta,
-        )
+        return WindowedDataset(self.X[idx], self.Y[idx], self.origin_indices[idx], self.meta)
 
 
 def embed(ts: TimeSeries, lags: int, horizon: int) -> WindowedDataset:
@@ -140,7 +122,7 @@ def embed(ts: TimeSeries, lags: int, horizon: int) -> WindowedDataset:
     X = np.lib.stride_tricks.sliding_window_view(v, lags)[:n_rows]
     Y = v[lags + horizon - 1:].reshape(-1, 1)
     origins = np.arange(lags - 1, lags - 1 + n_rows, dtype=np.int64)
-    return WindowedDataset(X, Y, lags, horizon, origins)
+    return WindowedDataset(X, Y, origins)
 
 
 @dataclass(frozen=True)

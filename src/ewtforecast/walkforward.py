@@ -68,7 +68,6 @@ class WalkForwardConfig:
     window: int | str = "auto"
     gamma: float = 0.1
     boundary_mode: str = ADAPTIVE_PER_STEP
-    smooth_window: int = 5
 
     def __post_init__(self):
         if self.n_bands < 1:
@@ -86,8 +85,6 @@ class WalkForwardConfig:
             raise ValueError("gamma must lie in (0, 1)")
         if self.boundary_mode not in BOUNDARY_MODES:
             raise ValueError(f"boundary_mode must be one of {BOUNDARY_MODES}")
-        if self.smooth_window < 1:
-            raise ValueError("smooth_window must be >= 1")
 
     @property
     def feature_dim(self) -> int:
@@ -140,7 +137,7 @@ def causal_decompose_at(
     if frozen_boundaries is not None:
         bounds = frozen_boundaries
     else:
-        bounds = detect_boundaries(magnitude_spectrum(window), cfg.n_bands, cfg.smooth_window)
+        bounds = detect_boundaries(magnitude_spectrum(window), cfg.n_bands)
     bank = build_filter_bank(bounds, width, cfg.gamma)
     dec = decompose(window, bank)
     return CausalSlice(dec.components[:, -cfg.lags:], bounds, width)
@@ -150,18 +147,7 @@ def freeze_boundaries(ts: TimeSeries, cfg: WalkForwardConfig, origin: int) -> Ew
     """Detect band edges once, on the trailing window ending at ``origin``."""
     width = cfg.window_at(origin)
     window = ts.values[origin - width + 1: origin + 1]
-    return detect_boundaries(magnitude_spectrum(window), cfg.n_bands, cfg.smooth_window)
-
-
-def feature_names(cfg: WalkForwardConfig) -> tuple[str, ...]:
-    """Column names matching the row layout: raw lags first, then band tails.
-
-    Lag index 1 is the oldest value of the block, ``lags`` the most recent.
-    """
-    names = [f"raw_lag_{i}" for i in range(1, cfg.lags + 1)]
-    for band in range(1, cfg.n_bands + 1):
-        names.extend(f"band_{band}_lag_{i}" for i in range(1, cfg.lags + 1))
-    return tuple(names)
+    return detect_boundaries(magnitude_spectrum(window), cfg.n_bands)
 
 
 def _check_range(ts: TimeSeries, cfg: WalkForwardConfig, start: int, stop: int) -> None:
@@ -221,7 +207,7 @@ def build_walkforward_features(
             block = windows[lo: lo + chunk]
             if frozen is None:
                 omegas, fallback = band_edges(np.abs(np.fft.rfft(block, axis=1)), width,
-                                              cfg.n_bands, cfg.smooth_window)
+                                              cfg.n_bands)
                 check_edges(omegas)
                 responses, gamma_eff = filter_bank_responses(omegas, width, cfg.gamma)
                 fallbacks += int(np.count_nonzero(fallback))
@@ -233,16 +219,12 @@ def build_walkforward_features(
             X[rows, lags:] = bands.real[:, :, -lags:].reshape(block.shape[0], -1)
     Y = values[origins + cfg.horizon].reshape(-1, 1)
     meta = {
-        "pipeline": "walkforward_ewt",
-        "boundary_mode": cfg.boundary_mode,
         "fallback_count": int(frozen.uniform_fallback if frozen is not None else fallbacks),
         "gamma_clipped_count": clipped,
         "max_imag_residue": residue,
-        "window": cfg.window,
-        "window_at_start": cfg.window_at(start),
         "frozen_boundaries": None if frozen is None else [float(w) for w in frozen.omegas],
     }
-    return WindowedDataset(X, Y, lags, cfg.horizon, origins, feature_names(cfg), meta)
+    return WindowedDataset(X, Y, origins, meta)
 
 
 def leaky_features(ts: TimeSeries, cfg: WalkForwardConfig, start: int, stop: int) -> WindowedDataset:
@@ -255,7 +237,7 @@ def leaky_features(ts: TimeSeries, cfg: WalkForwardConfig, start: int, stop: int
     _check_range(ts, cfg, start, stop)
     if start < cfg.lags - 1:
         raise ValueError(f"start origin {start} leaves no full lag window of {cfg.lags}")
-    bounds = detect_boundaries(magnitude_spectrum(ts.values), cfg.n_bands, cfg.smooth_window)
+    bounds = detect_boundaries(magnitude_spectrum(ts.values), cfg.n_bands)
     bank = build_filter_bank(bounds, len(ts), cfg.gamma)
     dec = decompose(ts.values, bank)
 
@@ -266,13 +248,10 @@ def leaky_features(ts: TimeSeries, cfg: WalkForwardConfig, start: int, stop: int
     X = blocks[:, start - lags + 1: stop - lags + 1].transpose(1, 0, 2).reshape(origins.size, -1)
     Y = ts.values[origins + cfg.horizon].reshape(-1, 1)
     meta = {
-        "pipeline": "leaky_ewt",
-        "boundary_mode": "full_series",
         "fallback_count": int(bounds.uniform_fallback),
         "gamma_clipped_count": int(bank.gamma_clipped),
         "max_imag_residue": dec.max_imag_residue,
-        "window": "full_series",
         "frozen_boundaries": [float(w) for w in bounds.omegas],
     }
-    return WindowedDataset(X, Y, lags, cfg.horizon, origins, feature_names(cfg), meta)
+    return WindowedDataset(X, Y, origins, meta)
 

@@ -94,7 +94,7 @@ def grid_search_per_candidate(space, train, val, base_seed=0):
     return GridSearchResult(best, best_rmse, outcomes, forecasts[candidates.index(best)])
 
 
-def layerwise_per_candidate(space, train, val, max_layers, base_seed=0, ensemble_rule="median"):
+def layerwise_per_candidate(space, train, val, max_layers, base_seed=0):
     """``harness.layerwise_grid_search`` with one ``fit_edrvfl`` of the whole stack
     and one ``ensemble_predict`` per candidate."""
 
@@ -104,7 +104,7 @@ def layerwise_per_candidate(space, train, val, max_layers, base_seed=0, ensemble
             cfg = edrvfl.EdRvflConfig(
                 n_layers=len(nodes), n_enhancement=nodes, regularization=regs,
                 activation=shared.activation, input_scale=shared.input_scale,
-                ensemble_rule=ensemble_rule, output_bias=shared.output_bias,
+                output_bias=shared.output_bias,
                 seed=base_seed + shared.seed,
             )
             model = edrvfl.fit_edrvfl(train.X, train.Y, cfg)

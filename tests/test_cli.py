@@ -100,6 +100,9 @@ def test_run_with_malformed_config_value_exits_2(series_csv, tmp_path, capsys, b
     ("n_enhancement", "50"), ("n_enhancement", [50.0]), ("lags", [True]), ("seeds", ["0"]),
     ("regularization", ["1.0"]), ("direct_link", [1]), ("activation", ["swish"]),
     ("boundary_mode", ["adaptive"]),
+    # JSON parsing accepts NaN and Infinity; no float axis does.
+    ("regularization", [float("nan"), 1.0]), ("regularization", [float("inf")]),
+    ("input_scale", [float("nan")]), ("input_scale", [float("inf")]), ("gamma", [float("-inf")]),
 ])
 def test_run_with_malformed_grid_value_exits_2(series_csv, tmp_path, capsys, axis, values):
     path, _ = series_csv

@@ -37,7 +37,7 @@ def linear_dataset(seed=0, slope=2.0, n=80, noise=0.0):
     x = rng.uniform(-1, 1, size=n)
     X = x.reshape(-1, 1)
     Y = (slope * x + noise * rng.normal(size=n)).reshape(-1, 1)
-    return WindowedDataset(X, Y, lags=1, horizon=1, origin_indices=np.arange(n))
+    return WindowedDataset(X, Y, origin_indices=np.arange(n))
 
 
 def write_series(tmp_path, values, name="series.csv"):
@@ -99,8 +99,8 @@ def small_problem(seed, n_train, n_val, n_features):
     n = n_train + n_val
     X = rng.normal(size=(n, n_features))
     Y = np.tanh(X @ rng.normal(size=(n_features, 1))) + 0.1 * rng.normal(size=(n, 1))
-    return (WindowedDataset(X[:n_train], Y[:n_train], 1, 1, np.arange(n_train)),
-            WindowedDataset(X[n_train:], Y[n_train:], 1, 1, np.arange(n_train, n)))
+    return (WindowedDataset(X[:n_train], Y[:n_train], np.arange(n_train)),
+            WindowedDataset(X[n_train:], Y[n_train:], np.arange(n_train, n)))
 
 
 def axis(values, max_size=3):
@@ -155,10 +155,9 @@ def failing_large_ridges(solve):
 
 @settings(max_examples=60, deadline=None)
 @given(problem=problems, space=grid_spaces, base_seed=st.integers(0, 3),
-       max_layers=st.integers(1, 3), rule=st.sampled_from(["median", "mean"]),
-       fail_solves=st.booleans())
+       max_layers=st.integers(1, 3), fail_solves=st.booleans())
 def test_grouped_searches_equal_the_per_candidate_oracle(problem, space, base_seed, max_layers,
-                                                         rule, fail_solves):
+                                                         fail_solves):
     train, val = problem
     solve = failing_large_ridges(rvfl._solve_spd) if fail_solves else rvfl._solve_spd
     with mock.patch.object(rvfl, "_solve_spd", solve):
@@ -166,10 +165,9 @@ def test_grouped_searches_equal_the_per_candidate_oracle(problem, space, base_se
                            outcome_or_error(oracles.grid_search_per_candidate, space, train,
                                             val, base_seed))
         assert_same_search(
-            outcome_or_error(layerwise_grid_search, space, train, val, max_layers, base_seed,
-                             ensemble_rule=rule),
+            outcome_or_error(layerwise_grid_search, space, train, val, max_layers, base_seed),
             outcome_or_error(oracles.layerwise_per_candidate, space, train, val, max_layers,
-                             base_seed, ensemble_rule=rule))
+                             base_seed))
 
 
 @settings(max_examples=25, deadline=None)
@@ -212,19 +210,17 @@ def test_grid_search_winner_is_permutation_independent(problem, space, max_layer
                        outcome_or_error(layerwise_grid_search, space, train, val, max_layers))
 
 
-# On this problem the median search keeps four layers and the mean search three.
+# On this problem the search keeps four layers.
 deep_problem = (36, 60, 30, 3)
 deep_space = GridSpace(n_enhancement=(4, 9, 2), regularization=(1.0, 0.1, 10.0),
                        activation=("sigmoid", "relu"), output_bias=(False, True))
 
 
-@pytest.mark.parametrize("rule", ["median", "mean"])
-def test_deep_layerwise_search_equals_the_per_candidate_oracle(rule):
+def test_deep_layerwise_search_equals_the_per_candidate_oracle():
     train, val = small_problem(*deep_problem)
-    lw = layerwise_grid_search(deep_space, train, val, 4, ensemble_rule=rule)
+    lw = layerwise_grid_search(deep_space, train, val, 4)
     assert len(lw.layer_nodes) >= 3
-    assert_same_search(lw, oracles.layerwise_per_candidate(deep_space, train, val, 4,
-                                                           ensemble_rule=rule))
+    assert_same_search(lw, oracles.layerwise_per_candidate(deep_space, train, val, 4))
 
 
 def test_a_failed_solve_fails_only_its_candidate():
@@ -309,8 +305,8 @@ def test_layerwise_history_is_non_increasing():
     rng = np.random.default_rng(12)
     X = rng.normal(size=(120, 4))
     Y = np.tanh(X @ rng.normal(size=(4, 1))) + 0.05 * rng.normal(size=(120, 1))
-    train = WindowedDataset(X[:80], Y[:80], 1, 1, np.arange(80))
-    val = WindowedDataset(X[80:], Y[80:], 1, 1, np.arange(80, 120))
+    train = WindowedDataset(X[:80], Y[:80], np.arange(80))
+    val = WindowedDataset(X[80:], Y[80:], np.arange(80, 120))
     space = GridSpace(n_enhancement=(10, 30), regularization=(1.0, 100.0))
     lw = layerwise_grid_search(space, train, val, max_layers=4)
     assert all(b <= a for a, b in zip(lw.history, lw.history[1:]))

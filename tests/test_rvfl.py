@@ -18,6 +18,7 @@ from ewtforecast.rvfl import (
     fit_output_weights,
     init_hidden_layer,
     predict,
+    ridge_path,
 )
 from ewtforecast.series import fit_scaler
 
@@ -208,6 +209,21 @@ def test_solver_rejects_non_finite():
     H = np.array([[1.0, np.inf], [0.0, 1.0]])
     with pytest.raises(ValueError, match="finite"):
         fit_output_weights(H, np.ones((2, 1)), 1.0)
+
+
+def test_a_bad_regularization_fails_only_itself():
+    H, Y = random_problem(np.random.default_rng(12))
+    *errors, beta = ridge_path(H, Y, [np.nan, np.inf, -1.0, 1.0])
+    assert [type(e) for e in errors] == [ValueError] * 3
+    assert beta.tobytes() == fit_output_weights(H, Y, 1.0).tobytes()
+    for bad in (np.nan, np.inf, -1.0):
+        for field in ("regularization", "input_scale"):
+            with pytest.raises(ValueError, match=field):
+                RvflConfig(**{field: bad})
+        with pytest.raises(ValueError, match="input_scale"):
+            EdRvflConfig(n_layers=2, input_scale=bad)
+        with pytest.raises(ValueError, match="regularization"):
+            EdRvflConfig(n_layers=2, regularization=(1.0, bad))
 
 
 def test_objective_optimality_under_perturbation():
