@@ -194,15 +194,16 @@ def band_edges(magnitudes, signal_length: int, n_bands: int):
     if n_bands == 1:
         return np.empty((n_rows, 0)), np.zeros(n_rows, dtype=bool)
     smoothed = _moving_average(mag, SMOOTH_WINDOW)
-    peaks = _local_maxima(smoothed)
-    rows = peaks // m
-    # By row, then highest first; the stable sort breaks ties to the lower bin.
-    order = np.lexsort((-smoothed.ravel()[peaks], rows))
-    counts = np.bincount(rows, minlength=n_rows)
-    ok = counts >= n_bands
-    row_starts = counts.cumsum() - counts  # where each row begins in ``order``
-    top = order[row_starts[ok, None] + np.arange(n_bands)]
-    kept = np.sort(peaks[top], axis=1) % m  # retained bins, ascending per row
+    is_peak = np.zeros(mag.shape, dtype=bool)
+    is_peak.ravel()[_local_maxima(smoothed)] = True
+    ok = np.count_nonzero(is_peak, axis=1) >= n_bands
+    # Highest first, bins that are no peak last (a peak's key is finite); the
+    # stable sort breaks ties to the lower bin.
+    rank_key = np.where(is_peak[ok], -smoothed[ok], np.inf)
+    top = np.argsort(rank_key, axis=1, kind="stable")[:, :n_bands]
+    # Retained bins, ascending per row. The reshape only matters when no row
+    # is kept because the grid has fewer than n_bands bins.
+    kept = np.sort(top, axis=1).reshape(-1, n_bands)
     bins = np.arange(m)
     between = np.where((bins > kept[:, :-1, None]) & (bins < kept[:, 1:, None]),
                        mag[ok, None], np.inf)
@@ -224,7 +225,7 @@ def _smooth_step(x: np.ndarray) -> np.ndarray:
 
 
 def filter_bank_responses(omegas, signal_length: int, gamma: float):
-    """Frequency responses of a stack of filter banks over the full FFT grid.
+    """Frequency responses of a stack of filter banks on the one-sided grid.
 
     ``omegas`` holds one row of band edges per bank, shape ``(R, K - 1)``.
     Around each edge ``w`` the neighbouring filters cross-fade over the zone
@@ -233,52 +234,60 @@ def filter_bank_responses(omegas, signal_length: int, gamma: float):
     ``gamma`` is clipped whenever the requested value would make transition
     zones of consecutive edges overlap.
 
-    Returns the responses, shape ``(R, K, signal_length)``, and the gamma each
-    row used, shape ``(R,)``; a row was clipped where that is below ``gamma``.
+    Returns the responses at the bins ``0 .. signal_length // 2``, shape
+    ``(R, K, signal_length // 2 + 1)``, and the gamma each row used, shape
+    ``(R,)``; a row was clipped where that is below ``gamma``. Bin ``k`` of the
+    full grid has the response of bin ``min(k, signal_length - k)``.
     """
     om = np.asarray(omegas, dtype=np.float64)
     n_rows, n_edges = om.shape
     n = signal_length
+    aw = 2.0 * np.pi * np.arange(n // 2 + 1) / n
     if n_edges == 0:
-        return np.ones((n_rows, 1, n)), np.full(n_rows, gamma)
+        return np.ones((n_rows, 1, aw.size)), np.full(n_rows, gamma)
     gamma_eff = np.full(n_rows, gamma)
     if n_edges > 1:
         ratios = np.diff(om, axis=1) / (om[:, 1:] + om[:, :-1])
         gamma_eff = np.minimum(gamma, ratios.min(axis=1))
-
-    # |omega| on the one-sided bins 0..n//2; bin k >= n//2 + 1 mirrors bin
-    # n - k, so the symmetry response[k] == response[n - k] is bit-exact.
-    aw = 2.0 * np.pi * np.arange(n // 2 + 1) / n
 
     g = gamma_eff[:, None, None]
     w = om[:, :, None]
     lo = (1.0 - g) * w
     width = 2.0 * g * w
     x = np.clip((aw - lo) / width, 0.0, 1.0)
-    arg = 0.5 * np.pi * _smooth_step(x)
-    rising = np.sin(arg) ** 2    # (R, K - 1, n // 2 + 1): band above each edge
-    falling = np.cos(arg) ** 2   # band below each edge
+    # Only bins inside a transition zone (0 < x < 1) need the smooth step and
+    # the trigonometry. Outside, the profiles below give rising == x exactly,
+    # and falling == 1 before the zone and cos(pi/2) ** 2 (not quite 0) past it.
+    zone = (x > 0.0) & (x < 1.0)
+    arg = 0.5 * np.pi * _smooth_step(x[zone])
+    falling = np.where(x < 1.0, 1.0, np.cos(0.5 * np.pi) ** 2)  # band below each edge
+    falling[zone] = np.cos(arg) ** 2
+    rising = x                   # (R, K - 1, n // 2 + 1): band above each edge
+    rising[zone] = np.sin(arg) ** 2
 
     half = np.empty((n_rows, n_edges + 1, aw.size))
     half[:, 0] = falling[:, 0]
     half[:, 1:-1] = rising[:, :-1] * falling[:, 1:]
     half[:, -1] = rising[:, -1]
-    return np.concatenate((half, half[:, :, n - aw.size:0:-1]), axis=2), gamma_eff
+    return half, gamma_eff
 
 
 def build_filter_bank(boundaries: EwtBoundaries, signal_length: int, gamma: float = 0.1) -> EwtFilterBank:
     """Construct the K band filters for a signal of length ``signal_length``.
 
-    The one-bank case of :func:`filter_bank_responses`; the clip of ``gamma``
-    is flagged on the result.
+    The one-bank case of :func:`filter_bank_responses`, mirrored onto the full
+    FFT grid; the clip of ``gamma`` is flagged on the result.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     if signal_length < MIN_SIGNAL_LENGTH:
         raise ValueError(f"signal length must be >= {MIN_SIGNAL_LENGTH}")
-    responses, gamma_eff = filter_bank_responses(boundaries.omegas[None, :], signal_length, gamma)
+    half, gamma_eff = filter_bank_responses(boundaries.omegas[None, :], signal_length, gamma)
+    half = half[0]
+    # Bin k > n // 2 mirrors bin n - k, so response[k] == response[n - k] is bit-exact.
+    responses = np.concatenate((half, half[:, signal_length - half.shape[1]:0:-1]), axis=1)
     gamma_eff = float(gamma_eff[0])
-    return EwtFilterBank(boundaries, gamma_eff, responses[0], signal_length, gamma,
+    return EwtFilterBank(boundaries, gamma_eff, responses, signal_length, gamma,
                          gamma_eff < gamma)
 
 

@@ -49,8 +49,8 @@ from ewtforecast.series import (
     SplitSpec,
     TimeSeries,
     WindowedDataset,
+    _embed_range,
     apply_scaler,
-    embed,
     fit_scaler,
     load_csv,
     split_boundaries,
@@ -642,9 +642,7 @@ class _PipelineBuild:
 
     def _build(self, start: int, stop: int, frozen: EwtBoundaries | None = None) -> WindowedDataset:
         if self.pipeline == "raw_lags":
-            full = embed(self.ts, self.params["lags"], self.horizon)
-            keep = (full.origin_indices >= start) & (full.origin_indices < stop)
-            return full.take(np.flatnonzero(keep))
+            return _embed_range(self.ts, self.params["lags"], self.horizon, start, stop)
         if self.pipeline == "walkforward_ewt":
             return build_walkforward_features(self.ts, self.wf_cfg, start, stop,
                                               frozen_boundaries=frozen)
@@ -666,7 +664,7 @@ class _PipelineBuild:
     @staticmethod
     def decomposition_counters(*datasets) -> dict:
         """Fallback and clipped-gamma counts summed over EWT feature builds, and
-        the largest imaginary residue any of them discarded."""
+        the largest ``max_imag_residue`` any of them recorded."""
         metas = [d.meta for d in datasets if d.meta and "fallback_count" in d.meta]
         return {
             "fallback_count": sum(int(m["fallback_count"]) for m in metas),

@@ -18,8 +18,10 @@ def _as_float_vector(values, what: str = "values") -> np.ndarray:
     return arr
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, copy=True)
+def _frozen(arr: np.ndarray, copy: bool = True) -> np.ndarray:
+    """``arr`` read-only; copied first unless ``copy`` is false."""
+    if copy:
+        arr = np.array(arr, copy=True)
     arr.setflags(write=False)
     return arr
 
@@ -81,20 +83,34 @@ class WindowedDataset:
     meta: dict | None = None
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=np.float64)
-        Y = np.asarray(self.Y, dtype=np.float64)
+        self._freeze(self.X, self.Y, self.origin_indices, copy=True)
+
+    @classmethod
+    def _adopt(cls, X, Y, origin_indices, meta=None) -> "WindowedDataset":
+        """A dataset over arrays the package has just made, or views of frozen
+        series values, that nothing else can write: they are checked and made
+        read-only, not copied. The public constructor copies, so that no
+        reference a caller holds can change a dataset."""
+        ds = object.__new__(cls)
+        object.__setattr__(ds, "meta", meta)
+        ds._freeze(X, Y, origin_indices, copy=False)
+        return ds
+
+    def _freeze(self, X, Y, origins, copy: bool) -> None:
+        X = np.asarray(X, dtype=np.float64)
+        Y = np.asarray(Y, dtype=np.float64)
         if X.ndim != 2 or Y.ndim != 2:
             raise ValueError("X and Y must be matrices")
         if X.shape[0] != Y.shape[0]:
             raise ValueError(f"row mismatch: X has {X.shape[0]} rows, Y has {Y.shape[0]}")
-        origins = np.asarray(self.origin_indices, dtype=np.int64)
+        origins = np.asarray(origins, dtype=np.int64)
         if origins.ndim != 1 or origins.size != X.shape[0]:
             raise ValueError("origin_indices must have one entry per row")
         if origins.size > 1 and not np.all(np.diff(origins) > 0):
             raise ValueError("origin_indices must be strictly increasing")
-        object.__setattr__(self, "X", _frozen(X))
-        object.__setattr__(self, "Y", _frozen(Y))
-        object.__setattr__(self, "origin_indices", _frozen(origins))
+        object.__setattr__(self, "X", _frozen(X, copy))
+        object.__setattr__(self, "Y", _frozen(Y, copy))
+        object.__setattr__(self, "origin_indices", _frozen(origins, copy))
 
     @property
     def n_samples(self) -> int:
@@ -107,7 +123,8 @@ class WindowedDataset:
     def take(self, indices) -> "WindowedDataset":
         """Row subset in the given (strictly increasing) order."""
         idx = np.asarray(indices)
-        return WindowedDataset(self.X[idx], self.Y[idx], self.origin_indices[idx], self.meta)
+        return WindowedDataset._adopt(self.X[idx], self.Y[idx], self.origin_indices[idx],
+                                      self.meta)
 
 
 def embed(ts: TimeSeries, lags: int, horizon: int) -> WindowedDataset:
@@ -115,14 +132,18 @@ def embed(ts: TimeSeries, lags: int, horizon: int) -> WindowedDataset:
     if lags < 1 or horizon < 1:
         raise ValueError("lags and horizon must be positive")
     n = len(ts)
-    n_rows = n - lags - horizon + 1
-    if n_rows < 1:
+    if n - lags - horizon + 1 < 1:
         raise ValueError(f"series too short: length {n} supports no window with lags={lags}, horizon={horizon}")
+    return _embed_range(ts, lags, horizon, lags - 1, n - horizon)
+
+
+def _embed_range(ts: TimeSeries, lags: int, horizon: int, start: int, stop: int) -> WindowedDataset:
+    """The rows of :func:`embed` whose origins lie in ``range(start, stop)``;
+    the range must lie within ``embed``'s."""
     v = ts.values
-    X = np.lib.stride_tricks.sliding_window_view(v, lags)[:n_rows]
-    Y = v[lags + horizon - 1:].reshape(-1, 1)
-    origins = np.arange(lags - 1, lags - 1 + n_rows, dtype=np.int64)
-    return WindowedDataset(X, Y, origins)
+    X = np.array(np.lib.stride_tricks.sliding_window_view(v, lags)[start - lags + 1: stop - lags + 1])
+    Y = v[start + horizon: stop + horizon, None]
+    return WindowedDataset._adopt(X, Y, np.arange(start, stop, dtype=np.int64))
 
 
 @dataclass(frozen=True)

@@ -11,17 +11,22 @@ Each feature row concatenates the raw lag window with the trailing ``lags``
 values of every band component, giving a fixed dimension of
 ``(n_bands + 1) * lags``.
 
-The builder decomposes all windows of a range in chunks of rows: one FFT per
-chunk, one filter bank per window width in frozen mode (in adaptive mode one
-batched edge detection and a stack of per-row banks), one inverse FFT.
-:func:`causal_decompose_at` does the same for one origin with the scalar EWT
-functions and is the reference the batched rows are tested against, bit for
-bit.
+A band's tail is a fixed linear map of its window, because EWT filters act in
+the Fourier domain, so the builder never forms a band in full. With frozen
+edges the bank's impulse responses become one real matrix of taps per window
+width, and a group's rows are one product of its windows with that matrix. With
+adaptive edges each chunk of rows takes one real FFT, which feeds both the
+batched edge detection and the stack of per-row banks on the one-sided grid,
+and a fixed real basis maps each filtered spectrum to its band's tail.
+:func:`causal_decompose_at` decomposes one origin in full with the scalar EWT
+functions and is the reference the batched rows are tested against, within a
+stated rounding tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -46,9 +51,11 @@ BOUNDARY_MODES = (ADAPTIVE_PER_STEP, FROZEN_FROM_TRAIN)
 # A spectrum needs a few samples beyond the lag window to say anything.
 MIN_WINDOW_MARGIN = 8
 DEFAULT_WINDOW_FLOOR = 128
-# Size of one chunk's band spectra (complex, rows x bands x window). Larger
-# chunks buy little speed and raise peak memory by a few times this amount.
-CHUNK_BYTES = 1 << 18
+# Size of one adaptive chunk's largest temporaries: its filtered one-sided
+# spectra (rows x bands x 2 x bins floats) and its banks' per-edge arrays (rows
+# x (bands - 1) x bins floats). Larger chunks buy little speed and raise peak
+# memory by a few times this amount.
+CHUNK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -160,6 +167,52 @@ def _check_range(ts: TimeSeries, cfg: WalkForwardConfig, start: int, stop: int) 
         )
 
 
+def _row_bytes(n_bands: int, width: int) -> int:
+    """Bytes of one row's largest temporaries in adaptive mode (see ``CHUNK_BYTES``)."""
+    return 8 * (width // 2 + 1) * (3 * n_bands - 1)
+
+
+@lru_cache(maxsize=16)
+def _tail_basis(width: int, lags: int) -> np.ndarray:
+    """Real map from a filtered one-sided spectrum to the last ``lags`` samples
+    of its inverse DFT.
+
+    Row ``j`` is ``c_j cos(2 pi j n / W) / W`` for the real part of bin ``j``
+    and row ``W // 2 + 1 + j`` is ``-c_j sin(2 pi j n / W) / W`` for its
+    imaginary part, where ``n`` runs over the tail positions
+    ``W - lags .. W - 1`` and ``c_j`` is 1 at DC and at Nyquist (even ``W``)
+    and 2 elsewhere, which counts the mirrored bins. Shape
+    ``(2 * (W // 2 + 1), lags)``; read-only, as it is shared.
+    """
+    bins = np.arange(width // 2 + 1)
+    # Reduce j * n mod W in integers, so the angle keeps full precision.
+    angle = (2.0 * np.pi / width) * (np.outer(bins, np.arange(width - lags, width)) % width)
+    weight = np.full((bins.size, 1), 2.0 / width)
+    weight[0] = 1.0 / width
+    if width % 2 == 0:
+        weight[-1] = 1.0 / width
+    basis = np.concatenate((weight * np.cos(angle), -weight * np.sin(angle)))
+    basis.setflags(write=False)
+    return basis
+
+
+def _frozen_taps(bank, lags: int) -> tuple[np.ndarray, float]:
+    """The bank's tail taps, shape ``(W, K * lags)``, and the largest imaginary
+    part its inverse FFT discarded.
+
+    Band ``k`` at tail position ``n`` of a window ``x`` is the circular
+    convolution ``sum_j x[j] h_k[(n - j) mod W]`` with the impulse response
+    ``h_k``, so column ``k * lags + l`` holds ``h_k[(W - lags + l - j) mod W]``
+    over ``j``.
+    """
+    width = bank.signal_length
+    impulse = np.fft.ifft(bank.responses, axis=1)
+    residue = float(np.abs(impulse.imag).max())
+    lag_of = (np.arange(width - lags, width) - np.arange(width)[:, None]) % width
+    taps = impulse.real[:, lag_of]                       # (K, W, lags)
+    return taps.transpose(1, 0, 2).reshape(width, -1), residue
+
+
 def build_walkforward_features(
     ts: TimeSeries,
     cfg: WalkForwardConfig,
@@ -172,12 +225,17 @@ def build_walkforward_features(
     Row layout per origin t: ``[x_{t-lags+1..t} | band-1 tail | ... | band-K
     tail]`` with target ``x_{t+horizon}``. In frozen mode the band edges come
     from the earliest window of the range (a training prefix for every row)
-    unless ``frozen_boundaries`` carries edges frozen earlier. Every row equals
-    the one :func:`causal_decompose_at` gives for its origin, bit for bit.
+    unless ``frozen_boundaries`` carries edges frozen earlier. Band edges and
+    fallback flags are those :func:`causal_decompose_at` finds, bit for bit;
+    band tails match its full inverse FFT to rounding, within ``1e-12`` times
+    the largest absolute value of the row's window (tested). A row does not
+    depend on the range or the chunking it was built in, bit for bit: every
+    per-row product has the same shape whatever the number of rows.
 
     ``meta`` counts uniform-fallback edges and clipped ``gamma`` (per row in
-    adaptive mode, once for frozen edges) and records the largest imaginary
-    residue the inverse FFTs discarded.
+    adaptive mode, once for frozen edges). ``max_imag_residue`` is the largest
+    imaginary part discarded when the frozen bank's impulse responses were
+    made real; adaptive mode works in real arithmetic and records 0.0.
     """
     _check_range(ts, cfg, start, stop)
     frozen = frozen_boundaries
@@ -198,25 +256,34 @@ def build_walkforward_features(
         # windows[i] ends at origin first + i; consecutive origins overlap.
         windows = sliding_window_view(values, width)[start + first - width + 1:
                                                      start + last - width + 1]
+        X[first:last, :lags] = windows[:, -lags:]
+        # Every product below is a stack of per-row products, so that a row's
+        # product has one shape whatever the number of rows: as a 2-D product,
+        # a single row would take another BLAS kernel and round differently
+        # from the same row inside a larger build.
         if frozen is not None:
             bank = build_filter_bank(frozen, width, cfg.gamma)
-            responses = bank.responses[None]
+            taps, bank_residue = _frozen_taps(bank, lags)
+            residue = max(residue, bank_residue)
             clipped = int(bank.gamma_clipped)
-        chunk = max(1, CHUNK_BYTES // (16 * cfg.n_bands * width))
+            np.matmul(windows[:, None, :], taps, out=X[first:last, None, lags:])
+            continue
+        basis = _tail_basis(width, lags)
+        chunk = max(1, CHUNK_BYTES // _row_bytes(cfg.n_bands, width))
         for lo in range(0, windows.shape[0], chunk):
             block = windows[lo: lo + chunk]
-            if frozen is None:
-                omegas, fallback = band_edges(np.abs(np.fft.rfft(block, axis=1)), width,
-                                              cfg.n_bands)
-                check_edges(omegas)
-                responses, gamma_eff = filter_bank_responses(omegas, width, cfg.gamma)
-                fallbacks += int(np.count_nonzero(fallback))
-                clipped += int(np.count_nonzero(gamma_eff < cfg.gamma))
-            bands = np.fft.ifft(responses * np.fft.fft(block, axis=1)[:, None, :], axis=2)
-            residue = max(residue, float(bands.imag.max()), -float(bands.imag.min()))
-            rows = slice(first + lo, first + lo + block.shape[0])
-            X[rows, :lags] = block[:, -lags:]
-            X[rows, lags:] = bands.real[:, :, -lags:].reshape(block.shape[0], -1)
+            rows = block.shape[0]
+            spectra = np.fft.rfft(block, axis=1)
+            omegas, fallback = band_edges(np.abs(spectra), width, cfg.n_bands)
+            check_edges(omegas)
+            responses, gamma_eff = filter_bank_responses(omegas, width, cfg.gamma)
+            fallbacks += int(np.count_nonzero(fallback))
+            clipped += int(np.count_nonzero(gamma_eff < cfg.gamma))
+            # Each band's filtered spectrum as [real parts | imaginary parts],
+            # the basis's row order: (R, K, 2 * bins).
+            parts = np.stack((spectra.real, spectra.imag), axis=1)[:, None]
+            filtered = (responses[:, :, None] * parts).reshape(rows, cfg.n_bands, -1)
+            X[first + lo: first + lo + rows, lags:] = (filtered @ basis).reshape(rows, -1)
     Y = values[origins + cfg.horizon].reshape(-1, 1)
     meta = {
         "fallback_count": int(frozen.uniform_fallback if frozen is not None else fallbacks),
@@ -224,7 +291,7 @@ def build_walkforward_features(
         "max_imag_residue": residue,
         "frozen_boundaries": None if frozen is None else [float(w) for w in frozen.omegas],
     }
-    return WindowedDataset(X, Y, origins, meta)
+    return WindowedDataset._adopt(X, Y, origins, meta)
 
 
 def leaky_features(ts: TimeSeries, cfg: WalkForwardConfig, start: int, stop: int) -> WindowedDataset:
@@ -253,5 +320,5 @@ def leaky_features(ts: TimeSeries, cfg: WalkForwardConfig, start: int, stop: int
         "max_imag_residue": dec.max_imag_residue,
         "frozen_boundaries": [float(w) for w in bounds.omegas],
     }
-    return WindowedDataset(X, Y, origins, meta)
+    return WindowedDataset._adopt(X, Y, origins, meta)
 

@@ -7,7 +7,8 @@ scratch (one ``rvfl.fit``/``fit_edrvfl`` and one prediction each, one ridge fit
 per regularization value in the linear baseline), spectra from direct O(n^2) summation,
 spectral peaks from a scan over runs of equal values, band edges from that scan
 plus a Python ranking and one ``argmin`` per edge, filter banks from the
-closed-form responses evaluated at every FFT bin, and the signed-rank null
+closed-form responses evaluated at every FFT bin, walk-forward band tails from
+a full inverse FFT of every band of every window, and the signed-rank null
 distribution from explicit sign enumeration.
 """
 
@@ -17,9 +18,10 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit
 
-from ewtforecast import edrvfl, harness, rvfl
+from ewtforecast import edrvfl, harness, rvfl, walkforward
+from ewtforecast.ewt import build_filter_bank, decompose
 from ewtforecast.harness import CandidateOutcome, GridSearchResult, LayerwiseResult
-from ewtforecast.series import embed, fit_scaler
+from ewtforecast.series import WindowedDataset, embed, fit_scaler
 
 
 def ridge_gd(H, Y, c_reg, tol=1e-9, max_iter=500_000):
@@ -189,6 +191,39 @@ def validation_refit_forecast(cfg, build, model_info):
     )
     model = edrvfl.fit_edrvfl(train_rows.X, train_rows.Y, ed_cfg, scaler)
     return edrvfl.ensemble_predict(model, val_rows.X)
+
+
+def build_walkforward_features_fft(ts, cfg, start, stop, frozen_boundaries=None):
+    """``walkforward.build_walkforward_features`` one origin at a time through the
+    full-FFT ``causal_decompose_at``, which inverse-transforms every band of
+    every window.
+
+    ``meta`` carries the builder's counters; its ``max_imag_residue`` is the
+    largest imaginary part those inverse FFTs discarded.
+    """
+    frozen = frozen_boundaries
+    if frozen is None and cfg.boundary_mode == walkforward.FROZEN_FROM_TRAIN:
+        frozen = walkforward.freeze_boundaries(ts, cfg, start)
+    values = ts.values
+    rows, fallbacks, clipped, residue = [], 0, 0, 0.0
+    for t in range(start, stop):
+        cs = walkforward.causal_decompose_at(ts, t, cfg, frozen)
+        rows.append(np.concatenate([values[t - cfg.lags + 1: t + 1], cs.tails.ravel()]))
+        bank = build_filter_bank(cs.boundaries, cs.window, cfg.gamma)
+        residue = max(residue, decompose(values[t - cs.window + 1: t + 1], bank).max_imag_residue)
+        fallbacks += cs.boundaries.uniform_fallback
+        clipped += bank.gamma_clipped
+    if frozen is not None:
+        fallbacks, clipped = frozen.uniform_fallback, bank.gamma_clipped
+    origins = np.arange(start, stop)
+    meta = {
+        "fallback_count": int(fallbacks),
+        "gamma_clipped_count": int(clipped),
+        "max_imag_residue": residue,
+        "frozen_boundaries": None if frozen is None else [float(w) for w in frozen.omegas],
+    }
+    return WindowedDataset(np.array(rows), values[origins + cfg.horizon].reshape(-1, 1),
+                           origins, meta)
 
 
 def dft_magnitude(x):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from ewtforecast.series import (
     Scaler,
     SplitSpec,
     TimeSeries,
+    WindowedDataset,
+    _embed_range,
     apply_scaler,
     embed,
     fit_scaler,
@@ -146,6 +150,56 @@ def test_embed_row_count_randomized():
         ds = embed(ts, lags, horizon)
         assert ds.n_samples == n - lags - horizon + 1
         assert ds.n_features == lags
+
+
+def test_an_embedded_origin_range_is_that_slice_of_the_full_embedding():
+    rng = np.random.default_rng(1)
+    for _ in range(100):
+        n = int(rng.integers(3, 60))
+        lags = int(rng.integers(1, 8))
+        horizon = int(rng.integers(1, 4))
+        if n - lags - horizon + 1 < 1:
+            continue
+        ts = TimeSeries(rng.normal(size=n))
+        full = embed(ts, lags, horizon)
+        start = int(rng.integers(lags - 1, n - horizon))
+        stop = int(rng.integers(start + 1, n - horizon + 1))
+        part = _embed_range(ts, lags, horizon, start, stop)
+        keep = (full.origin_indices >= start) & (full.origin_indices < stop)
+        ref = full.take(np.flatnonzero(keep))
+        for name in ("X", "Y", "origin_indices"):
+            assert getattr(part, name).tobytes() == getattr(ref, name).tobytes()
+
+
+# ------------------------------------------------------- WindowedDataset
+
+def test_no_reference_a_caller_holds_can_change_a_dataset():
+    X, Y, origins = np.arange(6.0).reshape(3, 2), np.zeros((3, 1)), np.arange(3)
+    # A read-only array may still be written through a view made before it was frozen.
+    frozen_X = np.arange(6.0).reshape(3, 2)
+    writer = frozen_X[:]
+    frozen_X.setflags(write=False)
+    for ds in (WindowedDataset(X, Y, origins), WindowedDataset(frozen_X, Y, origins)):
+        X[0, 0] = writer[0, 0] = Y[0, 0] = origins[0] = -1
+        assert ds.X[0, 0] == 0.0 and ds.Y[0, 0] == 0.0 and ds.origin_indices[0] == 0
+        for arr in (ds.X, ds.Y, ds.origin_indices):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 5
+
+
+def test_package_made_datasets_hold_their_rows_once():
+    ts = TimeSeries(np.cumsum(np.random.default_rng(2).normal(size=3000)))
+    full = embed(ts, 40, 1)
+    for build in (lambda: embed(ts, 40, 1), lambda: full.take(np.arange(0, 2900, 2))):
+        tracemalloc.start()
+        try:
+            ds = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One copy of X, plus Y and the origins: a second copy would double it.
+        assert peak < 1.5 * ds.X.nbytes
+        assert not ds.X.flags.writeable
 
 
 # ---------------------------------------------------------------- scalers

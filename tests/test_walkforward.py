@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from ewtforecast import walkforward
 from ewtforecast.ewt import build_filter_bank, decompose, detect_boundaries, magnitude_spectrum
 from ewtforecast.series import TimeSeries
@@ -85,31 +87,43 @@ def test_the_causality_check_catches_the_leaky_control():
     assert not np.array_equal(row[cfg.lags:], row_after[cfg.lags:])
 
 
-def oracle_build(ts, cfg, start, stop):
-    """Rows, fallback and clipped-gamma counts and imaginary residue, one origin at a time."""
-    frozen = (walkforward.freeze_boundaries(ts, cfg, start)
-              if cfg.boundary_mode == FROZEN_FROM_TRAIN else None)
-    values = ts.values
-    rows, fallbacks, clipped, residue = [], 0, 0, 0.0
-    for t in range(start, stop):
-        cs = causal_decompose_at(ts, t, cfg, frozen)
-        rows.append(np.concatenate([values[t - cfg.lags + 1: t + 1], cs.tails.ravel()]))
-        bank = build_filter_bank(cs.boundaries, cs.window, cfg.gamma)
-        residue = max(residue, decompose(values[t - cs.window + 1: t + 1], bank).max_imag_residue)
-        fallbacks += cs.boundaries.uniform_fallback
-        clipped += bank.gamma_clipped
-    if frozen is not None:
-        fallbacks, clipped = int(frozen.uniform_fallback), int(bank.gamma_clipped)
-    return np.array(rows), fallbacks, clipped, residue
+# Band tails come from a real contraction of each window's spectrum (adaptive
+# edges) or from a matrix of impulse-response taps (frozen edges), not from the
+# oracle's full inverse FFT. They agree to rounding: within TAIL_RTOL times the
+# largest absolute value of the row's window. Raw lags, targets, band edges and
+# the fallback and clipped-gamma counts are exact.
+TAIL_RTOL = 1e-12
+
+
+def assert_tails_close(ts, cfg, got, expected):
+    lags = cfg.lags
+    assert got.origin_indices.tobytes() == expected.origin_indices.tobytes()
+    assert got.X[:, :lags].tobytes() == expected.X[:, :lags].tobytes()
+    assert got.Y.tobytes() == expected.Y.tobytes()
+    scale = [np.abs(ts.values[t - cfg.window_at(t) + 1: t + 1]).max() for t in got.origin_indices]
+    assert np.all(np.abs(got.X[:, lags:] - expected.X[:, lags:])
+                  <= TAIL_RTOL * np.array(scale)[:, None])
+
+
+def tap_residue(ts, cfg, start, stop):
+    """The documented ``max_imag_residue``: the largest imaginary part of the
+    frozen bank's impulse responses over the build's window widths; 0.0 for
+    adaptive edges, whose contraction is real arithmetic."""
+    if cfg.boundary_mode != FROZEN_FROM_TRAIN:
+        return 0.0
+    frozen = freeze_boundaries(ts, cfg, start)
+    return max(float(np.abs(np.fft.ifft(build_filter_bank(frozen, w, cfg.gamma).responses,
+                                        axis=1).imag).max())
+               for w in {cfg.window_at(t) for t in range(start, stop)})
 
 
 def assert_matches_oracle(ts, cfg, start, stop):
     ds = build_walkforward_features(ts, cfg, start, stop)
-    rows, fallbacks, clipped, residue = oracle_build(ts, cfg, start, stop)
-    assert ds.X.tobytes() == rows.tobytes()
-    assert ds.Y[:, 0].tobytes() == ts.values[start + cfg.horizon: stop + cfg.horizon].tobytes()
-    assert (ds.meta["fallback_count"], ds.meta["gamma_clipped_count"]) == (fallbacks, clipped)
-    assert ds.meta["max_imag_residue"] == residue
+    ref = oracles.build_walkforward_features_fft(ts, cfg, start, stop)
+    assert_tails_close(ts, cfg, ds, ref)
+    for key in ("fallback_count", "gamma_clipped_count", "frozen_boundaries"):
+        assert ds.meta[key] == ref.meta[key]
+    assert ds.meta["max_imag_residue"] == tap_residue(ts, cfg, start, stop)
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,7 +142,7 @@ def test_batched_rows_equal_the_per_origin_oracle(seed, n, lags, n_bands, mode, 
     noise = np.random.default_rng(seed).normal(size=n)
     ts = TimeSeries(np.cumsum(noise) if walk else noise + np.sin(0.3 * np.arange(n)))
     # A few rows per chunk, so that most ranges cross chunk edges.
-    chunk_bytes = chunk_rows * 16 * n_bands * cfg.window_at(stop - 1)
+    chunk_bytes = chunk_rows * walkforward._row_bytes(n_bands, cfg.window_at(stop - 1))
     with mock.patch.object(walkforward, "CHUNK_BYTES", chunk_bytes):
         assert_matches_oracle(ts, cfg, start, stop)
 
@@ -136,9 +150,37 @@ def test_batched_rows_equal_the_per_origin_oracle(seed, n, lags, n_bands, mode, 
 @pytest.mark.parametrize("mode", BOUNDARY_MODES)
 def test_rows_across_the_default_chunk_edges_equal_the_oracle(mode):
     cfg = WalkForwardConfig(n_bands=4, lags=4, window=64, boundary_mode=mode)
-    rows_per_chunk = walkforward.CHUNK_BYTES // (16 * cfg.n_bands * 64)
+    rows_per_chunk = walkforward.CHUNK_BYTES // walkforward._row_bytes(cfg.n_bands, 64)
     stop = 63 + 2 * rows_per_chunk + 5
     assert_matches_oracle(TimeSeries(noisy_two_tone(stop + 1, seed=12)), cfg, 63, stop)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lags=st.integers(1, 8), n_bands=st.integers(1, 4),
+       mode=st.sampled_from(BOUNDARY_MODES),
+       window=st.sampled_from(["auto", "all"]) | st.integers(16, 160),
+       chunk_rows=st.integers(1, 5), data=st.data())
+def test_a_row_does_not_depend_on_the_build_range_or_the_chunking(seed, lags, n_bands, mode,
+                                                                   window, chunk_rows, data):
+    # One-row products and products inside a stack of rows may round differently
+    # (another BLAS kernel); this is the guard that each row's product has one shape.
+    cfg = WalkForwardConfig(n_bands=n_bands, lags=lags, window=window, boundary_mode=mode)
+    first = window - 1 if isinstance(window, int) else lags + MIN_WINDOW_MARGIN - 1
+    n = data.draw(st.integers(first + 2, first + 160), label="n")
+    start = data.draw(st.integers(first, n - 2), label="start")
+    stop = start + data.draw(st.integers(1, n - 1 - start), label="rows")
+    origins = data.draw(st.lists(st.integers(start, stop - 1), min_size=1, max_size=8),
+                        label="one-origin builds")
+    ts = TimeSeries(np.cumsum(np.random.default_rng(seed).normal(size=n)))
+    # Edges frozen once, so that every one-origin build uses the full build's.
+    frozen = freeze_boundaries(ts, cfg, start) if mode == FROZEN_FROM_TRAIN else None
+    full = build_walkforward_features(ts, cfg, start, stop, frozen).X
+    chunk_bytes = chunk_rows * walkforward._row_bytes(n_bands, cfg.window_at(stop - 1))
+    with mock.patch.object(walkforward, "CHUNK_BYTES", chunk_bytes):
+        assert build_walkforward_features(ts, cfg, start, stop, frozen).X.tobytes() == full.tobytes()
+        for t in origins:
+            row = build_walkforward_features(ts, cfg, t, t + 1, frozen).X[0]
+            assert row.tobytes() == full[t - start].tobytes()
 
 
 def test_causal_decompose_ignores_future_values():
@@ -253,10 +295,25 @@ def test_frozen_mode_reuses_one_boundary_set():
     ds = build_walkforward_features(ts, cfg, 127, 180)
     frozen = freeze_boundaries(ts, cfg, 127)
     assert ds.meta["frozen_boundaries"] == [float(w) for w in frozen.omegas]
+    assert 0.0 < ds.meta["max_imag_residue"] < 1e-10  # discarded from the impulse responses
     # Every row reproduces with those boundaries passed explicitly.
     cs = causal_decompose_at(ts, 150, cfg, frozen)
-    row = np.concatenate([base[147:151], cs.tails.ravel()])
-    assert np.array_equal(ds.X[150 - 127], row)
+    assert ds.X[150 - 127, :4].tobytes() == base[147:151].tobytes()
+    scale = np.abs(base[23:151]).max()  # the 128-sample window ending at 150
+    assert np.abs(ds.X[150 - 127, 4:] - cs.tails.ravel()).max() <= TAIL_RTOL * scale
+
+
+def test_a_frozen_build_holds_its_rows_once():
+    ts = TimeSeries(noisy_two_tone(3000, seed=13))
+    cfg = WalkForwardConfig(n_bands=4, lags=8, window=256, boundary_mode=FROZEN_FROM_TRAIN)
+    tracemalloc.start()
+    try:
+        ds = build_walkforward_features(ts, cfg, 255, 2400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The band tails are written into X in place and X is kept without a copy.
+    assert peak < 1.5 * ds.X.nbytes
 
 
 def test_determinism():
