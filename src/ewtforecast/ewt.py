@@ -140,11 +140,33 @@ def _local_maxima(values: np.ndarray) -> np.ndarray:
     Each flat run strictly above both neighbours counts once, at its center
     bin; edge runs need only their inner neighbour, and a run spanning a whole
     row is no maximum. Returns ascending indices into ``values.ravel()``.
+
+    In a row with no two equal neighbours every run is one bin long, so a bin
+    is a maximum when it is above each neighbour it has. Only rows with ties
+    go through :func:`_run_maxima`; the bins such a row has above each
+    neighbour are one-bin runs, which are among its maxima anyway.
     """
-    flat = values.ravel()
-    n, m = flat.size, values.shape[-1]
-    if n == 0:
+    m = values.shape[-1]
+    if values.size == 0 or m < 2:
         return np.empty(0, dtype=np.intp)
+    rows = values.reshape(-1, m)
+    rises = rows[:, :-1] < rows[:, 1:]   # bin i + 1 is above bin i
+    falls = rows[:, :-1] > rows[:, 1:]   # bin i is above bin i + 1
+    is_peak = np.empty(rows.shape, dtype=bool)
+    is_peak[:, 0] = falls[:, 0]
+    is_peak[:, 1:-1] = rises[:, :-1] & falls[:, 1:]
+    is_peak[:, -1] = rises[:, -1]
+    tied = np.flatnonzero((rows[:, :-1] == rows[:, 1:]).any(axis=1))
+    if tied.size:
+        runs = _run_maxima(rows[tied])
+        is_peak[tied[runs // m], runs % m] = True
+    return np.flatnonzero(is_peak)
+
+
+def _run_maxima(rows: np.ndarray) -> np.ndarray:
+    """:func:`_local_maxima` of a stack of rows by a scan over runs of equal values."""
+    flat = rows.ravel()
+    n, m = flat.size, rows.shape[-1]
     row_start = np.zeros(n + 1, dtype=bool)  # bin 0 of every row, plus the end
     row_start[::m] = True
     row_start[n] = True
@@ -194,22 +216,30 @@ def band_edges(magnitudes, signal_length: int, n_bands: int):
     if n_bands == 1:
         return np.empty((n_rows, 0)), np.zeros(n_rows, dtype=bool)
     smoothed = _moving_average(mag, SMOOTH_WINDOW)
-    is_peak = np.zeros(mag.shape, dtype=bool)
-    is_peak.ravel()[_local_maxima(smoothed)] = True
-    ok = np.count_nonzero(is_peak, axis=1) >= n_bands
-    # Highest first, bins that are no peak last (a peak's key is finite); the
-    # stable sort breaks ties to the lower bin.
-    rank_key = np.where(is_peak[ok], -smoothed[ok], np.inf)
-    top = np.argsort(rank_key, axis=1, kind="stable")[:, :n_bands]
-    # Retained bins, ascending per row. The reshape only matters when no row
-    # is kept because the grid has fewer than n_bands bins.
-    kept = np.sort(top, axis=1).reshape(-1, n_bands)
+    peaks = _local_maxima(smoothed)
+    ok = np.bincount(peaks // m, minlength=n_rows) >= n_bands
+    height = np.full(mag.shape, -np.inf)  # each peak's smoothed height, -inf off peaks
+    height.ravel()[peaks] = smoothed.ravel()[peaks]
+    all_ok = bool(ok.all())
+    if not all_ok:
+        height, mag = height[ok], mag[ok]
+    # Retain the highest peak of each row n_bands times over, masking each
+    # winner; argmax takes the first, lower bin on ties.
+    rows = np.arange(height.shape[0])
+    kept = np.empty((rows.size, n_bands), dtype=np.intp)
+    for k in range(n_bands):
+        kept[:, k] = height.argmax(axis=1)
+        height[rows, kept[:, k]] = -np.inf
+    kept.sort(axis=1)
     bins = np.arange(m)
     between = np.where((bins > kept[:, :-1, None]) & (bins < kept[:, 1:, None]),
-                       mag[ok, None], np.inf)
+                       mag[:, None], np.inf)
+    edges = 2.0 * np.pi * between.argmin(axis=2) / signal_length
+    if all_ok:
+        return edges, ~ok
     omegas = np.empty((n_rows, n_bands - 1))
     omegas[~ok] = np.pi * np.arange(1, n_bands) / n_bands
-    omegas[ok] = 2.0 * np.pi * between.argmin(axis=2) / signal_length
+    omegas[ok] = edges
     return omegas, ~ok
 
 

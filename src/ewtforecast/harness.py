@@ -31,7 +31,7 @@ import math
 import os
 import secrets
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple, get_args, get_type_hints
 
@@ -700,11 +700,17 @@ class ExperimentReport:
 
 
 def _scale_pair(kind: str, train: WindowedDataset, val: WindowedDataset):
+    """A scaler fitted on ``train`` and both datasets scaled by it, each scaled
+    ``X`` held once."""
     if kind == "none":
         return None, train, val
     scaler = fit_scaler(train.X, kind)
-    return (scaler, replace(train, X=apply_scaler(scaler, train.X)),
-            replace(val, X=apply_scaler(scaler, val.X)))
+
+    def scaled(ds):
+        return WindowedDataset._adopt(apply_scaler(scaler, ds.X), ds.Y, ds.origin_indices,
+                                      ds.meta)
+
+    return scaler, scaled(train), scaled(val)
 
 
 def _filter_metrics(metric_set, selection) -> dict:
@@ -832,15 +838,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _numeric_stack() -> dict:
-    """numpy and scipy versions and numpy's BLAS library, which together fix the
-    rounding of the forecasts; ``numpy_blas`` is None where numpy does not say."""
+    """numpy and scipy versions, numpy's BLAS library and the SIMD extensions
+    numpy dispatches to (its ``exp`` kernel sets the sigmoid's rounding), which
+    together fix the rounding of the forecasts; ``numpy_blas`` and
+    ``numpy_simd`` are None where numpy does not say."""
     try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        config = np.show_config(mode="dicts")
+    except TypeError:
+        config = {}
+    try:
+        blas = config["Build Dependencies"]["blas"]
         numpy_blas = f"{blas['name']} {blas.get('version', '')}".strip()
-    except (TypeError, KeyError):
+    except KeyError:
         numpy_blas = None
     return {"numpy_version": np.__version__, "scipy_version": scipy.__version__,
-            "numpy_blas": numpy_blas}
+            "numpy_blas": numpy_blas, "numpy_simd": config.get("SIMD Extensions")}
 
 
 def _tune_family(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val: int,

@@ -34,7 +34,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.special import expit
 
 from ewtforecast.series import Scaler, _frozen, apply_scaler
 
@@ -69,9 +68,18 @@ def _tribas(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0, out=x)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # 1 / (1 + e^-x); e^-x overflows to inf for x below about -709, giving 0.
+    np.negative(x, out=x)
+    with np.errstate(over="ignore"):
+        np.exp(x, out=x)
+    x += 1.0
+    return np.reciprocal(x, out=x)
+
+
 def _tanh(x: np.ndarray) -> np.ndarray:
     # (1 - e^-x) / (1 + e^-x) = 2 * sigmoid(x) - 1
-    expit(x, out=x)
+    _sigmoid(x)
     x *= 2.0
     x -= 1.0
     return x
@@ -86,7 +94,7 @@ def _selu(x: np.ndarray) -> np.ndarray:
 
 
 ACTIVATIONS = {
-    "sigmoid": lambda x: expit(x, out=x),
+    "sigmoid": _sigmoid,
     "sign": lambda x: np.sign(x, out=x),
     "relu": _relu,
     "sine": lambda x: np.sin(x, out=x),

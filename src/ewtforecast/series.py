@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -199,7 +200,9 @@ def apply_scaler(s: Scaler, rows: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {s.n_features} feature columns, got shape {rows.shape}")
     if s.kind == "none":
         return rows.copy()
-    return (rows - s.center) / s.scale
+    out = rows - s.center
+    out /= s.scale
+    return out
 
 
 def load_csv(path, column=0, has_header: bool = False) -> TimeSeries:
@@ -232,7 +235,7 @@ def load_csv(path, column=0, has_header: bool = False) -> TimeSeries:
                 value = float(cell)
             except ValueError:
                 raise ValueError(f"cannot parse cell {cell!r} at row {row_no} of {path}") from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"non-finite cell {cell!r} at row {row_no} of {path}")
             values.append(value)
     if not values:

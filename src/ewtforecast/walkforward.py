@@ -167,6 +167,22 @@ def _check_range(ts: TimeSeries, cfg: WalkForwardConfig, start: int, stop: int) 
         )
 
 
+def _window_widths(cfg: WalkForwardConfig, origins: np.ndarray) -> np.ndarray:
+    """``cfg.window_at`` of every origin, computed on the whole array; raises
+    its error for the first origin it rejects."""
+    available = origins + 1
+    if cfg.window == "all":
+        widths = available
+    elif cfg.window == "auto":
+        widths = np.minimum(max(4 * cfg.lags, DEFAULT_WINDOW_FLOOR), available)
+    else:
+        widths = np.full(origins.size, cfg.window)
+    bad = (widths > available) | (widths < cfg.lags + MIN_WINDOW_MARGIN)
+    if bad.any():
+        cfg.window_at(int(origins[bad.argmax()]))  # raises
+    return widths
+
+
 def _row_bytes(n_bands: int, width: int) -> int:
     """Bytes of one row's largest temporaries in adaptive mode (see ``CHUNK_BYTES``)."""
     return 8 * (width // 2 + 1) * (3 * n_bands - 1)
@@ -247,7 +263,7 @@ def build_walkforward_features(
     lags = cfg.lags
     X = np.empty((origins.size, cfg.feature_dim))
 
-    widths = np.array([cfg.window_at(int(t)) for t in origins])
+    widths = _window_widths(cfg, origins)
     group_starts = np.flatnonzero(np.diff(widths, prepend=-1))
     fallbacks = clipped = 0
     residue = 0.0

@@ -16,7 +16,6 @@ import itertools
 
 import numpy as np
 import scipy.linalg
-from scipy.special import expit
 
 from ewtforecast import edrvfl, harness, rvfl, walkforward
 from ewtforecast.ewt import build_filter_bank, decompose
@@ -64,16 +63,21 @@ def ridge_objective(H, Y, beta, c_reg):
     return 0.5 * c_reg * float(np.sum(residual ** 2)) + 0.5 * float(np.sum(beta ** 2))
 
 
+def sigmoid_formula(x):
+    """The logistic function as the textbook ``1 / (1 + exp(-x))``."""
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 # The activations as textbook formulas, each returning a new array.
 ACTIVATION_FORMULAS = {
-    "sigmoid": expit,
+    "sigmoid": sigmoid_formula,
     "sign": np.sign,
     "relu": lambda x: np.maximum(0.0, x),
     "sine": np.sin,
     "radbas": lambda x: np.exp(-np.square(x)),
     "hardlim": lambda x: np.where(x <= 0.0, 1.0, 0.0),
     "tribas": lambda x: np.maximum(1.0 - np.abs(x), 0.0),
-    "tanh": lambda x: 2.0 * expit(x) - 1.0,
+    "tanh": lambda x: 2.0 * sigmoid_formula(x) - 1.0,
     "selu": lambda x: 1.0507009873554805 * np.where(
         x > 0.0, x, 1.6732632423543772 * np.expm1(np.minimum(x, 0.0))),
 }

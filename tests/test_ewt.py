@@ -178,6 +178,47 @@ def test_stacked_local_maxima_are_the_run_scan_of_each_row(rows, m, data):
     assert _local_maxima(stack).tolist() == expected
 
 
+@st.composite
+def mixed_spectrum_stacks(draw):
+    """2-8 rows of one-sided spectra, each drawn on its own: small integers
+    (ties, plateaus, often too few peaks) or distinct floats (no equal
+    neighbours), so that one stack mixes rows of both kinds."""
+    n = draw(st.integers(4, 80))
+    m = n // 2 + 1
+    tied = st.lists(st.integers(0, 3).map(float), min_size=m, max_size=m)
+    untied = st.lists(st.floats(0.0, 1e3, allow_subnormal=False), min_size=m, max_size=m,
+                      unique=True)
+    rows = draw(st.lists(tied | untied, min_size=2, max_size=8))
+    return np.array(rows), n
+
+
+UNTIED_HUMPS = [5.0, 8.14, 8.92, 6.74, 3.27, 1.14, 1.97, 5.14, 8.25, 8.97, 6.75, 3.28, 1.2,
+                2.08, 5.27, 8.37, 9.02, 6.76, 3.29, 1.25, 2.2]
+TIED_HUMPS = [0.0, 0.0, 3.0, 3.0, 3.0, 3.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 2.0, 2.0,
+              2.0, 2.0, 0.0, 0.0, 0.0]
+
+
+@given(mixed_spectrum_stacks(), st.integers(1, 5))
+# Smoothed, the first row has no ties and three peaks, the second has ties and
+# two plateau peaks, the third is flat: at 2 bands only the third falls back,
+# at 3 bands the first alone does not.
+@example((np.array([UNTIED_HUMPS, TIED_HUMPS, [1.0] * 21]), 40), 2)
+@example((np.array([UNTIED_HUMPS, TIED_HUMPS, [1.0] * 21]), 40), 3)
+def test_edges_of_a_stack_mixing_tied_untied_and_fallback_rows_equal_the_loop_oracle(
+        stack, n_bands):
+    mags, n = stack
+    m = mags.shape[1]
+    smoothed = _moving_average(mags, ewt.SMOOTH_WINDOW)
+    for values in (mags, smoothed):
+        expected = [r * m + p for r in range(len(values)) for p in local_maxima_loop(values[r])]
+        assert _local_maxima(values).tolist() == expected
+    omegas, fallback = band_edges(mags, n, n_bands)
+    for row, mag in enumerate(mags):
+        expected, expected_fallback = detect_boundaries_loop(mag, smoothed[row], n, n_bands)
+        assert omegas[row].tobytes() == expected.tobytes()
+        assert fallback[row] == expected_fallback
+
+
 def test_band_count_validation():
     spec = magnitude_spectrum(np.sin(np.arange(16)))
     with pytest.raises(ValueError, match=">= 1"):

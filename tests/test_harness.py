@@ -5,6 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -689,6 +690,8 @@ def test_report_meta_records_the_numeric_stack(tmp_path):
     assert report.meta["numpy_version"] == np.__version__
     assert report.meta["scipy_version"] == scipy.__version__
     assert "numpy_blas" in report.meta
+    # Which exp kernel numpy dispatches to sets the sigmoid's last bits.
+    assert report.meta["numpy_simd"] == np.show_config(mode="dicts")["SIMD Extensions"]
 
 
 @pytest.mark.parametrize("family", ["rvfl", "edrvfl"])
@@ -721,6 +724,34 @@ def test_forecasts_match_the_full_fft_feature_build_within_tolerance(tmp_path, m
     report = run_experiment(cfg)
     monkeypatch.setattr(harness, "build_walkforward_features",
                         oracles.build_walkforward_features_fft)
+    assert_reports_close(report, run_experiment(cfg))
+
+
+def _expit_in_place(x):
+    return scipy.special.expit(x, out=x)
+
+
+def _expit_tanh_in_place(x):
+    scipy.special.expit(x, out=x)
+    x *= 2.0
+    x -= 1.0
+    return x
+
+
+@pytest.mark.parametrize("family", ["rvfl", "edrvfl"])
+def test_forecasts_match_an_expit_sigmoid_within_tolerance(tmp_path, monkeypatch, family):
+    # sigmoid and tanh take numpy's exp, which may round differently from
+    # scipy's expit by a few ulp (see test_rvfl); forecasts and validation
+    # scores may then move by 1e-9 relative, with the same candidate chosen.
+    values = np.sin(np.arange(500) * 0.3) + 0.1 * np.random.default_rng(30).normal(size=500)
+    path = write_series(tmp_path, values)
+    grid = GridSpace(n_enhancement=(40, 20), regularization=(1.0, 1e3), lags=(6,),
+                     n_bands=(3,), activation=("sigmoid", "tanh"), input_scale=(1.0, 4.0))
+    cfg = walk_config(tmp_path, path, family=family, pipeline="walkforward_ewt", grid=grid,
+                      max_layers=2)
+    report = run_experiment(cfg)
+    monkeypatch.setitem(rvfl.ACTIVATIONS, "sigmoid", _expit_in_place)
+    monkeypatch.setitem(rvfl.ACTIVATIONS, "tanh", _expit_tanh_in_place)
     assert_reports_close(report, run_experiment(cfg))
 
 

@@ -1,11 +1,13 @@
 import json
 import logging
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from ewtforecast import rvfl
 from ewtforecast.edrvfl import EdRvflConfig, fit_edrvfl
@@ -93,6 +95,29 @@ def test_tanh_variant_formula():
     x = np.linspace(-5, 5, 41)
     expected = (1 - np.exp(-x)) / (1 + np.exp(-x))
     assert np.allclose(activate("tanh", x), expected, atol=1e-14)
+
+
+def test_sigmoid_is_within_4_ulp_of_expit():
+    # numpy's exp may round differently from the libm exp that scipy's expit
+    # calls (it does with AVX-512 dispatch); the stated tolerance is 4 ulp,
+    # reached where 1 + e^-x crosses 2^53 (x near -36.7).
+    x = np.concatenate([np.linspace(-700.0, 700.0, 1_400_001),
+                        np.random.default_rng(37).uniform(-40.0, 40.0, 400_000)])
+    np.testing.assert_array_max_ulp(activate("sigmoid", x), expit(x), maxulp=4)
+
+
+def test_tanh_is_within_1e_15_of_the_expit_formula():
+    x = np.concatenate([np.linspace(-700.0, 700.0, 1_400_001),
+                        np.random.default_rng(38).uniform(-40.0, 40.0, 400_000)])
+    assert np.abs(activate("tanh", x) - (2.0 * expit(x) - 1.0)).max() <= 1e-15
+
+
+def test_sigmoid_and_tanh_saturate_without_a_warning():
+    # e^800 overflows to inf, and 1 / (1 + inf) is the exact limit 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert activate("sigmoid", [-800.0, 800.0]).tolist() == [0.0, 1.0]
+        assert activate("tanh", [-800.0, 800.0]).tolist() == [-1.0, 1.0]
 
 
 def test_selu_formula():

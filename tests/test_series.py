@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ewtforecast import harness
 from ewtforecast.series import (
     Scaler,
     SplitSpec,
@@ -53,6 +54,15 @@ def test_load_csv_rejects_non_finite(tmp_path):
     f = tmp_path / "inf.csv"
     f.write_text("1.0\ninf\n")
     with pytest.raises(ValueError, match="non-finite"):
+        load_csv(f, 0)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", " NaN "])
+def test_load_csv_names_a_non_finite_cell_and_its_row(tmp_path, cell):
+    # Blank lines are skipped but counted: the bad cell is on row 5.
+    f = tmp_path / "non_finite.csv"
+    f.write_text(f"1.0\n\n2.0\n\n{cell}\n3.0\n")
+    with pytest.raises(ValueError, match=rf"non-finite cell '{cell.strip()}' at row 5 of "):
         load_csv(f, 0)
 
 
@@ -190,16 +200,20 @@ def test_no_reference_a_caller_holds_can_change_a_dataset():
 def test_package_made_datasets_hold_their_rows_once():
     ts = TimeSeries(np.cumsum(np.random.default_rng(2).normal(size=3000)))
     full = embed(ts, 40, 1)
-    for build in (lambda: embed(ts, 40, 1), lambda: full.take(np.arange(0, 2900, 2))):
+    train, val = full.take(np.arange(2200)), full.take(np.arange(2200, full.n_samples))
+    builds = [lambda: [embed(ts, 40, 1)], lambda: [full.take(np.arange(0, 2900, 2))]]
+    builds += [lambda kind=kind: harness._scale_pair(kind, train, val)[1:]
+               for kind in ("zscore", "minmax")]
+    for build in builds:
         tracemalloc.start()
         try:
-            ds = build()
+            datasets = build()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # One copy of X, plus Y and the origins: a second copy would double it.
-        assert peak < 1.5 * ds.X.nbytes
-        assert not ds.X.flags.writeable
+        # One copy of each X, plus Y and the origins: a second copy would double it.
+        assert peak < 1.3 * sum(ds.X.nbytes for ds in datasets)
+        assert not any(ds.X.flags.writeable for ds in datasets)
 
 
 # ---------------------------------------------------------------- scalers

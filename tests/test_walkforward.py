@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -332,6 +333,23 @@ def test_window_validation():
         causal_decompose_at(TimeSeries(noisy_two_tone(100)), 10, cfg)
     with pytest.raises(ValueError, match="empty origin range"):
         build_walkforward_features(TimeSeries(noisy_two_tone(100)), cfg, 80, 80)
+
+
+@given(st.integers(1, 40), st.sampled_from(["auto", "all", 0, 1, 100]), st.integers(0, 300),
+       st.integers(1, 40))
+def test_window_widths_are_window_at_of_each_origin(lags, window, start, n_origins):
+    # An int window is drawn as lags + margin + (0, 1 or 100).
+    if isinstance(window, int):
+        window += lags + walkforward.MIN_WINDOW_MARGIN
+    cfg = WalkForwardConfig(n_bands=2, lags=lags, window=window)
+    origins = np.arange(start, start + n_origins, dtype=np.int64)
+    try:
+        expected = [cfg.window_at(int(t)) for t in origins]
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            walkforward._window_widths(cfg, origins)
+        return
+    assert walkforward._window_widths(cfg, origins).tolist() == expected
 
 
 def test_auto_window_caps_at_history():
