@@ -220,13 +220,11 @@ def band_edges(magnitudes, signal_length: int, n_bands: int):
     ok = np.bincount(peaks // m, minlength=n_rows) >= n_bands
     height = np.full(mag.shape, -np.inf)  # each peak's smoothed height, -inf off peaks
     height.ravel()[peaks] = smoothed.ravel()[peaks]
-    all_ok = bool(ok.all())
-    if not all_ok:
-        height, mag = height[ok], mag[ok]
     # Retain the highest peak of each row n_bands times over, masking each
-    # winner; argmax takes the first, lower bin on ties.
-    rows = np.arange(height.shape[0])
-    kept = np.empty((rows.size, n_bands), dtype=np.intp)
+    # winner; argmax takes the first, lower bin on ties. Fallback rows run out
+    # of peaks and get meaningless edges, overwritten below.
+    rows = np.arange(n_rows)
+    kept = np.empty((n_rows, n_bands), dtype=np.intp)
     for k in range(n_bands):
         kept[:, k] = height.argmax(axis=1)
         height[rows, kept[:, k]] = -np.inf
@@ -235,12 +233,8 @@ def band_edges(magnitudes, signal_length: int, n_bands: int):
     between = np.where((bins > kept[:, :-1, None]) & (bins < kept[:, 1:, None]),
                        mag[:, None], np.inf)
     edges = 2.0 * np.pi * between.argmin(axis=2) / signal_length
-    if all_ok:
-        return edges, ~ok
-    omegas = np.empty((n_rows, n_bands - 1))
-    omegas[~ok] = np.pi * np.arange(1, n_bands) / n_bands
-    omegas[ok] = edges
-    return omegas, ~ok
+    edges[~ok] = np.pi * np.arange(1, n_bands) / n_bands
+    return edges, ~ok
 
 
 def detect_boundaries(spectrum: Spectrum, n_bands: int) -> EwtBoundaries:

@@ -99,22 +99,31 @@ class WalkForwardConfig:
 
     def window_at(self, origin: int) -> int:
         """Effective decomposition length for a row anchored at ``origin``."""
-        available = origin + 1
+        return int(self.window_widths(np.array([origin]))[0])
+
+    def window_widths(self, origins: np.ndarray) -> np.ndarray:
+        """Effective decomposition length of every origin in an integer array;
+        raises for the first origin whose window does not fit."""
+        available = origins + 1
         if self.window == "all":
-            width = available
+            widths = available
         elif self.window == "auto":
-            width = min(max(4 * self.lags, DEFAULT_WINDOW_FLOOR), available)
+            widths = np.minimum(max(4 * self.lags, DEFAULT_WINDOW_FLOOR), available)
         else:
-            width = self.window
-        if width > available:
-            raise ValueError(
-                f"origin {origin} has only {available} observations but the window needs {width}"
-            )
-        if width < self.lags + MIN_WINDOW_MARGIN:
+            widths = np.full(origins.shape, self.window)
+        too_long = widths > available
+        too_short = widths < self.lags + MIN_WINDOW_MARGIN
+        bad = too_long | too_short
+        if bad.any():
+            i = bad.argmax()
+            origin, width = int(origins[i]), int(widths[i])
+            if too_long[i]:
+                raise ValueError(f"origin {origin} has only {origin + 1} observations "
+                                 f"but the window needs {width}")
             raise ValueError(
                 f"window of {width} at origin {origin} is shorter than lags + {MIN_WINDOW_MARGIN}"
             )
-        return width
+        return widths
 
 
 class CausalSlice(NamedTuple):
@@ -165,22 +174,6 @@ def _check_range(ts: TimeSeries, cfg: WalkForwardConfig, start: int, stop: int) 
             f"origin range [{start}, {stop}) leaves no target at horizon {cfg.horizon} "
             f"for a series of length {len(ts)}"
         )
-
-
-def _window_widths(cfg: WalkForwardConfig, origins: np.ndarray) -> np.ndarray:
-    """``cfg.window_at`` of every origin, computed on the whole array; raises
-    its error for the first origin it rejects."""
-    available = origins + 1
-    if cfg.window == "all":
-        widths = available
-    elif cfg.window == "auto":
-        widths = np.minimum(max(4 * cfg.lags, DEFAULT_WINDOW_FLOOR), available)
-    else:
-        widths = np.full(origins.size, cfg.window)
-    bad = (widths > available) | (widths < cfg.lags + MIN_WINDOW_MARGIN)
-    if bad.any():
-        cfg.window_at(int(origins[bad.argmax()]))  # raises
-    return widths
 
 
 def _row_bytes(n_bands: int, width: int) -> int:
@@ -263,7 +256,7 @@ def build_walkforward_features(
     lags = cfg.lags
     X = np.empty((origins.size, cfg.feature_dim))
 
-    widths = _window_widths(cfg, origins)
+    widths = cfg.window_widths(origins)
     group_starts = np.flatnonzero(np.diff(widths, prepend=-1))
     fallbacks = clipped = 0
     residue = 0.0

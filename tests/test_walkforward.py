@@ -347,9 +347,9 @@ def test_window_widths_are_window_at_of_each_origin(lags, window, start, n_origi
         expected = [cfg.window_at(int(t)) for t in origins]
     except ValueError as exc:
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            walkforward._window_widths(cfg, origins)
+            cfg.window_widths(origins)
         return
-    assert walkforward._window_widths(cfg, origins).tolist() == expected
+    assert cfg.window_widths(origins).tolist() == expected
 
 
 def test_auto_window_caps_at_history():
