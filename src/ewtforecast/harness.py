@@ -31,7 +31,7 @@ import math
 import os
 import secrets
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple, get_args, get_type_hints
 
@@ -40,8 +40,7 @@ import scipy
 
 from ewtforecast import edrvfl as edrvfl_mod
 from ewtforecast import rvfl as rvfl_mod
-from ewtforecast.ewt import EwtBoundaries
-from ewtforecast.metrics import EvalSeries, compute_metrics
+from ewtforecast.metrics import EvalSeries, MetricSet, compute_metrics
 from ewtforecast.rvfl import ACTIVATIONS, RvflConfig, RvflModel
 from ewtforecast.edrvfl import EdRvflConfig, EdRvflModel
 from ewtforecast.series import (
@@ -57,10 +56,11 @@ from ewtforecast.series import (
 )
 from ewtforecast.walkforward import (
     BOUNDARY_MODES,
-    DEFAULT_WINDOW_FLOOR,
+    FROZEN_FROM_TRAIN,
     MIN_WINDOW_MARGIN,
     WalkForwardConfig,
     build_walkforward_features,
+    freeze_boundaries,
     leaky_features,
 )
 
@@ -69,7 +69,7 @@ logger = logging.getLogger(__name__)
 SCHEMA_VERSION = "1"
 FAMILIES = ("rvfl", "edrvfl", "baseline_persistence", "baseline_linear")
 PIPELINES = ("raw_lags", "walkforward_ewt", "leaky_ewt")
-METRIC_NAMES = ("mae", "mse", "rmse", "mape", "mase", "dstat")
+METRIC_NAMES = tuple(f.name for f in fields(MetricSet))
 MIN_RELATIVE_GAIN = 1e-6  # layer acceptance threshold for the layer-wise search
 _DATA = "data_"  # prefix of the ExperimentConfig fields kept under "data" in JSON
 # Config keys that are read and dropped, whatever their value. Every report
@@ -579,17 +579,14 @@ def layerwise_grid_search(space: GridSpace, train: WindowedDataset, val: Windowe
     return LayerwiseResult(nodes, regs, shared, best_rmse, tuple(history), leaderboard, best[3])
 
 
-def extract_test_rows(dataset: WindowedDataset, indices: np.ndarray) -> WindowedDataset:
-    """The single gate through which test rows leave a feature build."""
-    return dataset.take(indices)
-
-
 class _PipelineBuild:
     """Feature datasets for one pipeline candidate.
 
     Tuning rows (targets before the test span) are built eagerly; test rows
-    are assembled only on request, so nothing downstream can touch them before
-    tuning is over.
+    are assembled only on request, by :meth:`test_rows`, so nothing downstream
+    can touch them before tuning is over. A ``"auto"`` window is the
+    walk-forward width at the last training origin, and frozen band edges are
+    detected once, on the first tuning origin's window, for both builds.
     """
 
     def __init__(self, ts: TimeSeries, pipeline: str, params: dict, horizon: int,
@@ -606,11 +603,13 @@ class _PipelineBuild:
             self.wf_cfg = None
             self.start = lags - 1
         else:
-            window = self._resolve_window(window_policy, lags, i_train, h)
             self.wf_cfg = WalkForwardConfig(
-                n_bands=params["n_bands"], lags=lags, horizon=h, window=window,
+                n_bands=params["n_bands"], lags=lags, horizon=h, window=window_policy,
                 gamma=params["gamma"], boundary_mode=params["boundary_mode"],
             )
+            if window_policy == "auto":  # keep at least one training row
+                self.wf_cfg = replace(self.wf_cfg, window=self.wf_cfg.window_at(i_train - h - 1))
+            window = self.wf_cfg.window
             self.start = (lags + MIN_WINDOW_MARGIN - 1) if window == "all" else window - 1
         self.tune_stop = i_val - h
         self.test_stop = n - h
@@ -618,34 +617,22 @@ class _PipelineBuild:
             raise ValueError(
                 f"no tuning rows: first origin {self.start} reaches past the validation span"
             )
+        self.frozen = None
+        if pipeline == "walkforward_ewt" and self.wf_cfg.boundary_mode == FROZEN_FROM_TRAIN:
+            self.frozen = freeze_boundaries(ts, self.wf_cfg, self.start)
         self.tune = self._build(self.start, self.tune_stop)
         targets = self.tune.origin_indices + h
         self.train_mask = targets < i_train
         self.val_mask = targets >= i_train
         if not self.train_mask.any():
             raise ValueError("no training rows inside the training span")
-        self.frozen = None
-        if self.tune.meta and self.tune.meta.get("frozen_boundaries") is not None:
-            self.frozen = EwtBoundaries(np.asarray(self.tune.meta["frozen_boundaries"]),
-                                        uniform_fallback=bool(self.tune.meta["fallback_count"]))
 
-    @staticmethod
-    def _resolve_window(policy, lags: int, i_train: int, horizon: int):
-        if policy == "all":
-            return "all"
-        nominal = max(4 * lags, DEFAULT_WINDOW_FLOOR) if policy == "auto" else int(policy)
-        if policy == "auto":
-            nominal = min(nominal, i_train - horizon)  # keep at least one training row
-        if nominal < lags + MIN_WINDOW_MARGIN:
-            raise ValueError(f"window {nominal} too small for lags {lags}")
-        return nominal
-
-    def _build(self, start: int, stop: int, frozen: EwtBoundaries | None = None) -> WindowedDataset:
+    def _build(self, start: int, stop: int) -> WindowedDataset:
         if self.pipeline == "raw_lags":
             return _embed_range(self.ts, self.params["lags"], self.horizon, start, stop)
         if self.pipeline == "walkforward_ewt":
             return build_walkforward_features(self.ts, self.wf_cfg, start, stop,
-                                              frozen_boundaries=frozen)
+                                              frozen_boundaries=self.frozen)
         return leaky_features(self.ts, self.wf_cfg, start, stop)
 
     def train_rows(self) -> WindowedDataset:
@@ -658,8 +645,8 @@ class _PipelineBuild:
         return self.tune if include_validation else self.train_rows()
 
     def test_rows(self) -> WindowedDataset:
-        test = self._build(self.tune_stop, self.test_stop, self.frozen)
-        return extract_test_rows(test, np.arange(test.n_samples))
+        """The single gate through which test rows leave a feature build."""
+        return self._build(self.tune_stop, self.test_stop)
 
     @staticmethod
     def decomposition_counters(*datasets) -> dict:
@@ -970,19 +957,24 @@ def _csv_text(rows) -> str:
     return buffer.getvalue()
 
 
+_MODEL_KINDS = {"rvfl": RvflModel, "edrvfl": EdRvflModel}
+
+
+def _payload_checksum(payload: dict) -> str:
+    """SHA-256 of the payload's canonical JSON (sorted keys, no whitespace)."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def save_model(model, path) -> None:
     """Persist a trained model as one JSON document with a payload checksum."""
-    if isinstance(model, RvflModel):
-        kind = "rvfl"
-    elif isinstance(model, EdRvflModel):
-        kind = "edrvfl"
-    else:
+    kind = next((k for k, cls in _MODEL_KINDS.items() if isinstance(model, cls)), None)
+    if kind is None:
         raise TypeError(f"cannot persist object of type {type(model).__name__}")
     payload = {"kind": kind, **model.to_dict()}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     envelope = {
         "schema_version": SCHEMA_VERSION,
-        "checksum": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+        "checksum": _payload_checksum(payload),
         "payload": payload,
     }
     _write_atomically(Path(path), json.dumps(envelope, sort_keys=True))
@@ -1000,16 +992,12 @@ def load_model(path):
     version = envelope.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ModelVersionError(f"model schema {version!r} unsupported, expected {SCHEMA_VERSION!r}")
-    canonical = json.dumps(envelope["payload"], sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    if digest != envelope.get("checksum"):
-        raise CorruptModelError(f"model file {path} failed checksum verification")
     payload = envelope["payload"]
+    if _payload_checksum(payload) != envelope.get("checksum"):
+        raise CorruptModelError(f"model file {path} failed checksum verification")
     kind = payload.pop("kind", None)
-    if kind == "rvfl":
-        return RvflModel.from_dict(payload)
-    if kind == "edrvfl":
-        return EdRvflModel.from_dict(payload)
+    if isinstance(kind, str) and kind in _MODEL_KINDS:
+        return _MODEL_KINDS[kind].from_dict(payload)
     raise CorruptModelError(f"model file {path} has unknown kind {kind!r}")
 
 
@@ -1024,10 +1012,11 @@ def write_report(report: ExperimentReport, out_dir) -> dict:
     }
     _write_atomically(paths["report"], json.dumps(report.to_dict(), indent=2, sort_keys=True))
 
-    selected = [m for m in METRIC_NAMES if m in report.config.metrics]
-    columns = ["mape_pct" if m == "mape" else m for m in selected]
+    models = sorted(report.test_metrics)
+    # Every model's metrics were filtered by the same selection, in one order.
+    columns = list(report.test_metrics[models[0]]) if models else []
     metrics = [["model", "series", "horizon", "n_test", *columns]]
-    for model in sorted(report.test_metrics):
+    for model in models:
         vals = report.test_metrics[model]
         cells = ["" if vals[c] is None else repr(vals[c]) for c in columns]
         metrics.append([model, report.meta["series_name"], report.config.horizon,

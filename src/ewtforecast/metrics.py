@@ -8,7 +8,7 @@ statistic) are reported as ``None`` instead of failing the whole evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -78,14 +78,7 @@ class MetricSet:
     dstat: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "mae": self.mae,
-            "mse": self.mse,
-            "rmse": self.rmse,
-            "mape": self.mape,
-            "mase": self.mase,
-            "dstat": self.dstat,
-        }
+        return asdict(self)
 
 
 def compute_metrics(ev: EvalSeries) -> MetricSet:

@@ -13,8 +13,10 @@ values of every band component, giving a fixed dimension of
 
 A band's tail is a fixed linear map of its window, because EWT filters act in
 the Fourier domain, so the builder never forms a band in full. With frozen
-edges the bank's impulse responses become one real matrix of taps per window
-width, and a group's rows are one product of its windows with that matrix. With
+edges each band's impulse response is the real inverse FFT of its one-sided
+response (EWT filters are real and even in frequency); the responses become one
+real matrix of taps per window width, and a group's rows are one product of
+its windows with that matrix. With
 adaptive edges each chunk of rows takes one real FFT, which feeds both the
 batched edge detection and the stack of per-row banks on the one-sided grid,
 and a fixed real basis maps each filtered spectrum to its band's tail.
@@ -134,6 +136,13 @@ class CausalSlice(NamedTuple):
     window: int
 
 
+def freeze_boundaries(ts: TimeSeries, cfg: WalkForwardConfig, origin: int) -> EwtBoundaries:
+    """Detect band edges once, on the trailing window ending at ``origin``."""
+    width = cfg.window_at(origin)
+    window = ts.values[origin - width + 1: origin + 1]
+    return detect_boundaries(magnitude_spectrum(window), cfg.n_bands)
+
+
 def causal_decompose_at(
     ts: TimeSeries,
     origin: int,
@@ -143,27 +152,20 @@ def causal_decompose_at(
     """Decompose the trailing window ending at ``origin`` and return band tails.
 
     Only ``ts.values[origin - window + 1 : origin + 1]`` is ever touched, so
-    the output cannot depend on later observations. Band edges are re-detected
-    on the window unless ``frozen_boundaries`` is supplied.
+    the output cannot depend on later observations. Band edges are those
+    :func:`freeze_boundaries` detects on the window, unless ``frozen_boundaries``
+    is supplied.
     """
     if origin >= len(ts):
         raise ValueError(f"origin {origin} beyond series of length {len(ts)}")
     width = cfg.window_at(origin)
     window = ts.values[origin - width + 1: origin + 1]
-    if frozen_boundaries is not None:
-        bounds = frozen_boundaries
-    else:
-        bounds = detect_boundaries(magnitude_spectrum(window), cfg.n_bands)
+    bounds = frozen_boundaries
+    if bounds is None:
+        bounds = freeze_boundaries(ts, cfg, origin)
     bank = build_filter_bank(bounds, width, cfg.gamma)
     dec = decompose(window, bank)
     return CausalSlice(dec.components[:, -cfg.lags:], bounds, width)
-
-
-def freeze_boundaries(ts: TimeSeries, cfg: WalkForwardConfig, origin: int) -> EwtBoundaries:
-    """Detect band edges once, on the trailing window ending at ``origin``."""
-    width = cfg.window_at(origin)
-    window = ts.values[origin - width + 1: origin + 1]
-    return detect_boundaries(magnitude_spectrum(window), cfg.n_bands)
 
 
 def _check_range(ts: TimeSeries, cfg: WalkForwardConfig, start: int, stop: int) -> None:
@@ -205,21 +207,19 @@ def _tail_basis(width: int, lags: int) -> np.ndarray:
     return basis
 
 
-def _frozen_taps(bank, lags: int) -> tuple[np.ndarray, float]:
-    """The bank's tail taps, shape ``(W, K * lags)``, and the largest imaginary
-    part its inverse FFT discarded.
+def _frozen_taps(responses: np.ndarray, width: int, lags: int) -> np.ndarray:
+    """Tail taps of a bank given by its one-sided responses ``(K, W // 2 + 1)``,
+    shape ``(W, K * lags)``.
 
-    Band ``k`` at tail position ``n`` of a window ``x`` is the circular
-    convolution ``sum_j x[j] h_k[(n - j) mod W]`` with the impulse response
-    ``h_k``, so column ``k * lags + l`` holds ``h_k[(W - lags + l - j) mod W]``
-    over ``j``.
+    A real, even response has the real impulse response ``h_k``, the inverse
+    real FFT of its one-sided half. Band ``k`` at tail position ``n`` of a
+    window ``x`` is the circular convolution ``sum_j x[j] h_k[(n - j) mod W]``,
+    so column ``k * lags + l`` holds ``h_k[(W - lags + l - j) mod W]`` over ``j``.
     """
-    width = bank.signal_length
-    impulse = np.fft.ifft(bank.responses, axis=1)
-    residue = float(np.abs(impulse.imag).max())
+    impulse = np.fft.irfft(responses, n=width, axis=1)
     lag_of = (np.arange(width - lags, width) - np.arange(width)[:, None]) % width
-    taps = impulse.real[:, lag_of]                       # (K, W, lags)
-    return taps.transpose(1, 0, 2).reshape(width, -1), residue
+    taps = impulse[:, lag_of]                            # (K, W, lags)
+    return taps.transpose(1, 0, 2).reshape(width, -1)
 
 
 def build_walkforward_features(
@@ -242,9 +242,8 @@ def build_walkforward_features(
     per-row product has the same shape whatever the number of rows.
 
     ``meta`` counts uniform-fallback edges and clipped ``gamma`` (per row in
-    adaptive mode, once for frozen edges). ``max_imag_residue`` is the largest
-    imaginary part discarded when the frozen bank's impulse responses were
-    made real; adaptive mode works in real arithmetic and records 0.0.
+    adaptive mode, once for frozen edges). Both modes work in real arithmetic,
+    so ``max_imag_residue`` is always 0.0.
     """
     _check_range(ts, cfg, start, stop)
     frozen = frozen_boundaries
@@ -259,7 +258,6 @@ def build_walkforward_features(
     widths = cfg.window_widths(origins)
     group_starts = np.flatnonzero(np.diff(widths, prepend=-1))
     fallbacks = clipped = 0
-    residue = 0.0
     for first, last in zip(group_starts, np.append(group_starts[1:], origins.size)):
         width = int(widths[first])
         # windows[i] ends at origin first + i; consecutive origins overlap.
@@ -271,10 +269,9 @@ def build_walkforward_features(
         # a single row would take another BLAS kernel and round differently
         # from the same row inside a larger build.
         if frozen is not None:
-            bank = build_filter_bank(frozen, width, cfg.gamma)
-            taps, bank_residue = _frozen_taps(bank, lags)
-            residue = max(residue, bank_residue)
-            clipped = int(bank.gamma_clipped)
+            responses, gamma_eff = filter_bank_responses(frozen.omegas[None], width, cfg.gamma)
+            clipped = int(gamma_eff[0] < cfg.gamma)
+            taps = _frozen_taps(responses[0], width, lags)
             np.matmul(windows[:, None, :], taps, out=X[first:last, None, lags:])
             continue
         basis = _tail_basis(width, lags)
@@ -297,8 +294,7 @@ def build_walkforward_features(
     meta = {
         "fallback_count": int(frozen.uniform_fallback if frozen is not None else fallbacks),
         "gamma_clipped_count": clipped,
-        "max_imag_residue": residue,
-        "frozen_boundaries": None if frozen is None else [float(w) for w in frozen.omegas],
+        "max_imag_residue": 0.0,
     }
     return WindowedDataset._adopt(X, Y, origins, meta)
 
@@ -327,7 +323,6 @@ def leaky_features(ts: TimeSeries, cfg: WalkForwardConfig, start: int, stop: int
         "fallback_count": int(bounds.uniform_fallback),
         "gamma_clipped_count": int(bank.gamma_clipped),
         "max_imag_residue": dec.max_imag_residue,
-        "frozen_boundaries": [float(w) for w in bounds.omegas],
     }
     return WindowedDataset._adopt(X, Y, origins, meta)
 

@@ -8,8 +8,9 @@ per regularization value in the linear baseline), spectra from direct O(n^2) sum
 spectral peaks from a scan over runs of equal values, band edges from that scan
 plus a Python ranking and one ``argmin`` per edge, filter banks from the
 closed-form responses evaluated at every FFT bin, walk-forward band tails from
-a full inverse FFT of every band of every window, and the signed-rank null
-distribution from explicit sign enumeration.
+a full inverse FFT of every band of every window, frozen tail taps from a
+complex inverse FFT of the bank mirrored onto the full grid, and the
+signed-rank null distribution from explicit sign enumeration.
 """
 
 import itertools
@@ -202,8 +203,9 @@ def build_walkforward_features_fft(ts, cfg, start, stop, frozen_boundaries=None)
     full-FFT ``causal_decompose_at``, which inverse-transforms every band of
     every window.
 
-    ``meta`` carries the builder's counters; its ``max_imag_residue`` is the
-    largest imaginary part those inverse FFTs discarded.
+    ``meta`` carries the builder's fallback and clipped-gamma counters, and
+    the largest imaginary part those inverse FFTs discarded as
+    ``max_imag_residue``.
     """
     frozen = frozen_boundaries
     if frozen is None and cfg.boundary_mode == walkforward.FROZEN_FROM_TRAIN:
@@ -224,10 +226,21 @@ def build_walkforward_features_fft(ts, cfg, start, stop, frozen_boundaries=None)
         "fallback_count": int(fallbacks),
         "gamma_clipped_count": int(clipped),
         "max_imag_residue": residue,
-        "frozen_boundaries": None if frozen is None else [float(w) for w in frozen.omegas],
     }
     return WindowedDataset(np.array(rows), values[origins + cfg.horizon].reshape(-1, 1),
                            origins, meta)
+
+
+def frozen_taps_ifft(bank, lags):
+    """``walkforward._frozen_taps`` of a full-grid bank, through the complex
+    inverse FFT of its mirrored responses, keeping the real part.
+
+    Column ``k * lags + l`` holds ``h_k[(W - lags + l - j) mod W]`` over ``j``.
+    """
+    width = bank.signal_length
+    impulse = np.fft.ifft(bank.responses, axis=1).real
+    lag_of = (np.arange(width - lags, width) - np.arange(width)[:, None]) % width
+    return impulse[:, lag_of].transpose(1, 0, 2).reshape(width, -1)
 
 
 def dft_magnitude(x):

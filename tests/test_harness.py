@@ -27,7 +27,12 @@ from ewtforecast.harness import (
 )
 from ewtforecast.rvfl import ACTIVATIONS
 from ewtforecast.series import SplitSpec, TimeSeries, WindowedDataset
-from ewtforecast.walkforward import WalkForwardConfig, build_walkforward_features
+from ewtforecast.walkforward import (
+    MIN_WINDOW_MARGIN,
+    WalkForwardConfig,
+    build_walkforward_features,
+    freeze_boundaries,
+)
 
 import oracles
 from oracles import cho_factor_solve
@@ -492,18 +497,18 @@ def test_test_rows_extracted_once_after_tuning(tmp_path, monkeypatch):
     path = write_series(tmp_path, values)
     events = []
 
-    original_extract = harness.extract_test_rows
+    original_test_rows = harness._PipelineBuild.test_rows
     original_search = harness.grid_search
 
-    def counting_extract(dataset, indices):
-        events.append("extract_test_rows")
-        return original_extract(dataset, indices)
+    def counting_test_rows(build):
+        events.append("test_rows")
+        return original_test_rows(build)
 
     def recording_search(*args, **kwargs):
         events.append("grid_search")
         return original_search(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "extract_test_rows", counting_extract)
+    monkeypatch.setattr(harness._PipelineBuild, "test_rows", counting_test_rows)
     monkeypatch.setattr(harness, "grid_search", recording_search)
     cfg = walk_config(tmp_path, path, pipeline="walkforward_ewt",
                       grid=GridSpace(n_enhancement=(5, 10), regularization=(1.0,),
@@ -511,10 +516,57 @@ def test_test_rows_extracted_once_after_tuning(tmp_path, monkeypatch):
     run_experiment(cfg)
     # One extraction for the chosen model, one for the linear baseline, both
     # strictly after every tuning call.
-    extract_positions = [i for i, e in enumerate(events) if e == "extract_test_rows"]
+    test_row_positions = [i for i, e in enumerate(events) if e == "test_rows"]
     search_positions = [i for i, e in enumerate(events) if e == "grid_search"]
-    assert len(extract_positions) == 2
-    assert min(extract_positions) > max(search_positions)
+    assert len(test_row_positions) == 2
+    assert min(test_row_positions) > max(search_positions)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lags=st.integers(1, 8), n_bands=st.integers(1, 4),
+       window=st.sampled_from(["auto", "all"]) | st.integers(16, 90),
+       n=st.integers(140, 260), horizon=st.integers(1, 3))
+def test_frozen_tuning_and_test_rows_are_one_build(seed, lags, n_bands, window, n, horizon):
+    # Edges are frozen once per candidate; tuning rows then test rows are, bit
+    # for bit, one build over the whole range with those edges.
+    ts = TimeSeries(np.cumsum(np.random.default_rng(seed).normal(size=n)))
+    i_train, i_val = harness.split_boundaries(n, SplitSpec(0.6, 0.2))
+    params = {"lags": lags, "n_bands": n_bands, "gamma": 0.1,
+              "boundary_mode": "frozen_from_train"}
+    if isinstance(window, int) and window - 1 + horizon >= i_train:
+        return  # the first origin's target is past the training span: no training rows
+    build = harness._PipelineBuild(ts, "walkforward_ewt", params, horizon, window,
+                                   i_train, i_val)
+    frozen = freeze_boundaries(ts, build.wf_cfg, build.start)
+    assert build.frozen.omegas.tobytes() == frozen.omegas.tobytes()
+    assert build.frozen.uniform_fallback == frozen.uniform_fallback
+    whole = build_walkforward_features(ts, build.wf_cfg, build.start, build.test_stop,
+                                       build.frozen)
+    test = build.test_rows()
+    for name in ("X", "Y", "origin_indices"):
+        rows = np.concatenate([getattr(build.tune, name), getattr(test, name)])
+        assert rows.tobytes() == getattr(whole, name).tobytes()
+    for ds in (build.tune, test):
+        assert ds.meta["fallback_count"] == whole.meta["fallback_count"] == frozen.uniform_fallback
+        assert ds.meta["max_imag_residue"] == 0.0
+
+
+@pytest.mark.parametrize("horizon", [1, 3])
+@pytest.mark.parametrize("lags", [1, 4, 8, 20, 40])
+@pytest.mark.parametrize("i_train", [3, 12, 20, 40, 130, 200])
+def test_auto_window_is_the_walkforward_width_at_the_last_training_origin(i_train, lags,
+                                                                          horizon):
+    ts = TimeSeries(np.sin(0.3 * np.arange(i_train + 30)))
+    params = {"lags": lags, "n_bands": 2, "gamma": 0.1, "boundary_mode": "adaptive_per_step"}
+    width = min(max(4 * lags, 128), i_train - horizon)
+    if width < lags + MIN_WINDOW_MARGIN:
+        with pytest.raises(ValueError, match=rf"lags \+ {MIN_WINDOW_MARGIN}"):
+            harness._PipelineBuild(ts, "walkforward_ewt", params, horizon, "auto",
+                                   i_train, i_train + 10)
+        return
+    build = harness._PipelineBuild(ts, "walkforward_ewt", params, horizon, "auto",
+                                   i_train, i_train + 10)
+    assert build.wf_cfg.window == width
 
 
 def test_split_leaving_an_empty_train_segment_is_a_config_error(tmp_path):

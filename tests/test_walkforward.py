@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 import oracles
 from ewtforecast import walkforward
-from ewtforecast.ewt import build_filter_bank, decompose, detect_boundaries, magnitude_spectrum
+from ewtforecast.ewt import (
+    EwtBoundaries,
+    build_filter_bank,
+    decompose,
+    detect_boundaries,
+    filter_bank_responses,
+    magnitude_spectrum,
+)
 from ewtforecast.series import TimeSeries
 from ewtforecast.walkforward import (
     ADAPTIVE_PER_STEP,
@@ -106,25 +113,13 @@ def assert_tails_close(ts, cfg, got, expected):
                   <= TAIL_RTOL * np.array(scale)[:, None])
 
 
-def tap_residue(ts, cfg, start, stop):
-    """The documented ``max_imag_residue``: the largest imaginary part of the
-    frozen bank's impulse responses over the build's window widths; 0.0 for
-    adaptive edges, whose contraction is real arithmetic."""
-    if cfg.boundary_mode != FROZEN_FROM_TRAIN:
-        return 0.0
-    frozen = freeze_boundaries(ts, cfg, start)
-    return max(float(np.abs(np.fft.ifft(build_filter_bank(frozen, w, cfg.gamma).responses,
-                                        axis=1).imag).max())
-               for w in {cfg.window_at(t) for t in range(start, stop)})
-
-
 def assert_matches_oracle(ts, cfg, start, stop):
     ds = build_walkforward_features(ts, cfg, start, stop)
     ref = oracles.build_walkforward_features_fft(ts, cfg, start, stop)
     assert_tails_close(ts, cfg, ds, ref)
-    for key in ("fallback_count", "gamma_clipped_count", "frozen_boundaries"):
+    for key in ("fallback_count", "gamma_clipped_count"):
         assert ds.meta[key] == ref.meta[key]
-    assert ds.meta["max_imag_residue"] == tap_residue(ts, cfg, start, stop)
+    assert ds.meta["max_imag_residue"] == 0.0  # real arithmetic in both modes
 
 
 @settings(max_examples=60, deadline=None)
@@ -295,13 +290,30 @@ def test_frozen_mode_reuses_one_boundary_set():
     cfg = WalkForwardConfig(n_bands=3, lags=4, window=128, boundary_mode=FROZEN_FROM_TRAIN)
     ds = build_walkforward_features(ts, cfg, 127, 180)
     frozen = freeze_boundaries(ts, cfg, 127)
-    assert ds.meta["frozen_boundaries"] == [float(w) for w in frozen.omegas]
-    assert 0.0 < ds.meta["max_imag_residue"] < 1e-10  # discarded from the impulse responses
+    assert build_walkforward_features(ts, cfg, 127, 180, frozen).X.tobytes() == ds.X.tobytes()
+    assert ds.meta["max_imag_residue"] == 0.0  # the taps come from a real inverse FFT
     # Every row reproduces with those boundaries passed explicitly.
     cs = causal_decompose_at(ts, 150, cfg, frozen)
     assert ds.X[150 - 127, :4].tobytes() == base[147:151].tobytes()
     scale = np.abs(base[23:151]).max()  # the 128-sample window ending at 150
     assert np.abs(ds.X[150 - 127, 4:] - cs.tails.ravel()).max() <= TAIL_RTOL * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(12, 600), n_bands=st.integers(1, 5),
+       lags=st.integers(1, 12), gamma=st.floats(0.01, 0.5))
+def test_frozen_taps_equal_the_full_grid_complex_ifft(seed, width, n_bands, lags, gamma):
+    # The real inverse FFT of the one-sided bank against the real part of the
+    # complex inverse FFT of the bank mirrored onto the full grid.
+    omegas = np.sort(np.random.default_rng(seed).uniform(0.05, np.pi - 0.05, n_bands - 1))
+    if np.any(np.diff(omegas) <= 0.0):
+        return  # a tie: no valid bank
+    responses, _ = filter_bank_responses(omegas[None], width, gamma)
+    taps = walkforward._frozen_taps(responses[0], width, lags)
+    bank = build_filter_bank(EwtBoundaries(omegas), width, gamma)
+    expected = oracles.frozen_taps_ifft(bank, lags)
+    assert taps.shape == expected.shape == (width, n_bands * lags)
+    assert np.abs(taps - expected).max() <= 1e-15
 
 
 def test_a_frozen_build_holds_its_rows_once():
