@@ -36,7 +36,6 @@ from pathlib import Path
 from typing import NamedTuple, get_args, get_type_hints
 
 import numpy as np
-import scipy
 
 from ewtforecast import edrvfl as edrvfl_mod
 from ewtforecast import rvfl as rvfl_mod
@@ -825,10 +824,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _numeric_stack() -> dict:
-    """numpy and scipy versions, numpy's BLAS library and the SIMD extensions
-    numpy dispatches to (its ``exp`` kernel sets the sigmoid's rounding), which
-    together fix the rounding of the forecasts; ``numpy_blas`` and
-    ``numpy_simd`` are None where numpy does not say."""
+    """numpy's version, its BLAS library and the SIMD extensions it dispatches
+    to (its ``exp`` kernel sets the sigmoid's rounding), which together fix the
+    rounding of the forecasts; ``numpy_blas`` and ``numpy_simd`` are None where
+    numpy does not say."""
     try:
         config = np.show_config(mode="dicts")
     except TypeError:
@@ -838,8 +837,8 @@ def _numeric_stack() -> dict:
         numpy_blas = f"{blas['name']} {blas.get('version', '')}".strip()
     except KeyError:
         numpy_blas = None
-    return {"numpy_version": np.__version__, "scipy_version": scipy.__version__,
-            "numpy_blas": numpy_blas, "numpy_simd": config.get("SIMD Extensions")}
+    return {"numpy_version": np.__version__, "numpy_blas": numpy_blas,
+            "numpy_simd": config.get("SIMD Extensions")}
 
 
 def _tune_family(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val: int,

@@ -8,11 +8,11 @@ statistic) are reported as ``None`` instead of failing the whole evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import norm, rankdata
 
 from ewtforecast.series import _as_float_vector, _frozen
 
@@ -130,12 +130,15 @@ def wilcoxon_signed_rank(errors_a, errors_b) -> WilcoxonResult:
     Zero differences are dropped. The null distribution is enumerated exactly
     (conditionally on the observed tie pattern) up to 25 non-zero differences;
     beyond that a normal approximation with tie correction is used. Swapping
-    the two samples leaves the p-value unchanged.
+    the two samples leaves the p-value unchanged. A non-finite value in either
+    sample raises ``ValueError``.
     """
     a = _as_float_vector(errors_a, "errors_a")
     b = _as_float_vector(errors_b, "errors_b")
     if a.size != b.size:
         raise ValueError(f"samples must have equal length, got {a.size} and {b.size}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("error samples must be finite")
     if a.size < 6:
         raise ValueError(f"need at least 6 paired samples, got {a.size}")
     diff = a - b
@@ -144,7 +147,7 @@ def wilcoxon_signed_rank(errors_a, errors_b) -> WilcoxonResult:
     if n == 0:
         return WilcoxonResult(0.0, 1.0, 0, "degenerate")
 
-    ranks = rankdata(np.abs(diff))
+    ranks = _average_ranks(np.abs(diff))
     w_plus = float(ranks[diff > 0].sum())
     w_minus = float(ranks.sum() - w_plus)
     statistic = min(w_plus, w_minus)
@@ -155,11 +158,30 @@ def wilcoxon_signed_rank(errors_a, errors_b) -> WilcoxonResult:
 
     mu = n * (n + 1) / 4.0
     _, tie_counts = np.unique(ranks, return_counts=True)
-    tie_term = float(np.sum(tie_counts ** 3 - tie_counts)) / 48.0
-    var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
-    z = (w_plus - mu) / np.sqrt(var)
-    p = float(min(1.0, 2.0 * norm.sf(abs(z))))
+    tie_term = float(np.sum(tie_counts ** 3 - tie_counts)) / 2.0
+    # Tie-corrected variance, in the order of operations scipy's test uses.
+    z = (w_plus - mu) / math.sqrt((n * (n + 1) * (2 * n + 1) - tie_term) / 24.0)
+    # Two normal tails: 2 * Phi(-|z|) = erfc(|z| / sqrt(2)). The argument is
+    # formed as |z| * sqrt(1/2): in the far tail one ulp of it moves the
+    # p-value by about z^2 ulp, and this is the rounding of scipy's ndtr.
+    p = min(1.0, math.erfc(abs(z) * math.sqrt(0.5)))
     return WilcoxonResult(statistic, p, n, "normal")
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of a finite 1-D sample, ties sharing the mean of their positions.
+
+    A stable sort puts equal values in runs; a run over sorted positions
+    ``i+1 .. j`` (1-based) gives each of its members ``(i + 1 + j) / 2``, which
+    is exact in float64, so the ranks equal ``scipy.stats.rankdata``'s bit for bit.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
+    return ranks
 
 
 def _exact_two_sided(ranks: np.ndarray, statistic: float) -> float:
@@ -187,8 +209,9 @@ def friedman_nemenyi(error_table, alpha: float = 0.05) -> NemenyiResult:
     """Average ranks across datasets plus the critical difference of mean ranks.
 
     ``error_table`` is models x datasets; smaller is better, ties share their
-    average rank. Two mean ranks further apart than the critical difference
-    differ significantly at the chosen level.
+    average rank; a non-finite entry raises ``ValueError``. Two mean ranks
+    further apart than the critical difference differ significantly at the
+    chosen level.
     """
     table = np.asarray(error_table, dtype=np.float64)
     if table.ndim != 2:
@@ -200,7 +223,9 @@ def friedman_nemenyi(error_table, alpha: float = 0.05) -> NemenyiResult:
         raise ValueError(f"alpha must be one of {sorted(NEMENYI_Q)}, got {alpha}")
     if k not in NEMENYI_Q[alpha]:
         raise ValueError(f"critical values tabulated for 2..10 models, got {k}")
-    rank_table = np.apply_along_axis(rankdata, 0, table)
+    if not np.all(np.isfinite(table)):
+        raise ValueError("error_table must be finite")
+    rank_table = np.apply_along_axis(_average_ranks, 0, table)
     average = rank_table.mean(axis=1)
     cd = NEMENYI_Q[alpha][k] * np.sqrt(k * (k + 1) / (6.0 * n))
     return NemenyiResult(average, float(cd), rank_table)

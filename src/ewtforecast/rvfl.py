@@ -11,13 +11,10 @@ whose solution is ``(H'H + I/C)^-1 H'Y`` when the design has no more columns
 than rows and ``H'(HH' + I/C)^-1 Y`` otherwise; both are computed via a
 symmetric positive-definite factorization, never an explicit inverse.
 
-The Cholesky factor is computed by ``numpy.linalg.cholesky``, in the same BLAS
-runtime that forms the Gram matrix. The numpy and scipy wheels each bundle
-their own OpenBLAS with its own thread pool; factoring in scipy's runtime right
-after a multi-threaded product in numpy's made the two pools contend for the
-cores (a stall of several milliseconds per solve from about 128 columns up on a
-2-core host). Only the two triangular solves with the few target columns run in
-scipy, and those stay single-threaded.
+The system, bordered by its right-hand side, is factored by
+``numpy.linalg.cholesky``, which yields the forward substitution as well; the
+back substitution is blocked, on numpy's dense solver and matrix product. The
+fit needs numpy alone.
 
 Model search fits many networks that share one hidden layer and differ only in
 C. :func:`ridge_path` serves them from one design: it forms the Gram matrix
@@ -33,7 +30,6 @@ import logging
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ewtforecast.series import Scaler, _frozen, apply_scaler
 
@@ -220,31 +216,65 @@ def _design(direct, enh_input: np.ndarray, hidden: HiddenLayer, output_bias: boo
     return H
 
 
+# Diagonal of the corner block of the bordered matrix that _solve_spd factors.
+# The factor's other blocks do not depend on it; it only has to exceed
+# ||L^-1 B||^2 = B'A^-1 B <= ||B||^2 / lambda_min(A), so that the corner's
+# Schur complement stays positive. For that bound to reach 1e300, A must be far
+# too ill-conditioned for its own Cholesky factor to exist in float64.
+_BORDER = 1e300
+
+
 def _solve_spd(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve ``A X = B`` for symmetric positive-definite ``A`` by Cholesky.
 
-    ``A = L L'`` is factored by numpy, in the BLAS runtime that formed ``A``, so
-    no multi-threaded call goes into scipy's separate runtime (see the module
-    docstring); ``L`` and ``L'`` are then solved by scipy's triangular solver. A
-    factorization that fails is retried once with ``trace(A)/n * 1e-10`` added
-    to the diagonal, with a warning; a second failure raises ``RuntimeError``.
+    numpy factors ``A`` bordered by ``B``, ``[[A, B], [B', c I]]``, whose
+    Cholesky factor is ``[[L, 0], [(L^-1 B)', S]]`` with ``A = L L'``: the
+    forward substitution comes out of the factorization, and
+    :func:`_back_substitute` solves ``L' X = L^-1 B``. A factorization that
+    fails is retried once with ``trace(A)/n * 1e-10`` added to the diagonal of
+    ``A``, with a warning, and the jittered factor is the one solved; a second
+    failure raises ``RuntimeError``.
     """
+    n, k = B.shape
+    M = np.empty((n + k, n + k))
+    M[:n, :n] = A
+    M[:n, n:] = B
+    M[n:, :n] = B.T
+    M[n:, n:] = _BORDER * np.eye(k)
     try:
-        L = np.linalg.cholesky(A)
+        F = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        n = A.shape[0]
         jitter = 1e-10 * np.trace(A) / n
         logger.warning("ridge system of size %d is not positive definite; "
                        "retrying with jitter %.3e on the diagonal", n, jitter)
+        M[:n, :n] += jitter * np.eye(n)
         try:
-            L = np.linalg.cholesky(A + jitter * np.eye(n))
+            F = np.linalg.cholesky(M)
         except np.linalg.LinAlgError:
             raise RuntimeError(
                 f"ridge system factorization failed even with jitter {jitter:.3e}; "
                 f"condition estimate {np.linalg.cond(A):.3e}"
             ) from None
-    Z = scipy.linalg.solve_triangular(L, B, lower=True)
-    return scipy.linalg.solve_triangular(L, Z, lower=True, trans="T")
+    return _back_substitute(F[:n, :n], F[n:, :n].T)
+
+
+# Rows per block of the back substitution. A block's LU inside np.linalg.solve
+# grows with its cube and each call has a fixed cost; 48 was fastest for the
+# 60-220 column systems that model search factors.
+_SUBSTITUTION_BLOCK = 48
+
+
+def _back_substitute(L: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """``L'^-1 W`` for lower-triangular ``L`` by blocked back substitution
+    (Golub and Van Loan, *Matrix Computations*, §3.1): each diagonal block of
+    ``L'`` is solved by ``np.linalg.solve`` and the rows above it are updated
+    by one matrix product."""
+    X = np.array(W, dtype=np.float64)
+    for i in reversed(range(0, L.shape[0], _SUBSTITUTION_BLOCK)):
+        j = i + _SUBSTITUTION_BLOCK
+        X[i:j] = np.linalg.solve(L[i:j, i:j].T, X[i:j])
+        X[:i] -= L[i:j, :i].T @ X[i:j]
+    return X
 
 
 def ridge_path(H, Y, regularizations, mode: str = "auto") -> list:

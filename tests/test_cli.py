@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,3 +183,49 @@ def test_compare_needs_two_reports(tmp_path, capsys):
 
 def test_unknown_subcommand_exits_2(capsys):
     assert cli.main(["frobnicate"]) == 2
+
+
+# Runs the CLI in a fresh interpreter, optionally with scipy made unimportable
+# (a None entry in sys.modules makes every import of it, or of a submodule,
+# raise ImportError), and prints which scipy modules were imported.
+CLI_IN_A_FRESH_INTERPRETER = """
+import json, sys
+if sys.argv[1] == "block-scipy":
+    sys.modules["scipy"] = None
+from ewtforecast import cli
+rc = cli.main(sys.argv[2:])
+print(json.dumps(sorted(m for m, mod in sys.modules.items() if m.startswith("scipy") and mod)))
+sys.exit(rc)
+"""
+
+
+def run_cli_subprocess(args, block_scipy):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    mode = "block-scipy" if block_scipy else "plain"
+    return subprocess.run([sys.executable, "-c", CLI_IN_A_FRESH_INTERPRETER, mode, *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_run_and_compare_succeed_with_scipy_unimportable(series_csv, tmp_path):
+    path, _ = series_csv
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    for name, seed in (("a", "1"), ("b", "2")):
+        cfg_path = experiment_config(reports, path, out_name=name)
+        done = run_cli_subprocess(["run", "--config", str(cfg_path), "--seed", seed],
+                                  block_scipy=True)
+        assert done.returncode == 0, done.stderr
+        assert "test rmse" in done.stdout
+    done = run_cli_subprocess(["compare", "--reports", str(reports)], block_scipy=True)
+    assert done.returncode == 0, done.stderr
+    assert "critical difference" in done.stdout
+
+
+def test_run_imports_no_scipy_module(series_csv, tmp_path):
+    path, _ = series_csv
+    done = run_cli_subprocess(["run", "--config", str(experiment_config(tmp_path, path))],
+                              block_scipy=False)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []

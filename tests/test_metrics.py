@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ewtforecast import metrics
 from ewtforecast.metrics import (
     EvalSeries,
     compute_metrics,
@@ -140,14 +143,66 @@ def test_wilcoxon_exact_handles_tied_ranks():
     assert res.p_value == pytest.approx(p_obs, abs=1e-12)
 
 
-def test_wilcoxon_normal_branch_matches_scipy():
-    rng = np.random.default_rng(4)
-    a = rng.normal(size=40)
-    b = a - rng.normal(loc=0.3, size=40)
+def tie_pattern_sample(rng, size, distinct):
+    """``size`` finite values drawn from ``distinct`` levels (heavy ties when
+    few, mixed when moderate) or, for ``distinct=None``, continuous (no ties)."""
+    if distinct is None:
+        return rng.normal(size=size)
+    return rng.integers(-distinct, distinct + 1, size=size) * 0.25
+
+
+TIE_PATTERNS = st.sampled_from([1, 3, 20, 1000, None])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 120), TIE_PATTERNS, st.integers(0, 2**32 - 1))
+def test_average_ranks_equal_scipy_rankdata_bit_for_bit(size, distinct, seed):
+    x = tie_pattern_sample(np.random.default_rng(seed), size, distinct)
+    assert metrics._average_ranks(x).tobytes() == scipy.stats.rankdata(x).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 10), st.integers(2, 30), TIE_PATTERNS, st.integers(0, 2**32 - 1))
+def test_nemenyi_rank_table_equals_scipy_rankdata_by_column(k, n, distinct, seed):
+    table = tie_pattern_sample(np.random.default_rng(seed), (k, n), distinct)
+    expected = scipy.stats.rankdata(table, axis=0)
+    assert friedman_nemenyi(table).rank_table.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(26, 200), TIE_PATTERNS, st.integers(-4, 4), st.integers(0, 2**32 - 1))
+def test_wilcoxon_normal_branch_matches_scipy(n, distinct, shift, seed):
+    # Differences on a grid of quarters tie heavily or mildly, continuous ones
+    # do not; a shift moves them off zero, out to the far tail. Zero
+    # differences are dropped by both; the normal branch needs 26 others.
+    rng = np.random.default_rng(seed)
+    diff = tie_pattern_sample(rng, n, distinct) + 0.25 * shift
+    a = rng.integers(-400, 401, size=n) * 0.25  # a - (a - diff) == diff on the grid
+    b = a - diff
     res = wilcoxon_signed_rank(a, b)
+    if np.count_nonzero(a - b) <= 25:
+        assert res.method in ("exact", "degenerate")
+        return
     assert res.method == "normal"
     ref = scipy.stats.wilcoxon(a, b, correction=False, method="approx")
-    assert res.p_value == pytest.approx(ref.pvalue, rel=1e-9)
+    assert res.statistic == ref.statistic
+    assert res.p_value == pytest.approx(ref.pvalue, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_wilcoxon_rejects_a_non_finite_sample(bad):
+    a = np.arange(8.0)
+    for errors_a, errors_b in ((np.r_[a[:-1], bad], a + 1.0), (a, np.r_[bad, a[1:]])):
+        with pytest.raises(ValueError, match="finite"):
+            wilcoxon_signed_rank(errors_a, errors_b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nemenyi_rejects_a_non_finite_table(bad):
+    errors = np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 4.0]])
+    errors[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        friedman_nemenyi(errors)
 
 
 def test_wilcoxon_length_validation():

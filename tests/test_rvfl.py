@@ -4,7 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
@@ -287,36 +286,47 @@ def test_solve_matches_the_scipy_cholesky_oracle(n_cols, n_rows, rvfl_like, prim
     assert np.abs(beta - ref).max() <= tol * np.abs(ref).max()
 
 
-def test_fit_path_makes_no_call_into_scipy_cholesky(monkeypatch):
-    # scipy's bundled OpenBLAS has its own thread pool: a multi-threaded
-    # factorization there, right after numpy's products, makes the two pools
-    # stall each other. The fit path factors in numpy's runtime only.
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the fit path called into scipy's Cholesky")
-
-    for name in ("cho_factor", "cho_solve", "cholesky"):
-        monkeypatch.setattr(scipy.linalg, name, forbidden)
-    rng = np.random.default_rng(40)
-    X, Y = rng.normal(size=(300, 8)), rng.normal(size=(300, 1))
-    H = rng.normal(size=(300, 150))
-    assert np.all(np.isfinite(fit_output_weights(H, Y, 10.0, mode="primal")))
-    assert np.all(np.isfinite(fit_output_weights(H[:100], Y[:100], 10.0, mode="dual")))
-    assert np.all(np.isfinite(predict(fit(X, Y, RvflConfig(n_enhancement=150, seed=1)), X)))
-    ed = fit_edrvfl(X, Y, EdRvflConfig(n_layers=2, n_enhancement=(150, 140),
-                                       regularization=(10.0, 1.0), seed=2))
-    assert len(ed.layers) == 2
+@pytest.mark.parametrize("n", [1, 47, 48, 49, 96, 97, 150])
+@pytest.mark.parametrize("k", [1, 3])
+def test_spd_solve_is_backward_stable_across_block_edges(n, k):
+    # Sizes on both sides of one and two back-substitution blocks, with one and
+    # several right-hand sides. A Cholesky solve has a backward error of a few
+    # n * eps: |A X - B| <= c * n * eps * |A| |X|.
+    rng = np.random.default_rng(n * 10 + k)
+    M = rng.normal(size=(n + 5, n))
+    A = M.T @ M + 0.1 * np.eye(n)
+    B = rng.normal(size=(n, k))
+    X = rvfl._solve_spd(A, B)
+    assert X.shape == B.shape
+    bound = 4 * n * np.finfo(float).eps * (np.abs(A) @ np.abs(X)).max()
+    assert np.abs(A @ X - B).max() <= bound
+    assert np.allclose(X, np.linalg.solve(A, B), rtol=1e-9, atol=0.0)
 
 
 def test_slightly_indefinite_system_is_solved_after_jitter_with_a_warning(caplog):
-    A = np.diag([1.0, 1.0, -1e-12])
-    b = np.array([[1.0], [2.0], [3.0]])
+    # 130 columns span three substitution blocks. The factor that is solved
+    # must be the jittered one: the un-jittered system has an eigenvalue of
+    # -1e-12, so its solution has the opposite sign along that eigenvector, and
+    # a residual in the jittered system far above the bound.
+    n = 130
+    rng = np.random.default_rng(41)
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    eigenvalues = np.r_[rng.uniform(1.0, 2.0, size=n - 1), -1e-12]
+    A = (Q * eigenvalues) @ Q.T
+    A = (A + A.T) / 2
+    b = rng.normal(size=(n, 1))
     with caplog.at_level(logging.WARNING, logger="ewtforecast.rvfl"):
         x = rvfl._solve_spd(A, b)
-    jitter = 1e-10 * np.trace(A) / 3
-    assert np.allclose((A + jitter * np.eye(3)) @ x, b, rtol=1e-6)
+    jitter = 1e-10 * np.trace(A) / n
+    jittered = A + jitter * np.eye(n)
+    # Backward error of a Cholesky solve: a modest multiple of n * eps * |A| |x|.
+    bound = 4 * n * np.finfo(float).eps * (np.abs(jittered) @ np.abs(x)).max()
+    assert np.abs(jittered @ x - b).max() <= bound
+    null = Q[:, -1]
+    assert (null @ x).item() * (null @ b).item() > 0.0
     [record] = caplog.records
     assert record.levelno == logging.WARNING
-    assert "size 3" in record.getMessage() and f"{jitter:.3e}" in record.getMessage()
+    assert f"size {n}" in record.getMessage() and f"{jitter:.3e}" in record.getMessage()
 
 
 def test_strongly_indefinite_system_raises(caplog):
