@@ -207,34 +207,60 @@ def band_edges(magnitudes, signal_length: int, n_bands: int):
     segments (0, pi) uniformly and is flagged.
 
     Returns the edges, shape ``(R, n_bands - 1)``, and the fallback flags, shape
-    ``(R,)``.
+    ``(R,)``. The one-count case of :func:`_band_edge_stack`.
     """
-    if n_bands < 1:
-        raise ValueError(f"band count must be >= 1, got {n_bands}")
+    edges, fallback = _band_edge_stack(magnitudes, signal_length, (n_bands,))
+    return edges, fallback[:, 0]
+
+
+def _band_edge_stack(magnitudes, signal_length: int, band_counts):
+    """:func:`band_edges` of the same stack of spectra for every band count in
+    ``band_counts`` at once.
+
+    The smoothing, the peaks and their ranking are shared: the first ``k``
+    peaks ranked for the largest count are those ranked for any count of at
+    least ``k``. The counts' edges sit side by side in the order of
+    ``band_counts``, shape ``(R, sum(K - 1))``, and are placed by one masked
+    ``argmin``; the fallback flags have shape ``(R, len(band_counts))``. Every
+    column equals, bit for bit, what :func:`band_edges` gives for its count.
+    """
+    for n_bands in band_counts:
+        if n_bands < 1:
+            raise ValueError(f"band count must be >= 1, got {n_bands}")
     mag = np.asarray(magnitudes, dtype=np.float64)
     n_rows, m = mag.shape
-    if n_bands == 1:
-        return np.empty((n_rows, 0)), np.zeros(n_rows, dtype=bool)
+    top = max(band_counts)
+    if top == 1:
+        return np.empty((n_rows, 0)), np.zeros((n_rows, len(band_counts)), dtype=bool)
     smoothed = _moving_average(mag, SMOOTH_WINDOW)
     peaks = _local_maxima(smoothed)
-    ok = np.bincount(peaks // m, minlength=n_rows) >= n_bands
+    n_peaks = np.bincount(peaks // m, minlength=n_rows)
+    # One band needs no peak, so it never falls back.
+    fallback = n_peaks[:, None] < [n if n > 1 else 0 for n in band_counts]
     height = np.full(mag.shape, -np.inf)  # each peak's smoothed height, -inf off peaks
     height.ravel()[peaks] = smoothed.ravel()[peaks]
-    # Retain the highest peak of each row n_bands times over, masking each
-    # winner; argmax takes the first, lower bin on ties. Fallback rows run out
-    # of peaks and get meaningless edges, overwritten below.
+    # Retain the highest peak of each row top times over, masking each winner;
+    # argmax takes the first, lower bin on ties. Rows with fewer peaks than a
+    # count get meaningless edges for it, overwritten below.
     rows = np.arange(n_rows)
-    kept = np.empty((n_rows, n_bands), dtype=np.intp)
-    for k in range(n_bands):
-        kept[:, k] = height.argmax(axis=1)
-        height[rows, kept[:, k]] = -np.inf
-    kept.sort(axis=1)
-    bins = np.arange(m)
-    between = np.where((bins > kept[:, :-1, None]) & (bins < kept[:, 1:, None]),
+    # 32-bit bins halve the traffic of the masks below.
+    ranked = np.empty((n_rows, top), dtype=np.int32)
+    for k in range(top):
+        ranked[:, k] = height.argmax(axis=1)
+        height[rows, ranked[:, k]] = -np.inf
+    # Each edge lies strictly between two consecutive retained peaks in bin order.
+    kept = [np.sort(ranked[:, :n], axis=1) for n in band_counts if n > 1]
+    below = np.concatenate([k[:, :-1] for k in kept], axis=1)
+    above = np.concatenate([k[:, 1:] for k in kept], axis=1)
+    bins = np.arange(m, dtype=np.int32)
+    between = np.where((bins > below[:, :, None]) & (bins < above[:, :, None]),
                        mag[:, None], np.inf)
     edges = 2.0 * np.pi * between.argmin(axis=2) / signal_length
-    edges[~ok] = np.pi * np.arange(1, n_bands) / n_bands
-    return edges, ~ok
+    col = 0
+    for j, n_bands in enumerate(band_counts):
+        edges[fallback[:, j], col: col + n_bands - 1] = np.pi * np.arange(1, n_bands) / n_bands
+        col += n_bands - 1
+    return edges, fallback
 
 
 def detect_boundaries(spectrum: Spectrum, n_bands: int) -> EwtBoundaries:
@@ -261,39 +287,73 @@ def filter_bank_responses(omegas, signal_length: int, gamma: float):
     Returns the responses at the bins ``0 .. signal_length // 2``, shape
     ``(R, K, signal_length // 2 + 1)``, and the gamma each row used, shape
     ``(R,)``; a row was clipped where that is below ``gamma``. Bin ``k`` of the
-    full grid has the response of bin ``min(k, signal_length - k)``.
+    full grid has the response of bin ``min(k, signal_length - k)``. The
+    one-bank case of :func:`_filter_bank_stack`.
+    """
+    om = np.asarray(omegas, dtype=np.float64)
+    half, (gamma_eff,) = _filter_bank_stack(om, signal_length, [(om.shape[1] + 1, gamma)])
+    return half, gamma_eff
+
+
+def _filter_bank_stack(omegas, signal_length: int, banks):
+    """:func:`filter_bank_responses` of several banks per row at once.
+
+    Bank ``j`` of ``banks``, a pair ``(K_j, gamma_j)``, takes the next
+    ``K_j - 1`` columns of ``omegas`` as its edges. Every edge's profiles are
+    evaluated in one pass, each with its own bank's clipped gamma. The banks'
+    responses sit side by side, shape ``(R, sum(K_j), signal_length // 2 + 1)``,
+    and the gammas they used come as one array of shape ``(R,)`` per bank. The
+    arithmetic is elementwise, so every value equals the one-bank call's bit
+    for bit.
     """
     om = np.asarray(omegas, dtype=np.float64)
     n_rows, n_edges = om.shape
     n = signal_length
     aw = 2.0 * np.pi * np.arange(n // 2 + 1) / n
-    if n_edges == 0:
-        return np.ones((n_rows, 1, aw.size)), np.full(n_rows, gamma)
-    gamma_eff = np.full(n_rows, gamma)
-    if n_edges > 1:
-        ratios = np.diff(om, axis=1) / (om[:, 1:] + om[:, :-1])
-        gamma_eff = np.minimum(gamma, ratios.min(axis=1))
+    gammas = []
+    edge_gamma = np.empty((n_rows, n_edges, 1))
+    col = 0
+    for n_bands, gamma in banks:
+        bank = om[:, col: col + n_bands - 1]
+        gamma_eff = np.full(n_rows, gamma)
+        if n_bands > 2:
+            ratios = np.diff(bank, axis=1) / (bank[:, 1:] + bank[:, :-1])
+            gamma_eff = np.minimum(gamma, ratios.min(axis=1))
+        edge_gamma[:, col: col + n_bands - 1, 0] = gamma_eff[:, None]
+        gammas.append(gamma_eff)
+        col += n_bands - 1
 
-    g = gamma_eff[:, None, None]
-    w = om[:, :, None]
-    lo = (1.0 - g) * w
-    width = 2.0 * g * w
-    x = np.clip((aw - lo) / width, 0.0, 1.0)
-    # Only bins inside a transition zone (0 < x < 1) need the smooth step and
-    # the trigonometry. Outside, the profiles below give rising == x exactly,
-    # and falling == 1 before the zone and cos(pi/2) ** 2 (not quite 0) past it.
-    zone = (x > 0.0) & (x < 1.0)
-    arg = 0.5 * np.pi * _smooth_step(x[zone])
-    falling = np.where(x < 1.0, 1.0, np.cos(0.5 * np.pi) ** 2)  # band below each edge
-    falling[zone] = np.cos(arg) ** 2
-    rising = x                   # (R, K - 1, n // 2 + 1): band above each edge
-    rising[zone] = np.sin(arg) ** 2
-
-    half = np.empty((n_rows, n_edges + 1, aw.size))
-    half[:, 0] = falling[:, 0]
-    half[:, 1:-1] = rising[:, :-1] * falling[:, 1:]
-    half[:, -1] = rising[:, -1]
-    return half, gamma_eff
+    half = np.empty((n_rows, sum(k for k, _ in banks), aw.size))
+    if n_edges:
+        w = om[:, :, None]
+        lo = (1.0 - edge_gamma) * w
+        width = 2.0 * edge_gamma * w
+        x = aw - lo
+        x /= width
+        np.clip(x, 0.0, 1.0, out=x)
+        # Only bins inside a transition zone (0 < x < 1) need the smooth step and
+        # the trigonometry. Outside, the profiles below give rising == x exactly,
+        # and falling == 1 before the zone and cos(pi/2) ** 2 (not quite 0) past it.
+        not_past = x < 1.0
+        zone = x > 0.0
+        zone &= not_past
+        arg = 0.5 * np.pi * _smooth_step(x[zone])
+        falling = np.where(not_past, 1.0, np.cos(0.5 * np.pi) ** 2)  # band below each edge
+        falling[zone] = np.cos(arg) ** 2
+        rising = x                   # (R, edges, n // 2 + 1): band above each edge
+        rising[zone] = np.sin(arg) ** 2
+    row = col = 0
+    for n_bands, _ in banks:
+        if n_bands == 1:
+            half[:, row] = 1.0
+        else:
+            last = col + n_bands - 2
+            half[:, row] = falling[:, col]
+            half[:, row + 1: row + n_bands - 1] = rising[:, col: last] * falling[:, col + 1: last + 1]
+            half[:, row + n_bands - 1] = rising[:, last]
+        row += n_bands
+        col += n_bands - 1
+    return half, gammas
 
 
 def build_filter_bank(boundaries: EwtBoundaries, signal_length: int, gamma: float = 0.1) -> EwtFilterBank:

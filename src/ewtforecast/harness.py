@@ -13,7 +13,9 @@ regularization share one hidden layer, one pair of designs and one Gram matrix,
 and the layer-wise search fits its fixed layers once and reuses their
 activations and forecasts. Every score is bit for bit that of fitting the
 candidate from scratch, and the winner's validation forecast comes from the
-search, not from a refit.
+search, not from a refit. Likewise, adaptive walk-forward candidates that
+differ only in band count and gamma get their tuning rows from one pass over
+the origins, bit for bit the rows each would build alone.
 
 Reports embed their fully-resolved configuration, so rerunning a report
 reproduces its forecasts bit for bit.
@@ -54,10 +56,12 @@ from ewtforecast.series import (
     split_boundaries,
 )
 from ewtforecast.walkforward import (
+    ADAPTIVE_PER_STEP,
     BOUNDARY_MODES,
     FROZEN_FROM_TRAIN,
     MIN_WINDOW_MARGIN,
     WalkForwardConfig,
+    _build_family,
     build_walkforward_features,
     freeze_boundaries,
     leaky_features,
@@ -586,14 +590,58 @@ class _PipelineBuild:
     can touch them before tuning is over. A ``"auto"`` window is the
     walk-forward width at the last training origin, and frozen band edges are
     detected once, on the first tuning origin's window, for both builds.
+    :meth:`group` makes the builds of several candidates at once.
     """
 
     def __init__(self, ts: TimeSeries, pipeline: str, params: dict, horizon: int,
                  window_policy, i_train: int, i_val: int):
+        self._setup(ts, pipeline, params, horizon, window_policy, i_train, i_val)
+        self._keep_tune()
+
+    @classmethod
+    def group(cls, ts: TimeSeries, pipeline: str, params_list: list, horizon: int,
+               window_policy, i_train: int, i_val: int) -> list:
+        """Builds of candidates that differ only in ``n_bands`` and ``gamma``.
+
+        Entry k is, bit for bit, the build ``cls(ts, pipeline, params_list[k],
+        ...)`` makes, or the ``ValueError`` that construction raises. The
+        walk-forward tuning rows of the whole group come from one pass over
+        the origins (:func:`walkforward._build_family`); other pipelines build
+        each candidate's rows on their own.
+        """
+        builds: list = []
+        for params in params_list:
+            build = object.__new__(cls)
+            try:
+                build._setup(ts, pipeline, params, horizon, window_policy, i_train, i_val)
+            except ValueError as exc:
+                build = exc
+            builds.append(build)
+        live = [i for i, build in enumerate(builds) if isinstance(build, cls)]
+        tunes = [None] * len(live)
+        if pipeline == "walkforward_ewt" and live:
+            first = builds[live[0]]
+            try:
+                tunes = _build_family(ts, [builds[i].wf_cfg for i in live], first.start,
+                                      first.tune_stop, [builds[i].frozen for i in live])
+            except ValueError as exc:
+                tunes = [exc] * len(live)
+        for i, tune in zip(live, tunes):
+            try:
+                builds[i]._keep_tune(tune)
+            except ValueError as exc:
+                builds[i] = exc
+        return builds
+
+    def _setup(self, ts: TimeSeries, pipeline: str, params: dict, horizon: int,
+               window_policy, i_train: int, i_val: int) -> None:
+        """Everything but the tuning rows: the resolved config, the origin
+        ranges and any frozen edges."""
         self.ts = ts
         self.pipeline = pipeline
         self.params = params
         self.horizon = horizon
+        self.i_train = i_train
         n = len(ts)
         h = horizon
         lags = params["lags"]
@@ -619,10 +667,18 @@ class _PipelineBuild:
         self.frozen = None
         if pipeline == "walkforward_ewt" and self.wf_cfg.boundary_mode == FROZEN_FROM_TRAIN:
             self.frozen = freeze_boundaries(ts, self.wf_cfg, self.start)
-        self.tune = self._build(self.start, self.tune_stop)
-        targets = self.tune.origin_indices + h
-        self.train_mask = targets < i_train
-        self.val_mask = targets >= i_train
+
+    def _keep_tune(self, tune=None) -> None:
+        """Keep the tuning rows, built here unless given, and split them at the
+        training span; a given ``tune`` may be the ``ValueError`` its build raised."""
+        if tune is None:
+            tune = self._build(self.start, self.tune_stop)
+        if isinstance(tune, ValueError):
+            raise tune
+        self.tune = tune
+        targets = tune.origin_indices + self.horizon
+        self.train_mask = targets < self.i_train
+        self.val_mask = targets >= self.i_train
         if not self.train_mask.any():
             raise ValueError("no training rows inside the training span")
 
@@ -841,18 +897,44 @@ def _numeric_stack() -> dict:
             "numpy_simd": config.get("SIMD Extensions")}
 
 
+def _candidate_builds(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val: int):
+    """Yield each pipeline candidate in order with its build, or the
+    ``ValueError`` the build raised.
+
+    Adaptive walk-forward candidates that differ only in ``n_bands`` and
+    ``gamma`` are one :meth:`_PipelineBuild.group`, built when its first
+    candidate comes up. Frozen edges leave such a group nothing to share but
+    window views, so every other candidate is a group of one, and its
+    dataset is held only while it is searched.
+    """
+    candidates = cfg.grid.pipeline_candidates(cfg.pipeline)
+
+    def group_key(p: dict) -> tuple:
+        if cfg.pipeline == "walkforward_ewt" and p["boundary_mode"] == ADAPTIVE_PER_STEP:
+            return p["lags"], p["boundary_mode"]
+        return tuple(p.values())
+
+    groups = _groups(candidates, group_key)
+    group_of = {i: group for group in groups for i in group}
+    built: dict = {}
+    for i, params in enumerate(candidates):
+        if i not in built:
+            members = group_of[i]
+            built.update(zip(members, _PipelineBuild.group(
+                ts, cfg.pipeline, [candidates[j] for j in members], cfg.horizon, cfg.window,
+                i_train, i_val)))
+        yield params, built.pop(i)
+
+
 def _tune_family(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val: int,
                  leaderboard: list):
     """Search pipeline x model candidates; return the winning build, params and
     the winner's validation forecast."""
     best = None
-    for pipe_params in cfg.grid.pipeline_candidates(cfg.pipeline):
-        try:
-            build = _PipelineBuild(ts, cfg.pipeline, pipe_params, cfg.horizon,
-                                   cfg.window, i_train, i_val)
-        except ValueError as exc:
+    for pipe_params, build in _candidate_builds(cfg, ts, i_train, i_val):
+        if isinstance(build, ValueError):
             leaderboard.append({"pipeline": pipe_params, "params": None,
-                                "val_rmse": None, "error": f"feature build failed: {exc}"})
+                                "val_rmse": None, "error": f"feature build failed: {build}"})
             continue
         train_rows, val_rows = build.train_rows(), build.val_rows()
         scaler, scaled_train, scaled_val = _scale_pair(cfg.scaler, train_rows, val_rows)

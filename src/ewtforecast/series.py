@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -224,23 +223,40 @@ def load_csv(path, column=0, has_header: bool = False) -> TimeSeries:
             except StopIteration:
                 raise ValueError(f"empty series in {path}") from None
         idx, name = _resolve_column(column, header)
-        values = []
-        for row_no, row in enumerate(reader, start=1):
-            if not any(cell.strip() for cell in row):
+        rows = list(reader)
+    values = []
+    for row_no, row in enumerate(rows, start=1):
+        try:
+            values.append(float(row[idx]))  # float() ignores surrounding whitespace
+        except (ValueError, IndexError):
+            if _blank(row):
                 continue
+            _check_finite(values, rows, idx, path)  # a non-finite row above comes first
             if idx >= len(row):
-                raise ValueError(f"row {row_no} has no column {idx} in {path}")
-            cell = row[idx].strip()
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ValueError(f"cannot parse cell {cell!r} at row {row_no} of {path}") from None
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite cell {cell!r} at row {row_no} of {path}")
-            values.append(value)
+                raise ValueError(f"row {row_no} has no column {idx} in {path}") from None
+            raise ValueError(f"cannot parse cell {row[idx].strip()!r} at row {row_no} "
+                             f"of {path}") from None
     if not values:
         raise ValueError(f"empty series in {path}")
-    return TimeSeries(np.asarray(values), name=name)
+    return TimeSeries(_check_finite(values, rows, idx, path), name=name)
+
+
+def _blank(row: list) -> bool:
+    return not any(cell.strip() for cell in row)
+
+
+def _check_finite(values: list, rows: list, idx: int, path) -> np.ndarray:
+    """``values``, read from the leading ``rows``, as an array; raises for the
+    first non-finite one, naming its cell and its row."""
+    arr = np.asarray(values, dtype=np.float64)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        # Value i was read from the i-th row that is not blank.
+        filled = [row_no for row_no, row in enumerate(rows, start=1) if not _blank(row)]
+        row_no = filled[int(np.argmin(finite))]
+        cell = rows[row_no - 1][idx].strip()
+        raise ValueError(f"non-finite cell {cell!r} at row {row_no} of {path}")
+    return arr
 
 
 def _resolve_column(column, header) -> tuple[int, str]:

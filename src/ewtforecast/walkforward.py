@@ -20,6 +20,15 @@ its windows with that matrix. With
 adaptive edges each chunk of rows takes one real FFT, which feeds both the
 batched edge detection and the stack of per-row banks on the one-sided grid,
 and a fixed real basis maps each filtered spectrum to its band's tail.
+
+Configs that differ only in ``n_bands`` and ``gamma``, such as the candidates
+of a model search, are built in one pass over the origins by
+:func:`_build_family`, whose one-config case is
+:func:`build_walkforward_features`. They share the windows and raw lags and,
+per adaptive chunk, the FFT, the smoothing and the ranking of spectral peaks;
+the edges of every band count and the banks of every config are each one
+stacked evaluation. Only the product with the tail basis runs per config, so
+every row is bit for bit what a build of its config alone gives.
 :func:`causal_decompose_at` decomposes one origin in full with the scalar EWT
 functions and is the reference the batched rows are tested against, within a
 stated rounding tolerance.
@@ -27,7 +36,8 @@ stated rounding tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -36,7 +46,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ewtforecast.ewt import (
     EwtBoundaries,
-    band_edges,
+    _band_edge_stack,
+    _filter_bank_stack,
     build_filter_bank,
     check_edges,
     decompose,
@@ -55,9 +66,10 @@ MIN_WINDOW_MARGIN = 8
 DEFAULT_WINDOW_FLOOR = 128
 # Size of one adaptive chunk's largest temporaries: its filtered one-sided
 # spectra (rows x bands x 2 x bins floats) and its banks' per-edge arrays (rows
-# x (bands - 1) x bins floats). Larger chunks buy little speed and raise peak
-# memory by a few times this amount.
-CHUNK_BYTES = 1 << 19
+# x (bands - 1) x bins floats), summed over the configs built together. Most
+# of a chunk's cost is per numpy call, so smaller chunks cost time; larger
+# ones buy little and raise peak memory by a few times this amount.
+CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -179,7 +191,7 @@ def _check_range(ts: TimeSeries, cfg: WalkForwardConfig, start: int, stop: int) 
 
 
 def _row_bytes(n_bands: int, width: int) -> int:
-    """Bytes of one row's largest temporaries in adaptive mode (see ``CHUNK_BYTES``)."""
+    """Bytes of one row's largest temporaries for one adaptive config (see ``CHUNK_BYTES``)."""
     return 8 * (width // 2 + 1) * (3 * n_bands - 1)
 
 
@@ -243,60 +255,125 @@ def build_walkforward_features(
 
     ``meta`` counts uniform-fallback edges and clipped ``gamma`` (per row in
     adaptive mode, once for frozen edges). Both modes work in real arithmetic,
-    so ``max_imag_residue`` is always 0.0.
+    so ``max_imag_residue`` is always 0.0. The one-config case of
+    :func:`_build_family`.
     """
-    _check_range(ts, cfg, start, stop)
-    frozen = frozen_boundaries
-    if frozen is None and cfg.boundary_mode == FROZEN_FROM_TRAIN:
-        frozen = freeze_boundaries(ts, cfg, start)
+    (ds,) = _build_family(ts, [cfg], start, stop, [frozen_boundaries])
+    if isinstance(ds, ValueError):
+        raise ds
+    return ds
 
+
+def _build_family(ts: TimeSeries, cfgs, start: int, stop: int, frozen_boundaries=None) -> list:
+    """:func:`build_walkforward_features` for configs that differ only in
+    ``n_bands`` and ``gamma``, in one pass over the origins.
+
+    ``frozen_boundaries`` holds each config's frozen edges or None. Entry ``k``
+    is, bit for bit, what ``build_walkforward_features(ts, cfgs[k], start,
+    stop, frozen_boundaries[k])`` returns, or the ``ValueError`` it would raise
+    for that config alone; a range or window that fits no config raises. The
+    windows and raw lags are shared. Per adaptive chunk, the ``rfft``, the
+    smoothing and the peak ranking run once, the edges of every band count
+    and the banks of every config are each one stacked evaluation, and only
+    the product with the tail basis runs per config, so that a row keeps one
+    product shape.
+    """
+    cfg = cfgs[0]
+    if any(replace(c, n_bands=cfg.n_bands, gamma=cfg.gamma) != cfg for c in cfgs[1:]):
+        raise ValueError("the configs of one family may differ only in n_bands and gamma")
+    _check_range(ts, cfg, start, stop)
     origins = np.arange(start, stop, dtype=np.int64)
+    widths = cfg.window_widths(origins)
+    results: list = [None] * len(cfgs)
+    frozen = list(frozen_boundaries or [None] * len(cfgs))
+    if cfg.boundary_mode == FROZEN_FROM_TRAIN:
+        for k, c in enumerate(cfgs):
+            if frozen[k] is None:
+                try:
+                    frozen[k] = freeze_boundaries(ts, c, start)
+                except ValueError as exc:
+                    results[k] = exc
+
     values = ts.values
     lags = cfg.lags
-    X = np.empty((origins.size, cfg.feature_dim))
-
-    widths = cfg.window_widths(origins)
-    group_starts = np.flatnonzero(np.diff(widths, prepend=-1))
-    fallbacks = clipped = 0
-    for first, last in zip(group_starts, np.append(group_starts[1:], origins.size)):
+    live = [k for k, result in enumerate(results) if result is None]
+    X = [np.empty((origins.size, c.feature_dim)) for c in cfgs]
+    fallbacks = [0] * len(cfgs)
+    clipped = [0] * len(cfgs)
+    bounds = [0, *(np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist(), origins.size]
+    for first, last in zip(bounds, bounds[1:]):
         width = int(widths[first])
         # windows[i] ends at origin first + i; consecutive origins overlap.
         windows = sliding_window_view(values, width)[start + first - width + 1:
                                                      start + last - width + 1]
-        X[first:last, :lags] = windows[:, -lags:]
+        for k in live:
+            X[k][first:last, :lags] = windows[:, -lags:]
         # Every product below is a stack of per-row products, so that a row's
         # product has one shape whatever the number of rows: as a 2-D product,
         # a single row would take another BLAS kernel and round differently
         # from the same row inside a larger build.
-        if frozen is not None:
-            responses, gamma_eff = filter_bank_responses(frozen.omegas[None], width, cfg.gamma)
-            clipped = int(gamma_eff[0] < cfg.gamma)
+        adaptive = []
+        for k in live:
+            if frozen[k] is None:
+                adaptive.append(k)
+                continue
+            responses, gamma_eff = filter_bank_responses(frozen[k].omegas[None], width,
+                                                         cfgs[k].gamma)
+            clipped[k] = int(gamma_eff[0] < cfgs[k].gamma)
             taps = _frozen_taps(responses[0], width, lags)
-            np.matmul(windows[:, None, :], taps, out=X[first:last, None, lags:])
+            np.matmul(windows[:, None, :], taps, out=X[k][first:last, None, lags:])
+        if not adaptive:
             continue
         basis = _tail_basis(width, lags)
-        chunk = max(1, CHUNK_BYTES // _row_bytes(cfg.n_bands, width))
+        chunk = max(1, CHUNK_BYTES // sum(_row_bytes(cfgs[k].n_bands, width) for k in adaptive))
         for lo in range(0, windows.shape[0], chunk):
             block = windows[lo: lo + chunk]
             rows = block.shape[0]
             spectra = np.fft.rfft(block, axis=1)
-            omegas, fallback = band_edges(np.abs(spectra), width, cfg.n_bands)
-            check_edges(omegas)
-            responses, gamma_eff = filter_bank_responses(omegas, width, cfg.gamma)
-            fallbacks += int(np.count_nonzero(fallback))
-            clipped += int(np.count_nonzero(gamma_eff < cfg.gamma))
+            counts = list(dict.fromkeys(cfgs[k].n_bands for k in adaptive))
+            edges, fallback = _band_edge_stack(np.abs(spectra), width, counts)
+            offsets = [0, *itertools.accumulate(n - 1 for n in counts)]
+            for j, n in enumerate(counts):
+                try:
+                    check_edges(edges[:, offsets[j]: offsets[j + 1]])
+                except ValueError as exc:
+                    for k in adaptive:
+                        if cfgs[k].n_bands == n:
+                            results[k] = exc
+            adaptive = [k for k in adaptive if results[k] is None]
+            if not adaptive:
+                break
+            # Each config's bank takes its band count's edge columns.
+            slot = [counts.index(cfgs[k].n_bands) for k in adaptive]
+            if slot != list(range(len(counts))):
+                edges = edges[:, [c for j in slot for c in range(offsets[j], offsets[j + 1])]]
+            responses, gamma_eff = _filter_bank_stack(
+                edges, width, [(cfgs[k].n_bands, cfgs[k].gamma) for k in adaptive])
             # Each band's filtered spectrum as [real parts | imaginary parts],
-            # the basis's row order: (R, K, 2 * bins).
-            parts = np.stack((spectra.real, spectra.imag), axis=1)[:, None]
-            filtered = (responses[:, :, None] * parts).reshape(rows, cfg.n_bands, -1)
-            X[first + lo: first + lo + rows, lags:] = (filtered @ basis).reshape(rows, -1)
+            # the basis's row order: (R, bands of every config, 2 * bins).
+            parts = np.empty((rows, 1, 2, spectra.shape[1]))
+            parts[:, 0, 0] = spectra.real
+            parts[:, 0, 1] = spectra.imag
+            filtered = (responses[:, :, None] * parts).reshape(rows, responses.shape[1], -1)
+            band = 0
+            for i, (k, j) in enumerate(zip(adaptive, slot)):
+                n = cfgs[k].n_bands
+                fallbacks[k] += int(np.count_nonzero(fallback[:, j]))
+                clipped[k] += int(np.count_nonzero(gamma_eff[i] < cfgs[k].gamma))
+                tails = filtered[:, band: band + n] @ basis
+                X[k][first + lo: first + lo + rows, lags:] = tails.reshape(rows, -1)
+                band += n
+        live = [k for k in live if results[k] is None]
     Y = values[origins + cfg.horizon].reshape(-1, 1)
-    meta = {
-        "fallback_count": int(frozen.uniform_fallback if frozen is not None else fallbacks),
-        "gamma_clipped_count": clipped,
-        "max_imag_residue": 0.0,
-    }
-    return WindowedDataset._adopt(X, Y, origins, meta)
+    for k in live:
+        meta = {
+            "fallback_count": int(frozen[k].uniform_fallback if frozen[k] is not None
+                                  else fallbacks[k]),
+            "gamma_clipped_count": clipped[k],
+            "max_imag_residue": 0.0,
+        }
+        results[k] = WindowedDataset._adopt(X[k], Y, origins, meta)
+    return results
 
 
 def leaky_features(ts: TimeSeries, cfg: WalkForwardConfig, start: int, stop: int) -> WindowedDataset:

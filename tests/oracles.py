@@ -4,7 +4,8 @@ Each oracle deliberately avoids the code paths it checks: the ridge solution
 comes from plain gradient descent, and from scipy's ``cho_factor``/``cho_solve``
 on the same primal or dual system, the ridge objective is evaluated term by term, the model searches fit every candidate from
 scratch (one ``rvfl.fit``/``fit_edrvfl`` and one prediction each, one ridge fit
-per regularization value in the linear baseline), spectra from direct O(n^2) summation,
+per regularization value in the linear baseline), the feature builds of a run
+one pipeline candidate at a time, spectra from direct O(n^2) summation,
 spectral peaks from a scan over runs of equal values, band edges from that scan
 plus a Python ranking and one ``argmin`` per edge, filter banks from the
 closed-form responses evaluated at every FFT bin, walk-forward band tails from
@@ -196,6 +197,18 @@ def validation_refit_forecast(cfg, build, model_info):
     )
     model = edrvfl.fit_edrvfl(train_rows.X, train_rows.Y, ed_cfg, scaler)
     return edrvfl.ensemble_predict(model, val_rows.X)
+
+
+def candidate_builds_one_by_one(cfg, ts, i_train, i_val):
+    """``harness._candidate_builds`` with one ``_PipelineBuild`` per candidate,
+    each building its own tuning rows through ``harness.build_walkforward_features``."""
+    for params in cfg.grid.pipeline_candidates(cfg.pipeline):
+        try:
+            build = harness._PipelineBuild(ts, cfg.pipeline, params, cfg.horizon, cfg.window,
+                                           i_train, i_val)
+        except ValueError as exc:
+            build = exc
+        yield params, build
 
 
 def build_walkforward_features_fft(ts, cfg, start, stop, frozen_boundaries=None):

@@ -8,7 +8,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ewtforecast import edrvfl, harness, rvfl
+from ewtforecast import edrvfl, ewt, harness, rvfl, walkforward
 from ewtforecast.edrvfl import EdRvflConfig, fit_edrvfl, ensemble_predict
 from ewtforecast.harness import (
     ConfigError,
@@ -796,7 +796,51 @@ def test_forecasts_match_the_full_fft_feature_build_within_tolerance(tmp_path, m
     report = run_experiment(cfg)
     monkeypatch.setattr(harness, "build_walkforward_features",
                         oracles.build_walkforward_features_fft)
+    # One build per candidate, so that the tuning rows go through the oracle too.
+    monkeypatch.setattr(harness, "_candidate_builds", oracles.candidate_builds_one_by_one)
     assert_reports_close(report, run_experiment(cfg))
+
+
+@pytest.mark.parametrize("family", ["rvfl", "edrvfl"])
+@pytest.mark.parametrize("failing_bands", [None, 2])
+def test_report_files_equal_those_of_one_feature_build_per_candidate(tmp_path, monkeypatch,
+                                                                     family, failing_bands):
+    # Adaptive candidates that differ only in n_bands and gamma share one
+    # walk-forward pass over the origins. Every output file must read as when
+    # each candidate builds its own rows, and a build error of one band count
+    # must fail only that count's candidates, each in its usual leaderboard slot.
+    values = np.sin(np.arange(360) * 0.23) + 0.2 * np.random.default_rng(41).normal(size=360)
+    path = write_series(tmp_path, values)
+    grid = GridSpace(n_enhancement=(10,), regularization=(1.0, 10.0), lags=(4, 6),
+                     n_bands=(1, 2, 3), gamma=(0.1, 0.3),
+                     boundary_mode=("adaptive_per_step", "frozen_from_train"))
+    cfg = walk_config(tmp_path, path, family=family, pipeline="walkforward_ewt", grid=grid,
+                      max_layers=2)
+    if failing_bands is not None:
+        check_edges = ewt.check_edges
+
+        def failing_check(omegas):
+            if omegas.shape[-1] == failing_bands - 1:
+                raise ValueError(f"no edges for {failing_bands} bands")
+            check_edges(omegas)
+
+        # Adaptive builds check their edges in walkforward, frozen edges on construction.
+        monkeypatch.setattr(walkforward, "check_edges", failing_check)
+        monkeypatch.setattr(ewt, "check_edges", failing_check)
+
+    def output_files(name):
+        paths = write_report(run_experiment(cfg), tmp_path / name)
+        report = json.loads(paths["report"].read_text())
+        del report["meta"]["wall_time_s"]
+        return (json.dumps(report, indent=2, sort_keys=True), paths["metrics"].read_bytes(),
+                paths["forecasts"].read_bytes())
+
+    grouped = output_files("grouped")
+    monkeypatch.setattr(harness, "_candidate_builds", oracles.candidate_builds_one_by_one)
+    assert grouped == output_files("one_by_one")
+    failed = [entry["pipeline"]["n_bands"] for entry in json.loads(grouped[0])["leaderboard"]
+              if entry["error"] is not None]
+    assert failed == ([] if failing_bands is None else [failing_bands] * 8)
 
 
 def _expit_in_place(x):

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ewtforecast import harness
 from ewtforecast.series import (
@@ -64,6 +66,32 @@ def test_load_csv_names_a_non_finite_cell_and_its_row(tmp_path, cell):
     f.write_text(f"1.0\n\n2.0\n\n{cell}\n3.0\n")
     with pytest.raises(ValueError, match=rf"non-finite cell '{cell.strip()}' at row 5 of "):
         load_csv(f, 0)
+
+
+HEADER = ("a", "b, with a comma", "c")
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                       max_size=30),
+       column=st.sampled_from(range(3)) | st.sampled_from(HEADER), data=st.data())
+def test_load_csv_round_trips_values_through_a_header_blank_lines_and_quoted_cells(
+        tmp_path, values, column, data):
+    idx = HEADER.index(column) if isinstance(column, str) else column
+    lines = [",".join(f'"{name}"' for name in HEADER)]
+    for value in values:
+        lines += data.draw(st.lists(st.sampled_from(["", "  ", " , ,", '"",""']), max_size=2),
+                           label="blank lines")
+        cell = data.draw(st.sampled_from(["{}", " {} ", '"{}"', '" {} "']), label="cell")
+        cells = ['"x, y"', "z", "7"]
+        cells[idx] = cell.format(repr(value))
+        lines.append(",".join(cells))
+    f = tmp_path / "round_trip.csv"
+    f.write_text("\n".join(lines) + "\n")
+    ts = load_csv(f, column, has_header=True)
+    assert ts.values.tobytes() == np.array(values).tobytes()
+    assert ts.name == HEADER[idx]
 
 
 def test_load_csv_missing_file():

@@ -179,6 +179,80 @@ def test_a_row_does_not_depend_on_the_build_range_or_the_chunking(seed, lags, n_
             assert row.tobytes() == full[t - start].tobytes()
 
 
+def tone_series(n, n_tones, seed):
+    """A level plus ``n_tones`` sinusoids at well-separated periods: a window of
+    64 or more samples has a smoothed spectrum with ``n_tones + 1`` peaks."""
+    phases = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, size=n_tones)
+    t = np.arange(n)
+    return 5.0 + sum(np.sin(2 * np.pi * t / p + f) for p, f in zip((11.3, 4.1, 2.6), phases))
+
+
+def assert_family_equals_single_builds(ts, cfgs, start, stop):
+    family = walkforward._build_family(ts, cfgs, start, stop)
+    assert len(family) == len(cfgs)
+    for cfg, got in zip(cfgs, family):
+        try:
+            expected = build_walkforward_features(ts, cfg, start, stop)
+        except ValueError as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+            continue
+        for name in ("X", "Y", "origin_indices"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+        assert got.meta == expected.meta
+    return family
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_tones=st.integers(0, 3), lags=st.integers(1, 8),
+       band_counts=st.lists(st.integers(1, 5), min_size=1, max_size=4, unique=True),
+       gammas=st.lists(st.sampled_from([0.05, 0.2, 0.5, 0.9]), min_size=1, max_size=2,
+                       unique=True),
+       mode=st.sampled_from(BOUNDARY_MODES),
+       window=st.sampled_from(["auto", "all"]) | st.integers(16, 160),
+       chunk_rows=st.integers(1, 5), failing_bands=st.none() | st.integers(1, 5),
+       data=st.data())
+def test_a_family_build_equals_one_build_per_config(seed, n_tones, lags, band_counts, gammas,
+                                                    mode, window, chunk_rows, failing_bands,
+                                                    data):
+    # Configs that differ only in n_bands and gamma share one pass over the
+    # origins; each must get the single build's dataset bit for bit, or the
+    # error its build alone raises. Tone series make band counts above the
+    # peak count fall back to uniform edges while smaller counts do not.
+    cfgs = [WalkForwardConfig(n_bands=k, lags=lags, window=window, gamma=g, boundary_mode=mode)
+            for k in band_counts for g in gammas]
+    first = window - 1 if isinstance(window, int) else lags + MIN_WINDOW_MARGIN - 1
+    n = data.draw(st.integers(first + 2, first + 200), label="n")
+    start = data.draw(st.integers(first, n - 2), label="start")
+    stop = start + data.draw(st.integers(1, n - 1 - start), label="rows")
+    noise = np.random.default_rng(seed).normal(size=n)
+    ts = TimeSeries(tone_series(n, n_tones, seed) + 1e-3 * noise if n_tones
+                    else np.cumsum(noise))
+    width = cfgs[0].window_at(stop - 1)
+    chunk_bytes = chunk_rows * sum(walkforward._row_bytes(c.n_bands, width) for c in cfgs)
+    check_edges = walkforward.check_edges
+
+    def failing_check(omegas):
+        if omegas.shape[-1] == failing_bands - 1:
+            raise ValueError(f"no edges for {failing_bands} bands")
+        check_edges(omegas)
+
+    with mock.patch.object(walkforward, "CHUNK_BYTES", chunk_bytes), \
+            mock.patch.object(walkforward, "check_edges",
+                              check_edges if failing_bands is None else failing_check):
+        assert_family_equals_single_builds(ts, cfgs, start, stop)
+
+
+@pytest.mark.parametrize("mode", BOUNDARY_MODES)
+def test_a_family_where_only_the_largest_band_count_falls_back(mode):
+    # Two tones and a level: three spectral peaks in every window, so four
+    # bands fall back to uniform edges and two or three do not.
+    ts = TimeSeries(tone_series(400, 2, seed=5))
+    cfgs = [WalkForwardConfig(n_bands=k, lags=4, window=64, gamma=0.3, boundary_mode=mode)
+            for k in (2, 3, 4)]
+    family = assert_family_equals_single_builds(ts, cfgs, 63, 390)
+    assert [ds.meta["fallback_count"] > 0 for ds in family] == [False, False, True]
+
+
 def test_causal_decompose_ignores_future_values():
     base = noisy_two_tone(300, seed=2)
     cfg = WalkForwardConfig(n_bands=2, lags=3, window=64)
