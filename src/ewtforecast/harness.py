@@ -4,9 +4,10 @@ An experiment loads a series, splits it chronologically, builds features for
 one of three pipelines (raw lags, walk-forward band decomposition, or the
 deliberately leaky full-series decomposition), tunes hyper-parameters on the
 validation span, refits on train+validation, and evaluates the test span.
-Persistence and plain-ridge baselines are always evaluated alongside so
-improvements stay interpretable. Test rows are assembled exactly once, after
-tuning has finished.
+Persistence and linear baselines are always evaluated alongside so improvements
+stay interpretable. The linear baseline, ridge on the raw lags, is the RVFL
+search with no enhancement nodes, run by the same candidate loop. Every search,
+the baseline's included, ends before any test row is assembled.
 
 Model search solves each ridge problem once: candidates that differ only in
 regularization share one hidden layer, one pair of designs and one Gram matrix,
@@ -34,6 +35,7 @@ import os
 import secrets
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from functools import cache
 from pathlib import Path
 from typing import NamedTuple, get_args, get_type_hints
 
@@ -79,6 +81,7 @@ _DATA = "data_"  # prefix of the ExperimentConfig fields kept under "data" in JS
 # written while the model search had a thread pool carries "jobs": 1; the key
 # never changed a forecast, and dropping it keeps those reports rerunnable.
 _IGNORED_KEYS = ("jobs",)
+_type_hints = cache(get_type_hints)  # a config class's hints never change
 
 
 class ConfigError(ValueError):
@@ -169,7 +172,7 @@ class GridSpace:
     seeds: tuple[int, ...] = (0,)
 
     def __post_init__(self):
-        for name, hint in get_type_hints(type(self)).items():
+        for name, hint in _type_hints(type(self)).items():
             object.__setattr__(self, name,
                                _axis_values(name, getattr(self, name), get_args(hint)[0]))
 
@@ -246,7 +249,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "metrics", tuple(self.metrics))
-        for name, kind in get_type_hints(type(self)).items():
+        for name, kind in _type_hints(type(self)).items():
             value = getattr(self, name)
             # bool is an int subclass, but true/false is no count and no seed.
             if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
@@ -474,14 +477,18 @@ def grid_search(space: GridSpace, train: WindowedDataset, val: WindowedDataset,
     return GridSearchResult(best, best_rmse, outcomes, forecasts[candidates.index(best)])
 
 
-def _no_winner(outcomes) -> RuntimeError:
-    return RuntimeError(f"every grid candidate failed; the first: {outcomes[0].error}")
+class _NoWinner(RuntimeError):
+    """Every candidate of a model search failed; ``outcomes`` are their entries."""
+
+    def __init__(self, outcomes):
+        super().__init__(f"every grid candidate failed; the first: {outcomes[0].error}")
+        self.outcomes = outcomes
 
 
 def _pick_winner(candidates, outcomes):
     scored = [(o.val_rmse, tuple(c)) for c, o in zip(candidates, outcomes) if o.val_rmse is not None]
     if not scored:
-        raise _no_winner(outcomes)
+        raise _NoWinner(outcomes)
     best_rmse, best_tuple = min(scored)
     return type(candidates[0])(*best_tuple), best_rmse
 
@@ -562,7 +569,7 @@ def layerwise_grid_search(space: GridSpace, train: WindowedDataset, val: Windowe
     prefix = _Prefix(train.X, val.X)
     outcomes, best = run_stage(prefix, stage1)
     if best is None:
-        raise _no_winner(outcomes)
+        raise _NoWinner(outcomes)
     (best_rmse, nodes, regs, _), shared, *_ = best
     history = [best_rmse]
 
@@ -742,17 +749,13 @@ class ExperimentReport:
 
 
 def _scale_pair(kind: str, train: WindowedDataset, val: WindowedDataset):
-    """A scaler fitted on ``train`` and both datasets scaled by it, each scaled
-    ``X`` held once."""
+    """Both datasets scaled by a scaler fitted on ``train``, each scaled ``X``
+    held once."""
     if kind == "none":
-        return None, train, val
+        return train, val
     scaler = fit_scaler(train.X, kind)
-
-    def scaled(ds):
-        return WindowedDataset._adopt(apply_scaler(scaler, ds.X), ds.Y, ds.origin_indices,
-                                      ds.meta)
-
-    return scaler, scaled(train), scaled(val)
+    return tuple(WindowedDataset._adopt(apply_scaler(scaler, ds.X), ds.Y, ds.origin_indices,
+                                        ds.meta) for ds in (train, val))
 
 
 def _filter_metrics(metric_set, selection) -> dict:
@@ -791,11 +794,33 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     logger.info("experiment %s/%s: grid size %d", cfg.family, cfg.pipeline, grid_size)
 
     leaderboard: list[dict] = []
-    best = None  # (rmse, pipeline params, build, model info, validation forecast)
+    forecasts: dict[str, np.ndarray] = {}
+    chosen: dict = {"family": cfg.family}
+    validation_metrics = None
+    counters = _PipelineBuild.decomposition_counters()
 
     if cfg.family in ("rvfl", "edrvfl"):
-        best = _tune_family(cfg, ts, i_train, i_val, leaderboard)
-    counters = _PipelineBuild.decomposition_counters()
+        rmse_val, pipe_params, build, model_info, val_pred = _tune_family(
+            cfg, ts, i_train, i_val, leaderboard)
+        chosen_name, baseline_lags = cfg.family, pipe_params["lags"]
+    elif cfg.family == "baseline_persistence":
+        chosen_name, baseline_lags = "persistence", min(cfg.grid.lags)
+    else:
+        chosen_name, baseline_lags = "linear", None  # tuned by the baseline's search
+
+    # The baseline's search is tuning too, so it runs before any test row is built.
+    baseline_error = {}
+    try:
+        forecasts["linear"], linear_info = _linear_baseline(
+            cfg, ts, i_train, i_val, baseline_lags,
+            leaderboard if chosen_name == "linear" else [])
+    except RuntimeError as exc:
+        if chosen_name == "linear":
+            raise
+        # A baseline the run did not choose is left out, and the report says why.
+        baseline_error = {"linear_baseline_error": str(exc)}
+    if chosen_name == "linear":
+        chosen.update(linear_info)
 
     # Test-span scaffolding shared by every model.
     test_origins = np.arange(i_val - h, n - h, dtype=np.int64)
@@ -804,12 +829,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     refit_span = i_val if cfg.refit_on_train_plus_validation else i_train
     train_series = ts.values[:refit_span]
 
-    forecasts: dict[str, np.ndarray] = {}
-    chosen: dict = {"family": cfg.family}
-    validation_metrics = None
-
     if cfg.family in ("rvfl", "edrvfl"):
-        rmse_val, pipe_params, build, model_info, val_pred = best
         chosen.update({"pipeline_params": pipe_params, **model_info,
                        "validation_rmse": rmse_val})
         final_model = _refit_chosen(cfg, build, model_info)
@@ -826,25 +846,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         else:
             pred = edrvfl_mod.ensemble_predict(final_model, test_ds.X)
         forecasts[cfg.family] = pred.ravel()
-        chosen_name = cfg.family
         counters = build.decomposition_counters(build.tune, test_ds)
-        lags_for_baseline = pipe_params["lags"]
-    elif cfg.family == "baseline_persistence":
-        chosen_name = "persistence"
-        lags_for_baseline = min(cfg.grid.lags)
-    else:
-        chosen_name = "linear"
-        lags_for_baseline = None  # tuned below
 
     # Baselines are always evaluated on the same test origins.
     forecasts["persistence"] = ts.values[test_origins].copy()
-    linear_forecast, linear_info = _linear_baseline(
-        cfg, ts, i_train, i_val, lags_for_baseline, leaderboard if cfg.family == "baseline_linear" else [],
-    )
-    forecasts["linear"] = linear_forecast
-    if cfg.family == "baseline_linear":
-        chosen.update(linear_info)
-        chosen["validation_rmse"] = linear_info.get("validation_rmse")
     n_bad = int(np.count_nonzero(~np.isfinite(forecasts[chosen_name])))
     if n_bad:
         raise RuntimeError(f"the refit {cfg.family} model forecast {n_bad} non-finite "
@@ -871,6 +876,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             "split_indices": {"train_end": i_train, "validation_end": i_val},
             "grid_size": grid_size,
             **counters,
+            **baseline_error,
             **_numeric_stack(),
             "base_seed": cfg.seed,
             "wall_time_s": round(time.perf_counter() - started, 6),
@@ -929,37 +935,54 @@ def _candidate_builds(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val
 def _tune_family(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val: int,
                  leaderboard: list):
     """Search pipeline x model candidates; return the winning build, params and
-    the winner's validation forecast."""
-    best = None
+    the winner's validation forecast.
+
+    A candidate whose feature build or scaling fails, or whose model search has
+    no winner, leaves its failures on the leaderboard and the search moves on;
+    it raises only when no candidate wins.
+    """
+    first, best = len(leaderboard), None
     for pipe_params, build in _candidate_builds(cfg, ts, i_train, i_val):
-        if isinstance(build, ValueError):
-            leaderboard.append({"pipeline": pipe_params, "params": None,
-                                "val_rmse": None, "error": f"feature build failed: {build}"})
+        error = f"feature build failed: {build}" if isinstance(build, ValueError) else None
+        if error is None:
+            try:
+                train_rows, val_rows = _scale_pair(cfg.scaler, build.train_rows(),
+                                                   build.val_rows())
+            except ValueError as exc:
+                error = f"scaling failed: {exc}"
+        if error is not None:
+            leaderboard.append({"pipeline": pipe_params, "params": None, "val_rmse": None,
+                                "error": error})
             continue
-        train_rows, val_rows = build.train_rows(), build.val_rows()
-        scaler, scaled_train, scaled_val = _scale_pair(cfg.scaler, train_rows, val_rows)
-        if cfg.family == "rvfl":
-            result = grid_search(cfg.grid, scaled_train, scaled_val, base_seed=cfg.seed)
-            model_info = {"model_params": result.best.as_dict()}
-            key = (result.best_rmse, tuple(sorted(pipe_params.items())), tuple(result.best))
+        try:
+            if cfg.family == "rvfl":
+                result = grid_search(cfg.grid, train_rows, val_rows, base_seed=cfg.seed)
+                model_info = {"model_params": result.best.as_dict()}
+                model_key = (tuple(result.best),)
+            else:
+                result = layerwise_grid_search(cfg.grid, train_rows, val_rows, cfg.max_layers,
+                                               base_seed=cfg.seed)
+                model_info = {
+                    "model_params": result.shared.as_dict(),
+                    "layer_nodes": list(result.layer_nodes),
+                    "layer_regs": list(result.layer_regs),
+                    "layerwise_history": list(result.history),
+                }
+                model_key = (tuple(result.layer_nodes), tuple(result.layer_regs),
+                             tuple(result.shared))
+        except _NoWinner as exc:
+            result, outcomes = None, exc.outcomes
         else:
-            result = layerwise_grid_search(cfg.grid, scaled_train, scaled_val, cfg.max_layers,
-                                           base_seed=cfg.seed)
-            model_info = {
-                "model_params": result.shared.as_dict(),
-                "layer_nodes": list(result.layer_nodes),
-                "layer_regs": list(result.layer_regs),
-                "layerwise_history": list(result.history),
-            }
-            key = (result.best_rmse, tuple(sorted(pipe_params.items())),
-                   tuple(result.layer_nodes), tuple(result.layer_regs), tuple(result.shared))
-        for outcome in result.leaderboard:
-            leaderboard.append({"pipeline": pipe_params, **outcome.__dict__})
+            outcomes = result.leaderboard
+        leaderboard.extend({"pipeline": pipe_params, **o.__dict__} for o in outcomes)
+        if result is None:
+            continue
+        key = (result.best_rmse, tuple(sorted(pipe_params.items())), *model_key)
         if best is None or key < best[0]:
             best = (key, pipe_params, build, model_info, result.val_forecast)
     if best is None:
-        # Only feature builds fail here: a search whose every candidate fails raises.
-        raise RuntimeError(f"every pipeline candidate failed; the first: {leaderboard[0]['error']}")
+        raise RuntimeError("every pipeline candidate failed; the first: "
+                           f"{leaderboard[first]['error']}")
     key, pipe_params, build, model_info, val_forecast = best
     return key[0], pipe_params, build, model_info, val_forecast
 
@@ -980,43 +1003,28 @@ def _linear_baseline(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val:
                      lags: int | None, leaderboard: list):
     """Ridge on raw lags: persistence's honest competitor.
 
-    The lag budget follows the chosen model when one exists; regularization is
-    tuned on the validation span. Features stay unscaled by definition.
+    It is the RVFL search with no enhancement nodes, whose design is the lag
+    matrix itself: :func:`_tune_family` searches the lags (the chosen model's
+    when one exists) and the grid's regularization values, and the winner is
+    refitted as any other. Features stay unscaled by definition. Leaderboard
+    entries name only the lags and, once the build succeeded, the C.
     """
-    lag_candidates = [lags] if lags is not None else sorted(set(cfg.grid.lags))
-    reg_candidates = sorted(set(cfg.grid.regularization))
-    best = None
-    for lag in lag_candidates:
-        try:
-            build = _PipelineBuild(ts, "raw_lags", {"lags": lag}, cfg.horizon, cfg.window,
-                                   i_train, i_val)
-        except ValueError:
-            continue
-        # One Gram matrix per lag serves every regularization value.
-        train_rows, val_rows = build.train_rows(), build.val_rows()
-        forecasts = _group_forecasts(reg_candidates, _ridge_config,
-                                     lambda configs: _fit_group(configs, train_rows, val_rows)[2])
-        for reg in reg_candidates:
-            outcome = _outcome({"lags": lag, "regularization": reg}, forecasts[reg],
-                               val_rows.Y)
-            leaderboard.append({"pipeline": None, **outcome.__dict__})
-            key = (outcome.val_rmse, lag, reg)
-            if outcome.val_rmse is not None and (best is None or key < best[0]):
-                best = (key, build)
-    if best is None:
-        raise RuntimeError("linear baseline could not be fit on any lag candidate")
-    (rmse, lag, reg), build = best
-    refit_rows = build.refit_rows(cfg.refit_on_train_plus_validation)
-    model = rvfl_mod.fit(refit_rows.X, refit_rows.Y, _ridge_config(reg))
+    grid = GridSpace(n_enhancement=(0,), regularization=cfg.grid.regularization,
+                     lags=cfg.grid.lags if lags is None else (lags,))
+    ridge = replace(cfg, family="rvfl", pipeline="raw_lags", scaler="none", grid=grid)
+    entries: list = []
+    try:
+        rmse, pipe_params, build, model_info, _ = _tune_family(ridge, ts, i_train, i_val, entries)
+    finally:
+        for entry in entries:
+            params = dict(entry["pipeline"])
+            if entry["params"] is not None:
+                params["regularization"] = entry["params"]["regularization"]
+            leaderboard.append({**entry, "pipeline": None, "params": params})
+    model = _refit_chosen(ridge, build, model_info)
     pred = rvfl_mod.predict(model, build.test_rows().X).ravel()
-    info = {"model_params": {"lags": lag, "regularization": reg}, "validation_rmse": rmse}
-    return pred, info
-
-
-def _ridge_config(regularization: float) -> RvflConfig:
-    """Plain ridge on the raw lags: direct links only, no bias."""
-    return RvflConfig(n_enhancement=0, regularization=regularization, direct_link=True,
-                      output_bias=False, seed=0)
+    reg = model_info["model_params"]["regularization"]
+    return pred, {"model_params": {**pipe_params, "regularization": reg}, "validation_rmse": rmse}
 
 
 def _write_atomically(path: Path, text: str) -> None:
@@ -1099,14 +1107,13 @@ def write_report(report: ExperimentReport, out_dir) -> dict:
     metrics = [["model", "series", "horizon", "n_test", *columns]]
     for model in models:
         vals = report.test_metrics[model]
-        cells = ["" if vals[c] is None else repr(vals[c]) for c in columns]
         metrics.append([model, report.meta["series_name"], report.config.horizon,
-                        len(report.origins), *cells])
+                        len(report.origins), *(vals[c] for c in columns)])
     _write_atomically(paths["metrics"], _csv_text(metrics))
 
     rows = [["model", "origin", "actual", "forecast"]]
     for model in sorted(report.forecasts):
         for origin, actual, pred in zip(report.origins, report.actuals, report.forecasts[model]):
-            rows.append([model, origin, repr(actual), repr(pred)])
+            rows.append([model, origin, actual, pred])
     _write_atomically(paths["forecasts"], _csv_text(rows))
     return paths

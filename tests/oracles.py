@@ -144,6 +144,12 @@ def layerwise_per_candidate(space, train, val, max_layers, base_seed=0):
     return LayerwiseResult(nodes, regs, shared, best_rmse, tuple(history), leaderboard, forecast)
 
 
+def ridge_config(regularization):
+    """Plain ridge on the raw lags: direct links only, no bias."""
+    return rvfl.RvflConfig(n_enhancement=0, regularization=regularization, direct_link=True,
+                           output_bias=False, seed=0)
+
+
 def linear_baseline_per_candidate(cfg, ts, i_train, i_val, lags, leaderboard):
     """``harness._linear_baseline`` with one ridge fit and prediction per (lags, C)."""
     h = cfg.horizon
@@ -155,11 +161,15 @@ def linear_baseline_per_candidate(cfg, ts, i_train, i_val, lags, leaderboard):
         train_idx = np.flatnonzero(targets < i_train)
         val_idx = np.flatnonzero((targets >= i_train) & (targets < i_val))
         if train_idx.size == 0:
+            reason = (f"no tuning rows: first origin {lag - 1} reaches past the validation span"
+                      if lag - 1 >= i_val - h else "no training rows inside the training span")
+            leaderboard.append({"pipeline": None, "params": {"lags": lag}, "val_rmse": None,
+                                "error": f"feature build failed: {reason}"})
             continue
         for reg in sorted(set(cfg.grid.regularization)):
             params = {"lags": lag, "regularization": reg}
             try:
-                model = rvfl.fit(full.X[train_idx], full.Y[train_idx], harness._ridge_config(reg))
+                model = rvfl.fit(full.X[train_idx], full.Y[train_idx], ridge_config(reg))
                 rmse = harness._rmse(rvfl.predict(model, full.X[val_idx]), full.Y[val_idx])
             except (ValueError, RuntimeError) as exc:
                 leaderboard.append({"pipeline": None, "params": params, "val_rmse": None,
@@ -170,12 +180,13 @@ def linear_baseline_per_candidate(cfg, ts, i_train, i_val, lags, leaderboard):
             if best is None or (rmse, lag, reg) < best[0]:
                 best = ((rmse, lag, reg), lag, reg, full)
     if best is None:
-        raise RuntimeError("linear baseline could not be fit on any lag candidate")
+        raise RuntimeError("every pipeline candidate failed; the first: "
+                           f"{leaderboard[0]['error']}")
     (rmse, _, _), lag, reg, full = best
     targets = full.origin_indices + h
     refit_end = i_val if cfg.refit_on_train_plus_validation else i_train
     model = rvfl.fit(full.X[targets < refit_end], full.Y[targets < refit_end],
-                     harness._ridge_config(reg))
+                     ridge_config(reg))
     pred = rvfl.predict(model, full.X[targets >= i_val]).ravel()
     return pred, {"model_params": {"lags": lag, "regularization": reg}, "validation_rmse": rmse}
 

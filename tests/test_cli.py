@@ -143,6 +143,36 @@ def test_run_where_every_feature_build_fails_names_the_first_reason(series_csv, 
     assert not (tmp_path / "run").exists()
 
 
+def test_run_whose_linear_baseline_cannot_be_fit_leaves_it_out(tmp_path, capsys):
+    # 150 lags leave no training row in a 60 % span of 200 samples; persistence needs none.
+    path = tmp_path / "series.csv"
+    np.savetxt(path, np.sin(np.arange(200) * 0.1), delimiter=",")
+    grid = {"lags": [150], "regularization": [1.0]}
+    cfg = experiment_config(tmp_path, path, family="baseline_persistence", grid=grid)
+    assert cli.main(["run", "--config", str(cfg)]) == 0
+    out = tmp_path / "run"
+    report = json.loads((out / "report.json").read_text())
+    assert sorted(report["forecasts"]["models"]) == sorted(report["test_metrics"]) == \
+        ["persistence"]
+    assert report["meta"]["linear_baseline_error"] == (
+        "every pipeline candidate failed; the first: feature build failed: "
+        "no training rows inside the training span")
+    for name in ("metrics.csv", "forecasts.csv"):
+        with open(out / name) as fh:
+            assert {row[0] for row in list(csv.reader(fh))[1:]} == {"persistence"}
+    assert cli.main(["run", "--config", str(out / "report.json"),
+                     "--out", str(tmp_path / "rerun")]) == 0
+    assert (tmp_path / "rerun" / "forecasts.csv").read_bytes() == \
+        (out / "forecasts.csv").read_bytes()
+    # A run that chose the linear baseline still fails without it.
+    cfg = experiment_config(tmp_path, path, out_name="linear", family="baseline_linear",
+                            grid=grid)
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(cfg)]) == 3
+    assert "no training rows inside the training span" in capsys.readouterr().err
+    assert not (tmp_path / "linear").exists()
+
+
 def test_run_with_missing_file_exits_2(tmp_path, capsys):
     rc = cli.main(["run", "--config", str(tmp_path / "nope.json")])
     assert rc == 2

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ewtforecast import edrvfl, ewt, harness, rvfl, walkforward
@@ -25,7 +25,7 @@ from ewtforecast.harness import (
     write_report,
 )
 from ewtforecast.rvfl import ACTIVATIONS
-from ewtforecast.series import SplitSpec, TimeSeries, WindowedDataset
+from ewtforecast.series import SCALER_KINDS, SplitSpec, TimeSeries, WindowedDataset
 from ewtforecast.walkforward import (
     MIN_WINDOW_MARGIN,
     WalkForwardConfig,
@@ -536,6 +536,53 @@ def test_test_rows_extracted_once_after_tuning(tmp_path, monkeypatch):
     assert min(test_row_positions) > max(search_positions)
 
 
+def runs_around_a_cut(tmp_path, seed: int, cut: int, **overrides):
+    """One config run on a 400-sample series and on a copy whose values from
+    ``cut`` on are noise. Per run: the forecasts' bytes at origins before the
+    cut, the leaderboard, the choice and the validation metrics."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(400)
+    values = (np.sin(2 * np.pi * t / 11 + rng.uniform(0, 2 * np.pi))
+              + 0.8 * np.sin(2 * np.pi * t / 47) + 0.3 * rng.normal(size=t.size))
+    noisy = np.concatenate([values[:cut], rng.normal(size=t.size - cut)])
+    runs = []
+    for name, series in (("a.csv", values), ("b.csv", noisy)):
+        report = run_experiment(walk_config(tmp_path, write_series(tmp_path, series, name),
+                                            **overrides))
+        before = np.asarray(report.origins) < cut
+        runs.append(({m: np.asarray(f)[before].tobytes() for m, f in report.forecasts.items()},
+                     report.leaderboard, report.chosen, report.validation_metrics))
+    return runs
+
+
+causality_grid = dict(n_enhancement=(5, 10), regularization=(1.0, 10.0), lags=(4,),
+                      n_bands=(2, 3))
+
+
+@pytest.mark.parametrize("family", ["rvfl", "edrvfl"])
+@pytest.mark.parametrize("pipeline, mode", [("raw_lags", "adaptive_per_step"),
+                                            ("walkforward_ewt", "adaptive_per_step"),
+                                            ("walkforward_ewt", "frozen_from_train")])
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**16), cut=st.integers(320, 399),
+       window=st.sampled_from(["auto", "all"]) | st.integers(24, 96),
+       scaler=st.sampled_from(SCALER_KINDS), horizon=st.integers(1, 3))
+def test_nothing_before_a_cut_in_the_test_span_sees_a_value_after_it(
+        tmp_path, family, pipeline, mode, seed, cut, window, scaler, horizon):
+    # The split is 0.6/0.2, so the test span holds the targets 320..399.
+    before, after = runs_around_a_cut(
+        tmp_path, seed, cut, family=family, pipeline=pipeline, window=window, scaler=scaler,
+        horizon=horizon, max_layers=2, grid=GridSpace(**causality_grid, boundary_mode=(mode,)))
+    assert before == after
+
+
+def test_the_leaky_pipeline_fails_the_cut_property(tmp_path):
+    before, after = runs_around_a_cut(tmp_path, 0, 330, pipeline="leaky_ewt",
+                                      grid=GridSpace(**causality_grid))
+    assert before[1] != after[1]  # the leaderboard already sees the noise
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), lags=st.integers(1, 8), n_bands=st.integers(1, 4),
        window=st.sampled_from(["auto", "all"]) | st.integers(16, 90),
@@ -686,6 +733,69 @@ def test_linear_baseline_skips_a_non_finite_validation_forecast(tmp_path, monkey
     [failed] = [e for e in report.leaderboard if e["val_rmse"] is None]
     assert failed["params"]["regularization"] == 1e3
     assert failed["error"].startswith("non-finite validation forecast")
+
+
+@pytest.mark.parametrize("family", ["rvfl", "edrvfl", "baseline_persistence",
+                                    "baseline_linear"])
+def test_an_unfittable_linear_baseline_is_left_out_unless_chosen(tmp_path, monkeypatch, family):
+    values = np.cumsum(np.random.default_rng(34).normal(size=200))
+    cfg = walk_config(tmp_path, write_series(tmp_path, values), family=family,
+                      grid=GridSpace(n_enhancement=(5,), regularization=(1.0, 10.0), lags=(4,)))
+    assert "linear_baseline_error" not in run_experiment(cfg).meta
+    # Only the baseline's zero-node designs are 4 columns wide; every one forecasts NaN.
+    with_nan_weights(monkeypatch, lambda H, c: H.shape[1] == 4)
+    reason = "every pipeline candidate failed; the first: non-finite validation forecast"
+    if family == "baseline_linear":
+        with pytest.raises(RuntimeError, match=reason):
+            run_experiment(cfg)
+        return
+    report = run_experiment(cfg)
+    assert "linear" not in report.forecasts and "linear" not in report.test_metrics
+    assert report.meta["linear_baseline_error"].startswith(reason)
+
+
+def test_a_scaling_failure_fails_only_its_pipeline_candidate(tmp_path, monkeypatch):
+    values = np.cumsum(np.random.default_rng(35).normal(size=200))
+    original = harness.fit_scaler
+
+    def fit_scaler(X, kind):
+        if X.shape[1] == 4:
+            raise ValueError("injected scaling failure")
+        return original(X, kind)
+
+    monkeypatch.setattr(harness, "fit_scaler", fit_scaler)
+    grid = GridSpace(n_enhancement=(5,), regularization=(1.0, 10.0), lags=(4, 8))
+    report = run_experiment(walk_config(tmp_path, write_series(tmp_path, values),
+                                        scaler="zscore", grid=grid))
+    assert report.leaderboard[0] == {"pipeline": {"lags": 4}, "params": None, "val_rmse": None,
+                                     "error": "scaling failed: injected scaling failure"}
+    assert [e["pipeline"] for e in report.leaderboard[1:]] == [{"lags": 8}] * 2
+    assert report.chosen["pipeline_params"] == {"lags": 8}
+
+
+@pytest.mark.parametrize("family", ["rvfl", "edrvfl"])
+def test_a_search_without_a_winner_lists_every_candidate_and_the_next_one_wins(
+        tmp_path, monkeypatch, family):
+    values = np.cumsum(np.random.default_rng(36).normal(size=200))
+    original = harness._fit_group
+
+    def fit_group(configs, train, val, *inputs):
+        if train.n_features == 4:
+            raise ValueError("injected fit failure")
+        return original(configs, train, val, *inputs)
+
+    monkeypatch.setattr(harness, "_fit_group", fit_group)
+    grid = GridSpace(n_enhancement=(5, 10), regularization=(1.0, 10.0), lags=(4, 8))
+    report = run_experiment(walk_config(tmp_path, write_series(tmp_path, values), family=family,
+                                        grid=grid, max_layers=2))
+    candidates = grid.model_candidates(family)
+    failed = report.leaderboard[:len(candidates)]
+    assert [(e["params"]["n_enhancement"], e["params"]["regularization"]) for e in failed] == \
+        [(p.n_enhancement, p.regularization) for p in candidates]
+    assert all(e["pipeline"] == {"lags": 4} and e["val_rmse"] is None
+               and e["error"] == "injected fit failure" for e in failed)
+    assert report.chosen["pipeline_params"] == {"lags": 8}
+    assert "linear" in report.forecasts
 
 
 def test_non_finite_test_forecast_raises(tmp_path, monkeypatch):

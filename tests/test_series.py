@@ -230,7 +230,7 @@ def test_package_made_datasets_hold_their_rows_once():
     full = embed(ts, 40, 1)
     train, val = full.take(np.arange(2200)), full.take(np.arange(2200, full.n_samples))
     builds = [lambda: [embed(ts, 40, 1)], lambda: [full.take(np.arange(0, 2900, 2))]]
-    builds += [lambda kind=kind: harness._scale_pair(kind, train, val)[1:]
+    builds += [lambda kind=kind: harness._scale_pair(kind, train, val)
                for kind in ("zscore", "minmax")]
     for build in builds:
         tracemalloc.start()
