@@ -88,9 +88,7 @@ def _cmd_decompose(args) -> int:
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"band_{k}" for k in range(1, bank.n_bands + 1)] + ["original"])
-        for i in range(len(ts)):
-            writer.writerow([repr(float(v)) for v in dec.components[:, i]]
-                            + [repr(float(ts.values[i]))])
+        writer.writerows(np.column_stack([dec.components.T, ts.values]).tolist())
     if bounds.uniform_fallback:
         print("note: too few spectral peaks; uniform band segmentation was used")
     print(f"wrote {bank.n_bands} bands for {len(ts)} samples to {args.out}")

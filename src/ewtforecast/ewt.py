@@ -195,61 +195,53 @@ def check_edges(omegas: np.ndarray) -> None:
         raise ValueError("boundaries must be strictly increasing")
 
 
-def band_edges(magnitudes, signal_length: int, n_bands: int):
-    """Place ``n_bands - 1`` band edges on each row of a stack of spectra.
+def band_edges(magnitudes, signal_length: int, band_counts):
+    """Place ``K - 1`` band edges on each row of a stack of spectra, for every
+    band count ``K`` in ``band_counts``.
 
     ``magnitudes`` holds one one-sided magnitude spectrum per row, shape
-    ``(R, signal_length // 2 + 1)``. In each row the ``n_bands`` largest local
-    maxima of the spectrum smoothed by a moving average of width
-    ``SMOOTH_WINDOW`` are retained, highest first with ties to the lower bin,
-    and each edge sits at the first global minimum of the raw spectrum strictly
-    between two consecutive retained peaks. A row with fewer peaks than bands
-    segments (0, pi) uniformly and is flagged.
+    ``(R, signal_length // 2 + 1)``. In each row the ``K`` largest local maxima
+    of the spectrum smoothed by a moving average of width ``SMOOTH_WINDOW`` are
+    retained, highest first with ties to the lower bin, and each edge sits at
+    the first global minimum of the raw spectrum strictly between two
+    consecutive retained peaks. A row with fewer peaks than bands segments
+    (0, pi) uniformly and is flagged.
 
-    Returns the edges, shape ``(R, n_bands - 1)``, and the fallback flags, shape
-    ``(R,)``. The one-count case of :func:`_band_edge_stack`.
-    """
-    edges, fallback = _band_edge_stack(magnitudes, signal_length, (n_bands,))
-    return edges, fallback[:, 0]
-
-
-def _band_edge_stack(magnitudes, signal_length: int, band_counts):
-    """:func:`band_edges` of the same stack of spectra for every band count in
-    ``band_counts`` at once.
-
-    The smoothing, the peaks and their ranking are shared: the first ``k``
+    Returns one pair per entry of ``band_counts``: the edges, shape
+    ``(R, K - 1)``, and the fallback flags, shape ``(R,)``. Counts may repeat
+    and come in any order; a repeated count gets the same arrays. The
+    smoothing, the peaks and their ranking are shared, since the first ``k``
     peaks ranked for the largest count are those ranked for any count of at
-    least ``k``. The counts' edges sit side by side in the order of
-    ``band_counts``, shape ``(R, sum(K - 1))``, and are placed by one masked
-    ``argmin``; the fallback flags have shape ``(R, len(band_counts))``. Every
-    column equals, bit for bit, what :func:`band_edges` gives for its count.
+    least ``k``, and the edges of every distinct count are placed by one
+    masked ``argmin``, so each entry equals a one-count call's bit for bit.
     """
     for n_bands in band_counts:
         if n_bands < 1:
             raise ValueError(f"band count must be >= 1, got {n_bands}")
     mag = np.asarray(magnitudes, dtype=np.float64)
     n_rows, m = mag.shape
-    top = max(band_counts)
-    if top == 1:
-        return np.empty((n_rows, 0)), np.zeros((n_rows, len(band_counts)), dtype=bool)
+    # One band needs no peak, so it never falls back.
+    found = {1: (np.empty((n_rows, 0)), np.zeros(n_rows, dtype=bool))}
+    counts = [n for n in dict.fromkeys(band_counts) if n > 1]
+    if not counts:
+        return [found[1]] * len(band_counts)
     smoothed = _moving_average(mag, SMOOTH_WINDOW)
     peaks = _local_maxima(smoothed)
     n_peaks = np.bincount(peaks // m, minlength=n_rows)
-    # One band needs no peak, so it never falls back.
-    fallback = n_peaks[:, None] < [n if n > 1 else 0 for n in band_counts]
     height = np.full(mag.shape, -np.inf)  # each peak's smoothed height, -inf off peaks
     height.ravel()[peaks] = smoothed.ravel()[peaks]
     # Retain the highest peak of each row top times over, masking each winner;
     # argmax takes the first, lower bin on ties. Rows with fewer peaks than a
     # count get meaningless edges for it, overwritten below.
     rows = np.arange(n_rows)
+    top = max(counts)
     # 32-bit bins halve the traffic of the masks below.
     ranked = np.empty((n_rows, top), dtype=np.int32)
     for k in range(top):
         ranked[:, k] = height.argmax(axis=1)
         height[rows, ranked[:, k]] = -np.inf
     # Each edge lies strictly between two consecutive retained peaks in bin order.
-    kept = [np.sort(ranked[:, :n], axis=1) for n in band_counts if n > 1]
+    kept = [np.sort(ranked[:, :n], axis=1) for n in counts]
     below = np.concatenate([k[:, :-1] for k in kept], axis=1)
     above = np.concatenate([k[:, 1:] for k in kept], axis=1)
     bins = np.arange(m, dtype=np.int32)
@@ -257,15 +249,19 @@ def _band_edge_stack(magnitudes, signal_length: int, band_counts):
                        mag[:, None], np.inf)
     edges = 2.0 * np.pi * between.argmin(axis=2) / signal_length
     col = 0
-    for j, n_bands in enumerate(band_counts):
-        edges[fallback[:, j], col: col + n_bands - 1] = np.pi * np.arange(1, n_bands) / n_bands
+    for n_bands in counts:
+        omegas = edges[:, col: col + n_bands - 1]
+        fallback = n_peaks < n_bands
+        omegas[fallback] = np.pi * np.arange(1, n_bands) / n_bands
+        found[n_bands] = omegas, fallback
         col += n_bands - 1
-    return edges, fallback
+    return [found[n] for n in band_counts]
 
 
 def detect_boundaries(spectrum: Spectrum, n_bands: int) -> EwtBoundaries:
-    """Band edges of one spectrum: the one-row case of :func:`band_edges`."""
-    omegas, fallback = band_edges(spectrum.magnitudes[None], spectrum.signal_length, n_bands)
+    """Band edges of one spectrum: the one-row, one-count case of :func:`band_edges`."""
+    ((omegas, fallback),) = band_edges(spectrum.magnitudes[None], spectrum.signal_length,
+                                       (n_bands,))
     return EwtBoundaries(omegas[0], uniform_fallback=bool(fallback[0]))
 
 
@@ -274,99 +270,88 @@ def _smooth_step(x: np.ndarray) -> np.ndarray:
     return x ** 4 * (35.0 - 84.0 * x + 70.0 * x ** 2 - 20.0 * x ** 3)
 
 
-def filter_bank_responses(omegas, signal_length: int, gamma: float):
-    """Frequency responses of a stack of filter banks on the one-sided grid.
+def filter_bank_responses(omegas, signal_length: int, gammas):
+    """Frequency responses of stacks of filter banks on the one-sided grid.
 
-    ``omegas`` holds one row of band edges per bank, shape ``(R, K - 1)``.
-    Around each edge ``w`` the neighbouring filters cross-fade over the zone
+    Entry ``j`` of ``omegas`` holds one row of band edges per bank, shape
+    ``(R, K_j - 1)``, and ``gammas[j]`` is its requested ``gamma``. Around each
+    edge ``w`` the neighbouring filters cross-fade over the zone
     ``[(1-gamma)*w, (1+gamma)*w]`` with raised-cosine profiles driven by a
     smooth-step polynomial, so adjacent responses sum to one exactly. A row's
     ``gamma`` is clipped whenever the requested value would make transition
     zones of consecutive edges overlap.
 
-    Returns the responses at the bins ``0 .. signal_length // 2``, shape
-    ``(R, K, signal_length // 2 + 1)``, and the gamma each row used, shape
-    ``(R,)``; a row was clipped where that is below ``gamma``. Bin ``k`` of the
-    full grid has the response of bin ``min(k, signal_length - k)``. The
-    one-bank case of :func:`_filter_bank_stack`.
+    Returns one pair per entry: the responses at the bins
+    ``0 .. signal_length // 2``, shape ``(R, K_j, signal_length // 2 + 1)``,
+    and the gamma each row used, shape ``(R,)``; a row was clipped where that
+    is below its entry's gamma. Bin ``k`` of the full grid has the response of
+    bin ``min(k, signal_length - k)``. Every edge's profiles are evaluated in
+    one pass, each with its own entry's clipped gamma; the arithmetic is
+    elementwise, so every value equals a one-entry call's bit for bit.
     """
-    om = np.asarray(omegas, dtype=np.float64)
-    half, (gamma_eff,) = _filter_bank_stack(om, signal_length, [(om.shape[1] + 1, gamma)])
-    return half, gamma_eff
-
-
-def _filter_bank_stack(omegas, signal_length: int, banks):
-    """:func:`filter_bank_responses` of several banks per row at once.
-
-    Bank ``j`` of ``banks``, a pair ``(K_j, gamma_j)``, takes the next
-    ``K_j - 1`` columns of ``omegas`` as its edges. Every edge's profiles are
-    evaluated in one pass, each with its own bank's clipped gamma. The banks'
-    responses sit side by side, shape ``(R, sum(K_j), signal_length // 2 + 1)``,
-    and the gammas they used come as one array of shape ``(R,)`` per bank. The
-    arithmetic is elementwise, so every value equals the one-bank call's bit
-    for bit.
-    """
-    om = np.asarray(omegas, dtype=np.float64)
-    n_rows, n_edges = om.shape
+    om = omegas[0] if len(omegas) == 1 else np.concatenate(omegas, axis=1)
+    n_rows = om.shape[0]
     n = signal_length
     aw = 2.0 * np.pi * np.arange(n // 2 + 1) / n
-    gammas = []
-    edge_gamma = np.empty((n_rows, n_edges, 1))
+    used = []
+    edge_gamma = np.empty((n_rows, om.shape[1], 1))
     col = 0
-    for n_bands, gamma in banks:
-        bank = om[:, col: col + n_bands - 1]
+    for bank, gamma in zip(omegas, gammas):
+        n_edges = bank.shape[1]
         gamma_eff = np.full(n_rows, gamma)
-        if n_bands > 2:
+        if n_edges > 1:
             ratios = np.diff(bank, axis=1) / (bank[:, 1:] + bank[:, :-1])
             gamma_eff = np.minimum(gamma, ratios.min(axis=1))
-        edge_gamma[:, col: col + n_bands - 1, 0] = gamma_eff[:, None]
-        gammas.append(gamma_eff)
-        col += n_bands - 1
+        edge_gamma[:, col: col + n_edges, 0] = gamma_eff[:, None]
+        used.append(gamma_eff)
+        col += n_edges
 
-    half = np.empty((n_rows, sum(k for k, _ in banks), aw.size))
-    if n_edges:
-        w = om[:, :, None]
-        lo = (1.0 - edge_gamma) * w
-        width = 2.0 * edge_gamma * w
-        x = aw - lo
-        x /= width
-        np.clip(x, 0.0, 1.0, out=x)
-        # Only bins inside a transition zone (0 < x < 1) need the smooth step and
-        # the trigonometry. Outside, the profiles below give rising == x exactly,
-        # and falling == 1 before the zone and cos(pi/2) ** 2 (not quite 0) past it.
-        not_past = x < 1.0
-        zone = x > 0.0
-        zone &= not_past
-        arg = 0.5 * np.pi * _smooth_step(x[zone])
-        falling = np.where(not_past, 1.0, np.cos(0.5 * np.pi) ** 2)  # band below each edge
-        falling[zone] = np.cos(arg) ** 2
-        rising = x                   # (R, edges, n // 2 + 1): band above each edge
-        rising[zone] = np.sin(arg) ** 2
-    row = col = 0
-    for n_bands, _ in banks:
-        if n_bands == 1:
-            half[:, row] = 1.0
+    w = om[:, :, None]
+    lo = (1.0 - edge_gamma) * w
+    width = 2.0 * edge_gamma * w
+    x = aw - lo
+    x /= width
+    np.clip(x, 0.0, 1.0, out=x)
+    # Only bins inside a transition zone (0 < x < 1) need the smooth step and
+    # the trigonometry. Outside, the profiles below give rising == x exactly,
+    # and falling == 1 before the zone and cos(pi/2) ** 2 (not quite 0) past it.
+    not_past = x < 1.0
+    zone = x > 0.0
+    zone &= not_past
+    arg = 0.5 * np.pi * _smooth_step(x[zone])
+    falling = np.where(not_past, 1.0, np.cos(0.5 * np.pi) ** 2)  # band below each edge
+    falling[zone] = np.cos(arg) ** 2
+    rising = x                   # (R, edges, n // 2 + 1): band above each edge
+    rising[zone] = np.sin(arg) ** 2
+    banks = []
+    col = 0
+    for bank, gamma_eff in zip(omegas, used):
+        n_edges = bank.shape[1]
+        responses = np.empty((n_rows, n_edges + 1, aw.size))
+        if n_edges:
+            last = col + n_edges - 1
+            responses[:, 0] = falling[:, col]
+            responses[:, 1:-1] = rising[:, col: last] * falling[:, col + 1: last + 1]
+            responses[:, -1] = rising[:, last]
         else:
-            last = col + n_bands - 2
-            half[:, row] = falling[:, col]
-            half[:, row + 1: row + n_bands - 1] = rising[:, col: last] * falling[:, col + 1: last + 1]
-            half[:, row + n_bands - 1] = rising[:, last]
-        row += n_bands
-        col += n_bands - 1
-    return half, gammas
+            responses[:] = 1.0
+        banks.append((responses, gamma_eff))
+        col += n_edges
+    return banks
 
 
 def build_filter_bank(boundaries: EwtBoundaries, signal_length: int, gamma: float = 0.1) -> EwtFilterBank:
     """Construct the K band filters for a signal of length ``signal_length``.
 
-    The one-bank case of :func:`filter_bank_responses`, mirrored onto the full
-    FFT grid; the clip of ``gamma`` is flagged on the result.
+    The one-row, one-entry case of :func:`filter_bank_responses`, mirrored onto
+    the full FFT grid; the clip of ``gamma`` is flagged on the result.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     if signal_length < MIN_SIGNAL_LENGTH:
         raise ValueError(f"signal length must be >= {MIN_SIGNAL_LENGTH}")
-    half, gamma_eff = filter_bank_responses(boundaries.omegas[None, :], signal_length, gamma)
+    ((half, gamma_eff),) = filter_bank_responses([boundaries.omegas[None, :]], signal_length,
+                                                 [gamma])
     half = half[0]
     # Bin k > n // 2 mirrors bin n - k, so response[k] == response[n - k] is bit-exact.
     responses = np.concatenate((half, half[:, signal_length - half.shape[1]:0:-1]), axis=1)

@@ -61,7 +61,6 @@ from ewtforecast.walkforward import (
     ADAPTIVE_PER_STEP,
     BOUNDARY_MODES,
     FROZEN_FROM_TRAIN,
-    MIN_WINDOW_MARGIN,
     WalkForwardConfig,
     _build_family,
     build_walkforward_features,
@@ -663,8 +662,7 @@ class _PipelineBuild:
             )
             if window_policy == "auto":  # keep at least one training row
                 self.wf_cfg = replace(self.wf_cfg, window=self.wf_cfg.window_at(i_train - h - 1))
-            window = self.wf_cfg.window
-            self.start = (lags + MIN_WINDOW_MARGIN - 1) if window == "all" else window - 1
+            self.start = self.wf_cfg.first_origin
         self.tune_stop = i_val - h
         self.test_stop = n - h
         if self.tune_stop <= self.start:
@@ -1084,10 +1082,16 @@ def load_model(path):
     payload = envelope["payload"]
     if _payload_checksum(payload) != envelope.get("checksum"):
         raise CorruptModelError(f"model file {path} failed checksum verification")
+    if not isinstance(payload, dict):
+        raise CorruptModelError(f"model file {path} has a payload that is not an object")
     kind = payload.pop("kind", None)
-    if isinstance(kind, str) and kind in _MODEL_KINDS:
+    if not (isinstance(kind, str) and kind in _MODEL_KINDS):
+        raise CorruptModelError(f"model file {path} has unknown kind {kind!r}")
+    try:
         return _MODEL_KINDS[kind].from_dict(payload)
-    raise CorruptModelError(f"model file {path} has unknown kind {kind!r}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptModelError(f"model file {path} has a malformed {kind} payload: "
+                                f"{type(exc).__name__}: {exc}") from exc
 
 
 def write_report(report: ExperimentReport, out_dir) -> dict:

@@ -25,10 +25,12 @@ Configs that differ only in ``n_bands`` and ``gamma``, such as the candidates
 of a model search, are built in one pass over the origins by
 :func:`_build_family`, whose one-config case is
 :func:`build_walkforward_features`. They share the windows and raw lags and,
-per adaptive chunk, the FFT, the smoothing and the ranking of spectral peaks;
-the edges of every band count and the banks of every config are each one
-stacked evaluation. Only the product with the tail basis runs per config, so
-every row is bit for bit what a build of its config alone gives.
+per adaptive chunk, the FFT and one call of each batched EWT stage, which
+takes and returns one entry per config: :func:`~ewtforecast.ewt.band_edges`
+shares the smoothing and the ranking of spectral peaks, and
+:func:`~ewtforecast.ewt.filter_bank_responses` evaluates every config's
+edges in one pass. The edge check and the product with the tail basis run per
+config, so every row is bit for bit what a build of its config alone gives.
 :func:`causal_decompose_at` decomposes one origin in full with the scalar EWT
 functions and is the reference the batched rows are tested against, within a
 stated rounding tolerance.
@@ -36,7 +38,6 @@ stated rounding tolerance.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
@@ -46,8 +47,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ewtforecast.ewt import (
     EwtBoundaries,
-    _band_edge_stack,
-    _filter_bank_stack,
+    band_edges,
     build_filter_bank,
     check_edges,
     decompose,
@@ -110,6 +110,14 @@ class WalkForwardConfig:
     @property
     def feature_dim(self) -> int:
         return (self.n_bands + 1) * self.lags
+
+    @property
+    def first_origin(self) -> int:
+        """Smallest origin whose window fits: :meth:`window_widths` raises for
+        every earlier one."""
+        if isinstance(self.window, str):
+            return self.lags + MIN_WINDOW_MARGIN - 1
+        return self.window - 1
 
     def window_at(self, origin: int) -> int:
         """Effective decomposition length for a row anchored at ``origin``."""
@@ -272,11 +280,11 @@ def _build_family(ts: TimeSeries, cfgs, start: int, stop: int, frozen_boundaries
     is, bit for bit, what ``build_walkforward_features(ts, cfgs[k], start,
     stop, frozen_boundaries[k])`` returns, or the ``ValueError`` it would raise
     for that config alone; a range or window that fits no config raises. The
-    windows and raw lags are shared. Per adaptive chunk, the ``rfft``, the
-    smoothing and the peak ranking run once, the edges of every band count
-    and the banks of every config are each one stacked evaluation, and only
-    the product with the tail basis runs per config, so that a row keeps one
-    product shape.
+    windows and raw lags are shared, and the frozen configs' banks are one
+    call of the bank function per window width. Per adaptive chunk, the
+    ``rfft``, one edge call and one bank call serve every config, each with
+    one entry per config; the edge check, the counters and the product with
+    the tail basis run per config, so that a row keeps one product shape.
     """
     cfg = cfgs[0]
     if any(replace(c, n_bands=cfg.n_bands, gamma=cfg.gamma) != cfg for c in cfgs[1:]):
@@ -312,16 +320,14 @@ def _build_family(ts: TimeSeries, cfgs, start: int, stop: int, frozen_boundaries
         # product has one shape whatever the number of rows: as a 2-D product,
         # a single row would take another BLAS kernel and round differently
         # from the same row inside a larger build.
-        adaptive = []
-        for k in live:
-            if frozen[k] is None:
-                adaptive.append(k)
-                continue
-            responses, gamma_eff = filter_bank_responses(frozen[k].omegas[None], width,
-                                                         cfgs[k].gamma)
+        fixed = [k for k in live if frozen[k] is not None]
+        banks = filter_bank_responses([frozen[k].omegas[None] for k in fixed], width,
+                                      [cfgs[k].gamma for k in fixed]) if fixed else []
+        for k, (responses, gamma_eff) in zip(fixed, banks):
             clipped[k] = int(gamma_eff[0] < cfgs[k].gamma)
             taps = _frozen_taps(responses[0], width, lags)
             np.matmul(windows[:, None, :], taps, out=X[k][first:last, None, lags:])
+        adaptive = [k for k in live if frozen[k] is None]
         if not adaptive:
             continue
         basis = _tail_basis(width, lags)
@@ -330,39 +336,28 @@ def _build_family(ts: TimeSeries, cfgs, start: int, stop: int, frozen_boundaries
             block = windows[lo: lo + chunk]
             rows = block.shape[0]
             spectra = np.fft.rfft(block, axis=1)
-            counts = list(dict.fromkeys(cfgs[k].n_bands for k in adaptive))
-            edges, fallback = _band_edge_stack(np.abs(spectra), width, counts)
-            offsets = [0, *itertools.accumulate(n - 1 for n in counts)]
-            for j, n in enumerate(counts):
+            edges = dict(zip(adaptive, band_edges(np.abs(spectra), width,
+                                                  [cfgs[k].n_bands for k in adaptive])))
+            for k, (omegas, _) in edges.items():
                 try:
-                    check_edges(edges[:, offsets[j]: offsets[j + 1]])
+                    check_edges(omegas)
                 except ValueError as exc:
-                    for k in adaptive:
-                        if cfgs[k].n_bands == n:
-                            results[k] = exc
+                    results[k] = exc
             adaptive = [k for k in adaptive if results[k] is None]
             if not adaptive:
                 break
-            # Each config's bank takes its band count's edge columns.
-            slot = [counts.index(cfgs[k].n_bands) for k in adaptive]
-            if slot != list(range(len(counts))):
-                edges = edges[:, [c for j in slot for c in range(offsets[j], offsets[j + 1])]]
-            responses, gamma_eff = _filter_bank_stack(
-                edges, width, [(cfgs[k].n_bands, cfgs[k].gamma) for k in adaptive])
+            banks = filter_bank_responses([edges[k][0] for k in adaptive], width,
+                                          [cfgs[k].gamma for k in adaptive])
             # Each band's filtered spectrum as [real parts | imaginary parts],
-            # the basis's row order: (R, bands of every config, 2 * bins).
+            # the basis's row order: (R, bands, 2 * bins).
             parts = np.empty((rows, 1, 2, spectra.shape[1]))
             parts[:, 0, 0] = spectra.real
             parts[:, 0, 1] = spectra.imag
-            filtered = (responses[:, :, None] * parts).reshape(rows, responses.shape[1], -1)
-            band = 0
-            for i, (k, j) in enumerate(zip(adaptive, slot)):
-                n = cfgs[k].n_bands
-                fallbacks[k] += int(np.count_nonzero(fallback[:, j]))
-                clipped[k] += int(np.count_nonzero(gamma_eff[i] < cfgs[k].gamma))
-                tails = filtered[:, band: band + n] @ basis
-                X[k][first + lo: first + lo + rows, lags:] = tails.reshape(rows, -1)
-                band += n
+            for k, (responses, gamma_eff) in zip(adaptive, banks):
+                fallbacks[k] += int(np.count_nonzero(edges[k][1]))
+                clipped[k] += int(np.count_nonzero(gamma_eff < cfgs[k].gamma))
+                filtered = (responses[:, :, None] * parts).reshape(rows, cfgs[k].n_bands, -1)
+                X[k][first + lo: first + lo + rows, lags:] = (filtered @ basis).reshape(rows, -1)
         live = [k for k in live if results[k] is None]
     Y = values[origins + cfg.horizon].reshape(-1, 1)
     for k in live:

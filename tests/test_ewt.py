@@ -140,7 +140,7 @@ def test_batched_edges_equal_the_loop_oracle_row_by_row(stack, n_bands, smooth_w
     # The smoothing width is a constant; varying it widens the cases the oracle sees.
     mags, n = stack
     with mock.patch.object(ewt, "SMOOTH_WINDOW", smooth_window):
-        omegas, fallback = band_edges(mags, n, n_bands)
+        ((omegas, fallback),) = band_edges(mags, n, (n_bands,))
         ones = [detect_boundaries(Spectrum(mag, n), n_bands) for mag in mags]
     assert omegas.shape == (mags.shape[0], n_bands - 1) and fallback.shape == (mags.shape[0],)
     for row, mag in enumerate(mags):
@@ -212,11 +212,25 @@ def test_edges_of_a_stack_mixing_tied_untied_and_fallback_rows_equal_the_loop_or
     for values in (mags, smoothed):
         expected = [r * m + p for r in range(len(values)) for p in local_maxima_loop(values[r])]
         assert _local_maxima(values).tolist() == expected
-    omegas, fallback = band_edges(mags, n, n_bands)
+    ((omegas, fallback),) = band_edges(mags, n, (n_bands,))
     for row, mag in enumerate(mags):
         expected, expected_fallback = detect_boundaries_loop(mag, smoothed[row], n, n_bands)
         assert omegas[row].tobytes() == expected.tobytes()
         assert fallback[row] == expected_fallback
+
+
+@given(mixed_spectrum_stacks(), st.lists(st.integers(1, 6), min_size=1, max_size=6))
+@example((np.array([UNTIED_HUMPS, TIED_HUMPS, [1.0] * 21]), 40), [3, 1, 2, 3, 2])
+def test_edges_of_several_band_counts_equal_one_count_at_a_time(stack, band_counts):
+    # Counts repeat and come in any order; the largest shares its ranking with the rest.
+    mags, n = stack
+    found = band_edges(mags, n, band_counts)
+    assert len(found) == len(band_counts)
+    for n_bands, (omegas, fallback) in zip(band_counts, found):
+        ((expected, expected_fallback),) = band_edges(mags, n, (n_bands,))
+        assert omegas.shape == (mags.shape[0], n_bands - 1)
+        assert omegas.tobytes() == expected.tobytes()
+        assert fallback.tobytes() == expected_fallback.tobytes()
 
 
 def test_band_count_validation():
@@ -256,27 +270,36 @@ def test_partition_of_unity_randomized():
         assert np.abs(bank.responses.sum(axis=0) - 1.0).max() <= 1e-12
 
 
-@given(st.integers(4, 300), st.integers(1, 6), st.integers(1, 5), st.floats(0.01, 0.99),
-       st.integers(0, 2**32 - 1))
-def test_stacked_banks_equal_one_bank_at_a_time(n, n_bands, n_rows, gamma, seed):
+@given(st.integers(4, 300), st.lists(st.tuples(st.integers(1, 6), st.floats(0.01, 0.99)),
+                                     min_size=1, max_size=4),
+       st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_stacked_banks_equal_one_bank_at_a_time(n, entries, n_rows, seed):
+    # Several entries, each a stack of banks with its own band count and gamma.
     rng = np.random.default_rng(seed)
-    edges = np.sort(rng.uniform(1e-3, np.pi - 1e-3, size=(n_rows, n_bands - 1)), axis=1)
-    responses, gamma_used = filter_bank_responses(edges, n, gamma)
-    assert responses.shape == (n_rows, n_bands, n // 2 + 1)
-    for row, omegas in enumerate(edges):
-        if np.any(np.diff(omegas) <= 0.0):
-            continue  # a repeated draw is no valid boundary set
-        bank = build_filter_bank(EwtBoundaries(omegas), n, gamma)
-        assert responses[row].tobytes() == bank.responses[:, :n // 2 + 1].tobytes()
-        assert gamma_used[row] == bank.gamma
-        assert (gamma_used[row] < gamma) == bank.gamma_clipped
-        assert np.abs(responses[row].sum(axis=0) - 1.0).max() <= 1e-12
+    stacks = [np.sort(rng.uniform(1e-3, np.pi - 1e-3, size=(n_rows, n_bands - 1)), axis=1)
+              for n_bands, _ in entries]
+    gammas = [gamma for _, gamma in entries]
+    banks = filter_bank_responses(stacks, n, gammas)
+    assert len(banks) == len(entries)
+    for edges, gamma, (responses, gamma_used) in zip(stacks, gammas, banks):
+        ((alone, alone_gamma),) = filter_bank_responses([edges], n, [gamma])
+        assert responses.tobytes() == alone.tobytes()
+        assert gamma_used.tobytes() == alone_gamma.tobytes()
+        assert responses.shape == (n_rows, edges.shape[1] + 1, n // 2 + 1)
+        for row, omegas in enumerate(edges):
+            if np.any(np.diff(omegas) <= 0.0):
+                continue  # a repeated draw is no valid boundary set
+            bank = build_filter_bank(EwtBoundaries(omegas), n, gamma)
+            assert responses[row].tobytes() == bank.responses[:, :n // 2 + 1].tobytes()
+            assert gamma_used[row] == bank.gamma
+            assert (gamma_used[row] < gamma) == bank.gamma_clipped
+            assert np.abs(responses[row].sum(axis=0) - 1.0).max() <= 1e-12
 
 
 @given(st.integers(4, 300), st.integers(2, 6), st.floats(0.01, 0.99), st.integers(0, 2**32 - 1))
 def test_half_grid_bank_equals_the_full_grid_formula(n, n_bands, gamma, seed):
     edges = np.sort(np.random.default_rng(seed).uniform(1e-3, np.pi - 1e-3, size=(1, n_bands - 1)))
-    responses, gamma_used = filter_bank_responses(edges, n, gamma)
+    ((responses, gamma_used),) = filter_bank_responses([edges], n, [gamma])
     expected = filter_bank_full_grid(edges[0], n, float(gamma_used[0]))
     assert responses[0].tobytes() == expected[:, :n // 2 + 1].tobytes()
     if np.all(np.diff(edges[0]) > 0.0):  # a repeated draw is no valid boundary set

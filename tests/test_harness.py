@@ -1098,6 +1098,29 @@ def test_tampered_payload_fails_checksum(tmp_path):
         load_model(path)
 
 
+def _edrvfl_payload_without_layers():
+    rng = np.random.default_rng(29)
+    model = fit_edrvfl(rng.normal(size=(10, 2)), rng.normal(size=(10, 1)),
+                       EdRvflConfig(n_layers=1, n_enhancement=3))
+    payload = {"kind": "edrvfl", **model.to_dict()}
+    payload["config"]["n_layers"] = 0
+    return payload
+
+
+@pytest.mark.parametrize("payload", [
+    ["rvfl"],
+    {"kind": "rvfl"},
+    _edrvfl_payload_without_layers(),
+], ids=["list", "no-config", "zero-layers"])
+def test_malformed_payload_with_a_valid_checksum_is_corrupt(tmp_path, payload):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"schema_version": harness.SCHEMA_VERSION,
+                                "checksum": harness._payload_checksum(payload),
+                                "payload": payload}))
+    with pytest.raises(CorruptModelError, match="model.json"):
+        load_model(path)
+
+
 def test_unknown_schema_version_rejected(tmp_path):
     rng = np.random.default_rng(28)
     model = rvfl.fit(rng.normal(size=(10, 2)), rng.normal(size=(10, 1)),

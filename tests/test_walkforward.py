@@ -382,7 +382,7 @@ def test_frozen_taps_equal_the_full_grid_complex_ifft(seed, width, n_bands, lags
     omegas = np.sort(np.random.default_rng(seed).uniform(0.05, np.pi - 0.05, n_bands - 1))
     if np.any(np.diff(omegas) <= 0.0):
         return  # a tie: no valid bank
-    responses, _ = filter_bank_responses(omegas[None], width, gamma)
+    ((responses, _),) = filter_bank_responses([omegas[None]], width, [gamma])
     taps = walkforward._frozen_taps(responses[0], width, lags)
     bank = build_filter_bank(EwtBoundaries(omegas), width, gamma)
     expected = oracles.frozen_taps_ifft(bank, lags)
@@ -436,6 +436,19 @@ def test_window_widths_are_window_at_of_each_origin(lags, window, start, n_origi
             cfg.window_widths(origins)
         return
     assert cfg.window_widths(origins).tolist() == expected
+
+
+@given(st.integers(1, 200), st.sampled_from(["auto", "all", 0, 1, 100]))
+def test_first_origin_is_the_smallest_origin_whose_window_fits(lags, window):
+    # An int window is drawn as lags + margin + (0, 1 or 100).
+    if isinstance(window, int):
+        window += lags + walkforward.MIN_WINDOW_MARGIN
+    cfg = WalkForwardConfig(n_bands=2, lags=lags, window=window)
+    origins = np.arange(cfg.first_origin + 300, dtype=np.int64)
+    for origin in origins[:cfg.first_origin]:
+        with pytest.raises(ValueError):
+            cfg.window_widths(origins[origin: origin + 1])
+    assert cfg.window_widths(origins[cfg.first_origin:]).size == 300
 
 
 def test_auto_window_caps_at_history():
