@@ -9,17 +9,20 @@ stay interpretable. The linear baseline, ridge on the raw lags, is the RVFL
 search with no enhancement nodes, run by the same candidate loop. Every search,
 the baseline's included, ends before any test row is assembled.
 
-Model search solves each ridge problem once: candidates that differ only in
-regularization share one hidden layer, one pair of designs and one Gram matrix,
-and the layer-wise search fits its fixed layers once and reuses their
-activations and forecasts. Every score is bit for bit that of fitting the
-candidate from scratch, and the winner's validation forecast comes from the
-search, not from a refit. Likewise, adaptive walk-forward candidates that
-differ only in band count and gamma get their tuning rows from one pass over
-the origins, bit for bit the rows each would build alone.
+Model search solves each group of ridge problems once: candidates that differ
+only in node count and regularization share one hidden layer (a smaller layer
+is the first nodes of the largest), one pair of designs, one Gram matrix and
+one factorization per C, and the layer-wise search fits its fixed layers once
+and reuses their activations and forecasts. Every score equals that of
+fitting the candidate from scratch to within rounding (:data:`SEARCH_RTOL`),
+and the winner's validation forecast comes from the search, not from a refit.
+Adaptive walk-forward candidates that differ only in band count and gamma get
+their tuning rows from one pass over the origins, bit for bit the rows each
+would build alone.
 
-Reports embed their fully-resolved configuration, so rerunning a report
-reproduces its forecasts bit for bit.
+Reports embed their fully-resolved configuration, so rerunning a report of
+this schema version reproduces its forecasts bit for bit; a report of another
+version is a configuration error, as its forecasts came from another draw.
 """
 
 from __future__ import annotations
@@ -70,15 +73,24 @@ from ewtforecast.walkforward import (
 
 logger = logging.getLogger(__name__)
 
-SCHEMA_VERSION = "1"
+# Version 2 reports come from hidden layers whose nodes are drawn one
+# (weights, bias) row at a time; version 1 reports drew all weights first, so
+# they do not rerun to their forecasts. Model files store the drawn weights,
+# so the draw does not change them.
+REPORT_SCHEMA_VERSION = "2"
+MODEL_SCHEMA_VERSION = "1"
 FAMILIES = ("rvfl", "edrvfl", "baseline_persistence", "baseline_linear")
 PIPELINES = ("raw_lags", "walkforward_ewt", "leaky_ewt")
 METRIC_NAMES = tuple(f.name for f in fields(MetricSet))
 MIN_RELATIVE_GAIN = 1e-6  # layer acceptance threshold for the layer-wise search
+# Relative distance within which a search score or validation forecast equals
+# that of fitting its candidate alone: a nested solve rounds a smaller
+# network's factor as part of the largest one.
+SEARCH_RTOL = 1e-9
 _DATA = "data_"  # prefix of the ExperimentConfig fields kept under "data" in JSON
-# Config keys that are read and dropped, whatever their value. Every report
-# written while the model search had a thread pool carries "jobs": 1; the key
-# never changed a forecast, and dropping it keeps those reports rerunnable.
+# Config keys that are read and dropped, whatever their value. Configs written
+# while the model search had a thread pool may carry "jobs"; the key never
+# changed a forecast.
 _IGNORED_KEYS = ("jobs",)
 _type_hints = cache(get_type_hints)  # a config class's hints never change
 
@@ -321,6 +333,10 @@ def load_experiment_config(path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if isinstance(raw, dict) and "schema_version" in raw and "config" in raw:
+        version = raw["schema_version"]
+        if version != REPORT_SCHEMA_VERSION:
+            raise ConfigError(f"report {path} has schema version {version!r}; this version "
+                              f"reruns reports of schema {REPORT_SCHEMA_VERSION!r} only")
         raw = raw["config"]
     return ExperimentConfig.from_dict(raw)
 
@@ -400,8 +416,9 @@ def _groups(candidates, key) -> list[list[int]]:
     return list(groups.values())
 
 
-def _without_regularization(p: ModelParams) -> ModelParams:
-    return p._replace(regularization=None)
+def _nested_group(p: ModelParams) -> ModelParams:
+    """The settings a search group shares: all but node count and regularization."""
+    return p._replace(n_enhancement=None, regularization=None)
 
 
 def _group_forecasts(keys, make_config, fit) -> dict:
@@ -427,27 +444,50 @@ def _group_forecasts(keys, make_config, fit) -> dict:
     return forecasts
 
 
+class _GroupDesigns(NamedTuple):
+    """A search group's designs ``[X? | 1? | A]`` for its largest node count."""
+
+    H: np.ndarray       # train rows
+    H_val: np.ndarray   # validation rows
+    lead: int           # columns ahead of the nodes
+
+
 def _fit_group(configs: list[RvflConfig], train: WindowedDataset, val: WindowedDataset,
                enh=None, enh_val=None):
-    """Validation forecasts of networks that differ only in regularization.
+    """Validation forecasts of networks that differ only in node count and regularization.
 
     ``enh``/``enh_val`` feed the hidden layer (default: the rows' ``X``, which
-    always feeds the direct links). One hidden layer is drawn, the train and
-    validation designs are built once, and one Gram matrix serves every C
-    (:func:`rvfl.ridge_path`). Returns both designs and, per config, the
+    always feeds the direct links). One hidden layer of the largest node count
+    is drawn: a smaller one is its first nodes. The train and validation
+    designs are built once, with the ones column ahead of the nodes, so that
+    each node count's design is a column prefix, and one Gram matrix and one
+    factorization per C serve every node count
+    (:func:`rvfl.nested_ridge_path`). Returns the designs and, per config, the
     forecast or the exception its solve raised.
     """
     if train.n_samples < 1:
         raise ValueError("X must be a non-empty matrix")
     enh = train.X if enh is None else enh
     enh_val = val.X if enh_val is None else enh_val
-    cfg = configs[0]
+    cfg = max(configs, key=lambda c: c.n_enhancement)
     hidden = rvfl_mod.init_hidden_layer(enh.shape[1], cfg)
-    H = rvfl_mod._design(train.X if cfg.direct_link else None, enh, hidden, cfg.output_bias)
-    betas = rvfl_mod.ridge_path(H, train.Y, [c.regularization for c in configs])
-    H_val = rvfl_mod._design(val.X if cfg.direct_link else None, enh_val, hidden,
-                             cfg.output_bias)
-    return H, H_val, [b if isinstance(b, Exception) else H_val @ b for b in betas]
+
+    def design(rows: WindowedDataset, rows_enh: np.ndarray) -> np.ndarray:
+        return rvfl_mod._design(rows.X if cfg.direct_link else None, rows_enh, hidden,
+                                cfg.output_bias, bias_first=True)
+
+    H = design(train, enh)
+    lead = train.n_features * cfg.direct_link + cfg.output_bias
+    widths = list(dict.fromkeys(lead + c.n_enhancement for c in configs))
+    regs = list(dict.fromkeys(c.regularization for c in configs))
+    path = rvfl_mod.nested_ridge_path(H, train.Y, widths, regs)
+    designs = _GroupDesigns(H, design(val, enh_val), lead)
+    forecasts = []
+    for c in configs:
+        width = designs.lead + c.n_enhancement
+        beta = path[widths.index(width)][regs.index(c.regularization)]
+        forecasts.append(beta if isinstance(beta, Exception) else designs.H_val[:, :width] @ beta)
+    return designs, forecasts
 
 
 def grid_search(space: GridSpace, train: WindowedDataset, val: WindowedDataset,
@@ -459,18 +499,19 @@ def grid_search(space: GridSpace, train: WindowedDataset, val: WindowedDataset,
     break on the lexicographic order of the candidate tuple, so permuting the
     axis lists cannot change the winner.
 
-    Candidates that differ only in ``regularization`` form a group: it draws
-    one hidden layer, builds one train and one validation design and forms one
-    Gram matrix, and each C only adds its ridge and factors. Every score is, bit
-    for bit, that of ``rvfl.fit`` and ``rvfl.predict`` with the candidate's
-    settings.
+    Candidates that differ only in ``n_enhancement`` and ``regularization``
+    form a group: it draws one hidden layer of its largest node count, builds
+    one train and one validation design and forms one Gram matrix, and each C
+    adds its ridge and factors once for every node count. Every score equals,
+    within :data:`SEARCH_RTOL` relative, that of ``rvfl.fit`` and
+    ``rvfl.predict`` with the candidate's settings.
     """
     candidates = space.model_candidates("rvfl")
     logger.info("grid search over %d model candidates", len(candidates))
     forecasts = {}
-    for group in _groups(candidates, _without_regularization):
+    for group in _groups(candidates, _nested_group):
         forecasts.update(_group_forecasts(group, lambda i: _rvfl_config(candidates[i], base_seed),
-                                          lambda configs: _fit_group(configs, train, val)[2]))
+                                          lambda configs: _fit_group(configs, train, val)[1]))
     outcomes = [_outcome(p.as_dict(), forecasts[i], val.Y) for i, p in enumerate(candidates)]
     best, best_rmse = _pick_winner(candidates, outcomes)
     return GridSearchResult(best, best_rmse, outcomes, forecasts[candidates.index(best)])
@@ -500,10 +541,13 @@ class _Prefix:
     val_in: np.ndarray    # the same for the validation rows
     forecasts: tuple = ()  # each fixed layer's validation forecast
 
-    def extend(self, n_features: int, n_nodes: int, H, H_val, forecast) -> "_Prefix":
-        """The prefix with one more layer, from that layer's designs ``[X | A | 1?]``."""
-        width = n_features + n_nodes
-        return _Prefix(np.ascontiguousarray(H[:, :width]), np.ascontiguousarray(H_val[:, :width]),
+    def extend(self, n_features: int, n_nodes: int, designs: _GroupDesigns,
+               forecast) -> "_Prefix":
+        """The prefix with one more layer of ``n_nodes`` nodes, taken from its
+        group's designs ``[X | 1? | A]``."""
+        nodes = slice(designs.lead, designs.lead + n_nodes)
+        return _Prefix(*(np.hstack([H[:, :n_features], H[:, nodes]])
+                         for H in (designs.H, designs.H_val)),
                        self.forecasts + (forecast,))
 
 
@@ -521,8 +565,9 @@ def layerwise_grid_search(space: GridSpace, train: WindowedDataset, val: Windowe
     The fixed layers are fitted once: the search keeps the accepted layers'
     activations and validation forecasts, and a candidate fits only its new
     layer and combines its forecast with theirs. Candidates of a stage that
-    differ only in the new layer's ``regularization`` share its hidden layer,
-    designs and Gram matrix. Every score is, bit for bit, that of
+    differ only in the new layer's ``n_enhancement`` and ``regularization``
+    share its hidden layer, designs, Gram matrix and one factorization per C.
+    Every score equals, within :data:`SEARCH_RTOL` relative, that of
     ``fit_edrvfl`` and ``ensemble_predict`` on the candidate's whole stack.
     Only the running winner's designs are kept.
     """
@@ -534,15 +579,14 @@ def layerwise_grid_search(space: GridSpace, train: WindowedDataset, val: Windowe
         """Leaderboard entries of one stage, and its winner with its designs (None if none)."""
         outcomes = [None] * len(stage)
         best = None
-        for group in _groups(stage, lambda s: (s[0], _without_regularization(s[2]))):
-            designs = [None, None]
+        for group in _groups(stage, lambda s: (s[0][:-1], s[1][:-1], _nested_group(s[2]))):
+            designs = [None]
 
             def fit(configs: list[EdRvflConfig]) -> list:
                 """Fit the group's new layer; its forecast (or failure) per config."""
                 layer = configs[0].n_layers
-                H, H_val, path = _fit_group([c.layer_config(layer - 1) for c in configs],
-                                            train, val, prefix.train_in, prefix.val_in)
-                designs[:] = H, H_val
+                designs[0], path = _fit_group([c.layer_config(layer - 1) for c in configs],
+                                              train, val, prefix.train_in, prefix.val_in)
                 return [RuntimeError(f"layer {layer} solve failed: {f}")
                         if isinstance(f, RuntimeError) else f for f in path]
 
@@ -559,7 +603,7 @@ def layerwise_grid_search(space: GridSpace, train: WindowedDataset, val: Windowe
                 outcomes[k] = outcome = _outcome(params, ensemble, val.Y)
                 key = (outcome.val_rmse, nodes, regs, tuple(shared))
                 if outcome.val_rmse is not None and (best is None or key < best[0]):
-                    best = (key, shared, layer_forecast, ensemble, *designs)
+                    best = (key, shared, layer_forecast, ensemble, designs[0])
         leaderboard.extend(outcomes)
         return outcomes, best
 
@@ -574,8 +618,8 @@ def layerwise_grid_search(space: GridSpace, train: WindowedDataset, val: Windowe
 
     pairs = sorted(set(itertools.product(space.n_enhancement, space.regularization)))
     for _ in range(2, max_layers + 1):
-        _, _, layer_forecast, _, H, H_val = best
-        prefix = prefix.extend(train.n_features, nodes[-1], H, H_val, layer_forecast)
+        _, _, layer_forecast, _, designs = best
+        prefix = prefix.extend(train.n_features, nodes[-1], designs, layer_forecast)
         stage = [(nodes + (l,), regs + (c,), shared) for l, c in pairs]
         _, stage_best = run_stage(prefix, stage)
         if stage_best is None:
@@ -734,7 +778,7 @@ class ExperimentReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": REPORT_SCHEMA_VERSION,
             "config": self.config.to_dict(),
             "chosen": self.chosen,
             "validation_metrics": self.validation_metrics,
@@ -868,7 +912,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         forecasts={name: [float(v) for v in vals] for name, vals in sorted(forecasts.items())},
         leaderboard=leaderboard,
         meta={
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": REPORT_SCHEMA_VERSION,
             "series_name": ts.name,
             "series_length": n,
             "split_indices": {"train_end": i_train, "validation_end": i_val},
@@ -1060,7 +1104,7 @@ def save_model(model, path) -> None:
         raise TypeError(f"cannot persist object of type {type(model).__name__}")
     payload = {"kind": kind, **model.to_dict()}
     envelope = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": MODEL_SCHEMA_VERSION,
         "checksum": _payload_checksum(payload),
         "payload": payload,
     }
@@ -1077,8 +1121,9 @@ def load_model(path):
     if not isinstance(envelope, dict) or "payload" not in envelope:
         raise CorruptModelError(f"model file {path} has no payload")
     version = envelope.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ModelVersionError(f"model schema {version!r} unsupported, expected {SCHEMA_VERSION!r}")
+    if version != MODEL_SCHEMA_VERSION:
+        raise ModelVersionError(f"model schema {version!r} unsupported, "
+                                f"expected {MODEL_SCHEMA_VERSION!r}")
     payload = envelope["payload"]
     if _payload_checksum(payload) != envelope.get("checksum"):
         raise CorruptModelError(f"model file {path} failed checksum verification")

@@ -16,12 +16,20 @@ The system, bordered by its right-hand side, is factored by
 back substitution is blocked, on numpy's dense solver and matrix product. The
 fit needs numpy alone.
 
-Model search fits many networks that share one hidden layer and differ only in
-C. :func:`ridge_path` serves them from one design: it forms the Gram matrix
-once and factors ``G + I/C`` per C. That is the same floating-point operation
-as a one-C solve, so each weight vector equals :func:`fit_output_weights`' bit
-for bit (the latter is the one-C case). Designs are written into one buffer,
-activated in place.
+Model search fits many networks that differ only in node count and C. Node j's
+weights and bias are drawn together, as row j of one uniform draw, so a layer
+of L nodes is the first L nodes of any larger layer with the same seed. With
+the nodes after the direct links and the ones column, a smaller network's
+design is a column prefix of the largest one's, its Gram matrix a leading
+block, and the Cholesky factor of that block the leading block of the largest
+factor (Golub and Van Loan,
+*Matrix Computations*, §4.2). :func:`nested_ridge_path` therefore forms one
+Gram matrix, factors ``G + I/C`` once per C and back-substitutes each width's
+leading block. The leading block of a factor is rounded as part of a larger
+factorization, so a nested solution equals the solve of its own system to
+rounding, not bit for bit; :func:`fit_output_weights` is its one-width,
+one-C case. A design is written into one preallocated buffer, its
+activations computed in contiguous blocks of rows.
 """
 
 from __future__ import annotations
@@ -170,14 +178,21 @@ class HiddenLayer:
 
 
 def init_hidden_layer(n_inputs: int, cfg: RvflConfig) -> HiddenLayer:
-    """Draw the enhancement layer; identical (n_inputs, cfg) give identical layers."""
+    """Draw the enhancement layer; identical (n_inputs, cfg) give identical layers.
+
+    Node j's weights (in [-s, s]) and bias (in [0, s]) are row j of one
+    ``(n_enhancement, n_inputs + 1)`` uniform draw, so a layer of L nodes is,
+    bit for bit, the first L nodes of any larger layer with the same inputs,
+    seed and scale.
+    """
     if n_inputs < 1:
         raise ValueError("n_inputs must be >= 1")
     rng = np.random.default_rng(cfg.seed)
     s = cfg.input_scale
-    weights = rng.uniform(-s, s, size=(cfg.n_enhancement, n_inputs))
-    biases = rng.uniform(0.0, s, size=cfg.n_enhancement)
-    return HiddenLayer(weights, biases, cfg.activation)
+    low = np.full(n_inputs + 1, -s)
+    low[-1] = 0.0
+    draw = rng.uniform(low, s, size=(cfg.n_enhancement, n_inputs + 1))
+    return HiddenLayer(draw[:, :-1], draw[:, -1], cfg.activation)
 
 
 def build_design_matrix(X: np.ndarray, hidden: HiddenLayer, cfg: RvflConfig) -> np.ndarray:
@@ -194,12 +209,25 @@ def build_design_matrix(X: np.ndarray, hidden: HiddenLayer, cfg: RvflConfig) -> 
     return _design(X if cfg.direct_link else None, X, hidden, cfg.output_bias)
 
 
-def _design(direct, enh_input: np.ndarray, hidden: HiddenLayer, output_bias: bool) -> np.ndarray:
-    """``[direct | g(enh_input W' + b) | 1]`` written into one preallocated buffer.
+# Bytes of a block of rows in which a design's bias and activation are applied.
+# The block stays in cache through the activation's passes, and at 64 KiB it
+# is allocated below glibc's default 128 KiB mmap threshold: a 200 KiB block
+# (128 rows of 200 nodes) raised the benchmark's peak RSS by ~0.7 MB.
+_ACTIVATION_BLOCK_BYTES = 64 * 1024
 
-    The direct block (``None`` for none) is copied in, the product lands in its
-    columns, and the bias and activation ``g`` are applied there in place. The
-    values are those of stacking the three blocks, bit for bit.
+
+def _design(direct, enh_input: np.ndarray, hidden: HiddenLayer, output_bias: bool,
+            bias_first: bool = False) -> np.ndarray:
+    """``[direct | g(enh_input W' + b) | 1]`` written into one preallocated buffer;
+    with ``bias_first``, ``[direct | 1 | g(enh_input W' + b)]``, so that the
+    design of the first L nodes is a column prefix.
+
+    The direct block (``None`` for none) is copied in and the product lands in
+    its columns. The bias and activation ``g`` are applied to a contiguous copy
+    of a few rows at a time (``_ACTIVATION_BLOCK_BYTES``), which is copied
+    back: the node columns are strided in the buffer, and the activation's
+    passes run faster on a contiguous block. The values are those of stacking
+    the blocks, bit for bit.
     """
     n_direct = 0 if direct is None else direct.shape[1]
     n_nodes = hidden.n_nodes
@@ -207,12 +235,17 @@ def _design(direct, enh_input: np.ndarray, hidden: HiddenLayer, output_bias: boo
     if n_direct:
         H[:, :n_direct] = direct
     if n_nodes:
-        A = H[:, n_direct:n_direct + n_nodes]
+        start = n_direct + int(output_bias and bias_first)
+        A = H[:, start:start + n_nodes]
         np.matmul(enh_input, hidden.weights.T, out=A)
-        A += hidden.biases
-        ACTIVATIONS[hidden.activation](A)
+        activate = ACTIVATIONS[hidden.activation]
+        step = max(1, _ACTIVATION_BLOCK_BYTES // (8 * n_nodes))
+        block = np.empty((min(len(A), step), n_nodes))
+        for i in range(0, len(A), step):
+            rows = A[i:i + step]
+            rows[...] = activate(np.add(rows, hidden.biases, out=block[:len(rows)]))
     if output_bias:
-        H[:, -1] = 1.0
+        H[:, n_direct if bias_first else -1] = 1.0
     return H
 
 
@@ -224,16 +257,14 @@ def _design(direct, enh_input: np.ndarray, hidden: HiddenLayer, output_bias: boo
 _BORDER = 1e300
 
 
-def _solve_spd(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve ``A X = B`` for symmetric positive-definite ``A`` by Cholesky.
+def _bordered_cholesky(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Cholesky factor of ``A`` bordered by ``B``, ``[[A, B], [B', c I]]``.
 
-    numpy factors ``A`` bordered by ``B``, ``[[A, B], [B', c I]]``, whose
-    Cholesky factor is ``[[L, 0], [(L^-1 B)', S]]`` with ``A = L L'``: the
-    forward substitution comes out of the factorization, and
-    :func:`_back_substitute` solves ``L' X = L^-1 B``. A factorization that
-    fails is retried once with ``trace(A)/n * 1e-10`` added to the diagonal of
-    ``A``, with a warning, and the jittered factor is the one solved; a second
-    failure raises ``RuntimeError``.
+    With ``A = L L'`` the factor is ``[[L, 0], [(L^-1 B)', S]]``: the forward
+    substitution comes out of the factorization. Its leading ``w x w`` block
+    and the first ``w`` columns of its lower-left block are those of
+    ``A[:w, :w]`` bordered by ``B[:w]``. Raises ``np.linalg.LinAlgError`` when
+    ``A`` is not numerically positive definite.
     """
     n, k = B.shape
     M = np.empty((n + k, n + k))
@@ -241,21 +272,63 @@ def _solve_spd(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     M[:n, n:] = B
     M[n:, :n] = B.T
     M[n:, n:] = _BORDER * np.eye(k)
+    return np.linalg.cholesky(M)
+
+
+def _solve_spd(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve ``A X = B`` for symmetric positive-definite ``A`` by Cholesky.
+
+    numpy factors ``A`` bordered by ``B`` (:func:`_bordered_cholesky`), and
+    :func:`_back_substitute` solves ``L' X = L^-1 B``. A factorization that
+    fails is retried once with ``trace(A)/n * 1e-10`` added to the diagonal of
+    ``A``, with a warning, and the jittered factor is the one solved; a second
+    failure raises ``RuntimeError``.
+    """
+    [X] = _solve_leading(A, B, [A.shape[0]])
+    if isinstance(X, Exception):
+        raise X
+    return X
+
+
+def _solve_leading(A: np.ndarray, B: np.ndarray, widths) -> list:
+    """Per width w (ascending, the last ``n = A.shape[0]``), the solution of
+    ``A[:w, :w] X = B[:w]``, or the ``RuntimeError`` of a width that failed.
+
+    One factorization of ``A`` serves every width: each back-substitutes its
+    leading block. When ``A`` does not factor, the leading blocks of a
+    jittered factor would be systems jittered for ``A``'s sake, so each
+    smaller width is solved on its own by :func:`_solve_spd`, jittered only if
+    its own factorization fails, and ``A`` itself is retried with jitter as
+    :func:`_solve_spd` describes.
+    """
+    n = A.shape[0]
     try:
-        F = np.linalg.cholesky(M)
+        F = _bordered_cholesky(A, B)
     except np.linalg.LinAlgError:
+        out = []
+        for w in widths[:-1]:
+            try:
+                out.append(_solve_spd(A[:w, :w], B[:w]))
+            except RuntimeError as exc:
+                out.append(exc)
         jitter = 1e-10 * np.trace(A) / n
         logger.warning("ridge system of size %d is not positive definite; "
                        "retrying with jitter %.3e on the diagonal", n, jitter)
-        M[:n, :n] += jitter * np.eye(n)
         try:
-            F = np.linalg.cholesky(M)
+            F = _bordered_cholesky(A + jitter * np.eye(n), B)
         except np.linalg.LinAlgError:
-            raise RuntimeError(
+            return out + [RuntimeError(
                 f"ridge system factorization failed even with jitter {jitter:.3e}; "
-                f"condition estimate {np.linalg.cond(A):.3e}"
-            ) from None
-    return _back_substitute(F[:n, :n], F[n:, :n].T)
+                f"condition estimate {np.linalg.cond(A):.3e}")]
+        return out + [_back_substitute(F[:n, :n], F[n:, :n].T)]
+    # L[:w, :w]' x = z is L' [x; 0] = [z; 0], as L' is upper triangular: one
+    # back substitution serves every width, each right side padded with zeros.
+    k = B.shape[1]
+    Z = np.zeros((n, k * len(widths)))
+    for i, w in enumerate(widths):
+        Z[:w, i * k:(i + 1) * k] = F[n:, :w].T
+    X = _back_substitute(F[:n, :n], Z)
+    return [X[:w, i * k:(i + 1) * k] for i, w in enumerate(widths)]
 
 
 # Rows per block of the back substitution. A block's LU inside np.linalg.solve
@@ -277,17 +350,24 @@ def _back_substitute(L: np.ndarray, W: np.ndarray) -> np.ndarray:
     return X
 
 
-def ridge_path(H, Y, regularizations, mode: str = "auto") -> list:
-    """Closed-form output weights for each C in ``regularizations``, from one Gram matrix.
+def nested_ridge_path(H, Y, widths, regularizations, mode: str = "auto") -> list:
+    """Closed-form output weights of every column prefix ``H[:, :w]`` and every C.
 
-    ``H`` and ``Y`` are checked once, and ``H'H`` and ``H'Y`` (``HH'`` in the
-    dual form) are formed once; each C then adds ``I/C`` and is factored on its
-    own. ``A = G + I/C`` is the same floating-point operation as a one-C solve,
-    so entry k is, bit for bit, what ``fit_output_weights(H, Y, C_k, mode)``
-    returns, or the exception it would raise for that C alone (``ValueError``
-    for a C that is not finite and > 0, ``RuntimeError`` for a failed
-    factorization). A bad shape or a non-finite value in ``H`` or ``Y`` raises
-    for every C.
+    Entry ``[i][k]`` holds the weights for ``widths[i]`` and
+    ``regularizations[k]``, or the exception fitting that design alone would
+    raise: ``ValueError`` for a C that is not finite and > 0 or a prefix with
+    a non-finite value, ``RuntimeError`` for a failed factorization. A bad
+    shape or mode, or a non-finite target, raises for every entry.
+
+    Widths in the primal form (no more columns than rows, unless ``mode``
+    forces a form) share one Gram matrix ``H'H`` and ``H'Y`` at the largest
+    of them, and each C adds ``I/C`` and factors it once: every width
+    back-substitutes its leading block (:func:`_solve_leading`). A width in
+    the dual form has no nested ``HH'``, so it forms its own ``HH'`` from the
+    shared design and factors it per C. A leading block is rounded as part of
+    the larger factorization, so its solution equals that of its own system
+    within rounding; a single width is the same operation as a one-system
+    solve.
     """
     H = np.asarray(H, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -295,30 +375,53 @@ def ridge_path(H, Y, regularizations, mode: str = "auto") -> list:
         Y = Y.reshape(-1, 1)
     if H.ndim != 2 or Y.ndim != 2 or H.shape[0] != Y.shape[0]:
         raise ValueError(f"incompatible shapes H {H.shape}, Y {Y.shape}")
-    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(Y))):
+    if not np.all(np.isfinite(Y)):
         raise ValueError("design matrix and targets must be finite")
     if mode not in ("auto", "primal", "dual"):
         raise ValueError(f"mode must be auto, primal or dual, got {mode!r}")
+    widths = [int(w) for w in widths]
+    if not all(0 <= w <= H.shape[1] for w in widths):
+        raise ValueError(f"widths {widths} do not fit a design of {H.shape[1]} columns")
 
-    n_rows, n_cols = H.shape
-    use_primal = n_cols <= n_rows if mode == "auto" else mode == "primal"
-    gram = rhs = None
-    betas = []
+    n_rows = H.shape[0]
+    finite = np.logical_and.accumulate(np.isfinite(H).all(axis=0))
+    deltas = []
     for regularization in regularizations:
         error = _positive_error("regularization", regularization)
-        if error is not None:
-            betas.append(error)
-            continue
-        if gram is None:
-            gram, rhs = (H.T @ H, H.T @ Y) if use_primal else (H @ H.T, Y)
-        delta = 1.0 / regularization
-        try:
-            solution = _solve_spd(gram + delta * np.eye(gram.shape[0]), rhs)
-        except RuntimeError as exc:
-            betas.append(exc)
-            continue
-        betas.append(solution if use_primal else H.T @ solution)
-    return betas
+        deltas.append(error if error is not None else 1.0 / regularization)
+    valid = [k for k, delta in enumerate(deltas) if not isinstance(delta, Exception)]
+    # Every entry starts as its C's error; valid C's are solved below.
+    betas = {w: list(deltas) for w in widths}
+    primal, dual = [], []
+    for w in sorted(betas):
+        if w and not finite[w - 1]:
+            betas[w] = [ValueError("design matrix and targets must be finite")] * len(deltas)
+        elif (w <= n_rows if mode == "auto" else mode == "primal"):
+            primal.append(w)
+        else:
+            dual.append(w)
+    if not valid:
+        return [betas[w] for w in widths]
+
+    if primal:
+        top = primal[-1]
+        gram, rhs = H[:, :top].T @ H[:, :top], H[:, :top].T @ Y
+        for k in valid:
+            try:
+                solutions = _solve_leading(gram + deltas[k] * np.eye(top), rhs, primal)
+            except RuntimeError as exc:
+                solutions = [exc] * len(primal)
+            for w, solution in zip(primal, solutions):
+                betas[w][k] = solution
+    for w in dual:
+        Hw = H[:, :w]
+        gram = Hw @ Hw.T
+        for k in valid:
+            try:
+                betas[w][k] = Hw.T @ _solve_spd(gram + deltas[k] * np.eye(n_rows), Y)
+            except RuntimeError as exc:
+                betas[w][k] = exc
+    return [betas[w] for w in widths]
 
 
 def fit_output_weights(H, Y, regularization: float, mode: str = "auto") -> np.ndarray:
@@ -327,7 +430,9 @@ def fit_output_weights(H, Y, regularization: float, mode: str = "auto") -> np.nd
     ``mode`` forces the primal or dual form for testing; ``"auto"`` follows the
     dimension rule (primal when columns <= rows).
     """
-    [beta] = ridge_path(H, Y, [regularization], mode)
+    H = np.asarray(H, dtype=np.float64)
+    [[beta]] = nested_ridge_path(H, Y, [H.shape[1] if H.ndim == 2 else 0], [regularization],
+                                 mode)
     if isinstance(beta, Exception):
         raise beta
     return beta

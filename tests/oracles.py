@@ -85,8 +85,24 @@ ACTIVATION_FORMULAS = {
 }
 
 
-def grid_search_per_candidate(space, train, val, base_seed=0):
-    """``harness.grid_search`` with one ``rvfl.fit`` and ``rvfl.predict`` per candidate."""
+def _pick(candidates, outcomes, rtol, prefer):
+    """``harness._pick_winner``, except that ``prefer`` wins when its score lies
+    within ``rtol`` (relative) of the best one: the oracle then follows a search
+    whose scores differ from its own by rounding at a tie."""
+    best, best_rmse = harness._pick_winner(candidates, outcomes)
+    scores = {tuple(c): o.val_rmse for c, o in zip(candidates, outcomes)}
+    score = scores.get(tuple(prefer)) if prefer is not None else None
+    if score is not None and score <= best_rmse + rtol * abs(best_rmse):
+        return type(candidates[0])(*prefer), score
+    return best, best_rmse
+
+
+def grid_search_per_candidate(space, train, val, base_seed=0, rtol=0.0, follow=None):
+    """``harness.grid_search`` with one ``rvfl.fit`` and ``rvfl.predict`` per candidate.
+
+    With ``follow``, a search result, the winner is ``follow.best`` when its
+    score ties the best one within ``rtol``.
+    """
     candidates = space.model_candidates("rvfl")
     outcomes, forecasts = [], []
     for p in candidates:
@@ -98,13 +114,19 @@ def grid_search_per_candidate(space, train, val, base_seed=0):
         except (ValueError, RuntimeError) as exc:
             outcomes.append(CandidateOutcome(p.as_dict(), None, str(exc)))
         forecasts.append(forecast)
-    best, best_rmse = harness._pick_winner(candidates, outcomes)
+    best, best_rmse = _pick(candidates, outcomes, rtol, follow and follow.best)
     return GridSearchResult(best, best_rmse, outcomes, forecasts[candidates.index(best)])
 
 
-def layerwise_per_candidate(space, train, val, max_layers, base_seed=0):
+def layerwise_per_candidate(space, train, val, max_layers, base_seed=0, rtol=0.0, follow=None):
     """``harness.layerwise_grid_search`` with one ``fit_edrvfl`` of the whole stack
-    and one ``ensemble_predict`` per candidate."""
+    and one ``ensemble_predict`` per candidate.
+
+    With ``follow``, a search result, each stage picks ``follow``'s layer when
+    its score ties the stage's best within ``rtol``, and a stage whose best
+    score lies within ``rtol`` of the acceptance threshold is kept when
+    ``follow`` kept it.
+    """
 
     def evaluate(nodes, regs, shared):
         params = {"layer_nodes": list(nodes), "layer_regs": list(regs), **shared.as_dict()}
@@ -121,15 +143,21 @@ def layerwise_per_candidate(space, train, val, max_layers, base_seed=0):
         except (ValueError, RuntimeError) as exc:
             return CandidateOutcome(params, None, str(exc)), None
 
+    def followed(depth):
+        """``follow``'s stack of ``depth`` layers, if it has one."""
+        if follow is None or len(follow.layer_nodes) < depth:
+            return None
+        return follow.layer_nodes[:depth], follow.layer_regs[:depth]
+
     stage1 = space.model_candidates("edrvfl")
     results = [evaluate((p.n_enhancement,), (p.regularization,), p) for p in stage1]
     leaderboard = [o for o, _ in results]
-    shared, best_rmse = harness._pick_winner(stage1, leaderboard)
+    shared, best_rmse = _pick(stage1, leaderboard, rtol, follow and follow.shared)
     nodes, regs = (shared.n_enhancement,), (shared.regularization,)
     forecast = results[stage1.index(shared)][1]
     history = [best_rmse]
     pairs = sorted(set(itertools.product(space.n_enhancement, space.regularization)))
-    for _ in range(2, max_layers + 1):
+    for depth in range(2, max_layers + 1):
         stage = [(nodes + (l,), regs + (c,)) for l, c in pairs]
         results = [evaluate(n, r, shared) for n, r in stage]
         leaderboard.extend(o for o, _ in results)
@@ -137,7 +165,15 @@ def layerwise_per_candidate(space, train, val, max_layers, base_seed=0):
         if not scored:
             break
         rmse_l, (nodes_l, regs_l), forecast_l = min(scored, key=lambda t: t[:2])
-        if rmse_l > best_rmse * (1.0 - harness.MIN_RELATIVE_GAIN):
+        for score, s, f in scored:
+            if s == followed(depth) and score <= rmse_l + rtol * rmse_l:
+                rmse_l, (nodes_l, regs_l), forecast_l = score, s, f
+        threshold = best_rmse * (1.0 - harness.MIN_RELATIVE_GAIN)
+        if abs(rmse_l - threshold) <= rtol * threshold and follow is not None:
+            keep = followed(depth) == (nodes_l, regs_l)
+        else:
+            keep = rmse_l <= threshold
+        if not keep:
             break
         nodes, regs, best_rmse, forecast = nodes_l, regs_l, rmse_l, forecast_l
         history.append(best_rmse)

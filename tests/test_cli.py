@@ -90,6 +90,33 @@ def test_run_with_unknown_config_key_exits_2(series_csv, tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_rerunning_a_report_of_this_schema_reproduces_its_forecasts(series_csv, tmp_path):
+    path, _ = series_csv
+    assert cli.main(["run", "--config", str(experiment_config(tmp_path, path))]) == 0
+    report = tmp_path / "run" / "report.json"
+    assert json.loads(report.read_text())["schema_version"] == harness.REPORT_SCHEMA_VERSION
+    assert cli.main(["run", "--config", str(report), "--out", str(tmp_path / "rerun")]) == 0
+    assert (tmp_path / "rerun" / "forecasts.csv").read_bytes() == \
+        (tmp_path / "run" / "forecasts.csv").read_bytes()
+
+
+@pytest.mark.parametrize("version", ["1", "999"])
+def test_rerunning_a_report_of_another_schema_exits_2(series_csv, tmp_path, capsys, version):
+    # Schema 1 reports came from another hidden-layer draw: their forecasts
+    # cannot be reproduced, so the rerun is refused, naming both versions.
+    path, _ = series_csv
+    assert cli.main(["run", "--config", str(experiment_config(tmp_path, path))]) == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    old = tmp_path / "old_report.json"
+    old.write_text(json.dumps({**report, "schema_version": version}))
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(old), "--out", str(tmp_path / "rerun")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert f"schema version {version!r}" in err and repr(harness.REPORT_SCHEMA_VERSION) in err
+    assert not (tmp_path / "rerun").exists()
+
+
 @pytest.mark.parametrize("bad", [{"horizon": [1]}, {"data": "s.csv"}, {"seed": "3"}])
 def test_run_with_malformed_config_value_exits_2(series_csv, tmp_path, capsys, bad):
     path, _ = series_csv

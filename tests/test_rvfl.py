@@ -1,6 +1,8 @@
 import json
 import logging
 import warnings
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,9 +20,10 @@ from ewtforecast.rvfl import (
     fit,
     fit_output_weights,
     init_hidden_layer,
+    nested_ridge_path,
     predict,
-    ridge_path,
 )
+from ewtforecast.harness import SEARCH_RTOL
 from ewtforecast.series import fit_scaler
 
 from oracles import ACTIVATION_FORMULAS, ridge_cho_factor, ridge_gd, ridge_objective
@@ -137,6 +140,19 @@ def test_activations_are_finite_on_wide_range():
         assert np.all(np.isfinite(activate(name, x))), name
 
 
+@settings(max_examples=60, deadline=None)
+@given(n_inputs=st.integers(1, 12), nodes=st.integers(0, 40), extra=st.integers(0, 40),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+def test_a_layer_is_the_first_nodes_of_any_larger_layer(n_inputs, nodes, extra, seed, scale):
+    small, large = (init_hidden_layer(n_inputs, RvflConfig(n_enhancement=n, input_scale=scale,
+                                                           seed=seed))
+                    for n in (nodes, nodes + extra))
+    assert small.weights.tobytes() == large.weights[:nodes].tobytes()
+    assert small.biases.tobytes() == large.biases[:nodes].tobytes()
+    assert np.abs(large.weights).max(initial=0.0) <= scale
+    assert np.all((large.biases >= 0.0) & (large.biases <= scale))
+
+
 # ------------------------------------------------------------- design matrix
 
 def test_design_matrix_direct_only_equals_input():
@@ -237,7 +253,7 @@ def test_solver_rejects_non_finite():
 
 def test_a_bad_regularization_fails_only_itself():
     H, Y = random_problem(np.random.default_rng(12))
-    *errors, beta = ridge_path(H, Y, [np.nan, np.inf, -1.0, 1.0])
+    [[*errors, beta]] = nested_ridge_path(H, Y, [H.shape[1]], [np.nan, np.inf, -1.0, 1.0])
     assert [type(e) for e in errors] == [ValueError] * 3
     assert beta.tobytes() == fit_output_weights(H, Y, 1.0).tobytes()
     for bad in (np.nan, np.inf, -1.0):
@@ -333,6 +349,80 @@ def test_strongly_indefinite_system_raises(caplog):
     with pytest.raises(RuntimeError, match="failed even with jitter"):
         rvfl._solve_spd(np.diag([1.0, -1.0]), np.ones((2, 1)))
     assert len(caplog.records) == 1
+
+
+def relative_error(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+def nested_problem(n_rows, activation, output_bias, nodes, seed=0):
+    """Inputs, targets, the node-count configs and the design ``[X | 1? | A]``
+    of the largest node count."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n_rows, 6))
+    Y = np.sin(X.sum(axis=1, keepdims=True)) + 0.1 * rng.normal(size=(n_rows, 1))
+    cfgs = [RvflConfig(n_enhancement=n, activation=activation, output_bias=output_bias, seed=7)
+            for n in nodes]
+    H = rvfl._design(X, X, init_hidden_layer(6, cfgs[-1]), output_bias, bias_first=True)
+    return X, Y, cfgs, H
+
+
+@pytest.mark.parametrize("activation", ["sigmoid", "relu", "sign"])
+@pytest.mark.parametrize("output_bias", [False, True])
+@pytest.mark.parametrize("n_rows", [300, 30])  # at 30 rows the wider designs take the dual form
+def test_nested_solves_equal_each_width_solved_alone(activation, output_bias, n_rows):
+    # A width's weights come from the leading block of the largest factor; they
+    # equal a solve of that network's own [X | A | 1] system within SEARCH_RTOL.
+    nodes = (5, 20, 45)
+    X, Y, cfgs, H = nested_problem(n_rows, activation, output_bias, nodes, seed=n_rows)
+    lead = 6 + output_bias
+    regs = [0.1, 10.0, 1e4]
+    path = nested_ridge_path(H, Y, [lead + n for n in nodes], regs)
+    for cfg, betas in zip(cfgs, path):
+        design = build_design_matrix(X, init_hidden_layer(6, cfg), cfg)
+        for c_reg, beta in zip(regs, betas):
+            # The model's layout puts the bias entry last.
+            beta = np.r_[beta[:6], beta[lead:], beta[6:lead]]
+            assert relative_error(beta, fit_output_weights(design, Y, c_reg)) <= SEARCH_RTOL
+
+
+def test_a_failed_nested_factorization_solves_each_smaller_width_alone(caplog):
+    # The largest system never factors, and the middle one only with jitter.
+    # The smallest width is solved from its own block with no jitter, the middle
+    # one with its own, and only the largest fails: each is tried once plain
+    # and once jittered.
+    X, Y, _, H = nested_problem(120, "sigmoid", True, (5, 20, 40))
+    widths = [12, 27, 47]
+    original = rvfl._bordered_cholesky
+    attempts = Counter()
+
+    def factor(A, B):
+        n = A.shape[0]
+        attempts[n] += 1
+        if n == widths[2] or (n == widths[1] and attempts[n] == 1):
+            raise np.linalg.LinAlgError("not positive definite")
+        return original(A, B)
+
+    with mock.patch.object(rvfl, "_bordered_cholesky", factor), \
+            caplog.at_level(logging.WARNING, logger="ewtforecast.rvfl"):
+        [[small], [middle], [large]] = nested_ridge_path(H, Y, widths, [10.0])
+    assert attempts == {widths[0]: 1, widths[1]: 2, widths[2]: 2}
+    assert len(caplog.records) == 2
+    assert all(f"size {n} " in r.getMessage() for r, n in zip(caplog.records, widths[1:]))
+    assert isinstance(large, RuntimeError) and "failed even with jitter" in str(large)
+    assert relative_error(small, fit_output_weights(H[:, :widths[0]], Y, 10.0)) <= SEARCH_RTOL
+    own = H[:, :widths[1]]
+    system = own.T @ own + np.eye(widths[1]) / 10.0
+    system += 1e-10 * np.trace(system) / widths[1] * np.eye(widths[1])
+    assert relative_error(middle, np.linalg.solve(system, own.T @ Y)) <= SEARCH_RTOL
+
+
+def test_a_nested_width_with_a_non_finite_column_fails_alone():
+    X, Y, _, H = nested_problem(50, "sigmoid", False, (4, 8))
+    H[0, 6 + 6] = np.inf  # the seventh node
+    [[narrow], [wide]] = nested_ridge_path(H, Y, [10, 14], [1.0])
+    assert relative_error(narrow, fit_output_weights(H[:, :10], Y, 1.0)) <= SEARCH_RTOL
+    assert isinstance(wide, ValueError) and "finite" in str(wide)
 
 
 # ------------------------------------------------------------- fit / predict

@@ -22,7 +22,6 @@ from ewtforecast.walkforward import (
     ADAPTIVE_PER_STEP,
     BOUNDARY_MODES,
     FROZEN_FROM_TRAIN,
-    MIN_WINDOW_MARGIN,
     WalkForwardConfig,
     build_walkforward_features,
     causal_decompose_at,
@@ -67,7 +66,7 @@ def origin_rows(builder, values, cfg, start, stop, origin, future):
 def test_no_row_sees_a_value_after_its_origin(seed, n, lags, n_bands, mode, window, chunk_rows,
                                               scale, data):
     cfg = WalkForwardConfig(n_bands=n_bands, lags=lags, window=window, boundary_mode=mode)
-    first = window - 1 if isinstance(window, int) else lags + MIN_WINDOW_MARGIN - 1
+    first = cfg.first_origin
     if first >= n - 1:
         return  # no origin has both a full window and a target
     start = data.draw(st.integers(first, n - 2), label="start")
@@ -130,7 +129,7 @@ def assert_matches_oracle(ts, cfg, start, stop):
 def test_batched_rows_equal_the_per_origin_oracle(seed, n, lags, n_bands, mode, window, walk,
                                                   chunk_rows, data):
     cfg = WalkForwardConfig(n_bands=n_bands, lags=lags, window=window, boundary_mode=mode)
-    first = window - 1 if isinstance(window, int) else lags + MIN_WINDOW_MARGIN - 1
+    first = cfg.first_origin
     if first >= n - 1:
         return  # no origin has both a full window and a target
     start = data.draw(st.integers(first, n - 2), label="start")
@@ -161,7 +160,7 @@ def test_a_row_does_not_depend_on_the_build_range_or_the_chunking(seed, lags, n_
     # One-row products and products inside a stack of rows may round differently
     # (another BLAS kernel); this is the guard that each row's product has one shape.
     cfg = WalkForwardConfig(n_bands=n_bands, lags=lags, window=window, boundary_mode=mode)
-    first = window - 1 if isinstance(window, int) else lags + MIN_WINDOW_MARGIN - 1
+    first = cfg.first_origin
     n = data.draw(st.integers(first + 2, first + 160), label="n")
     start = data.draw(st.integers(first, n - 2), label="start")
     stop = start + data.draw(st.integers(1, n - 1 - start), label="rows")
@@ -220,7 +219,7 @@ def test_a_family_build_equals_one_build_per_config(seed, n_tones, lags, band_co
     # peak count fall back to uniform edges while smaller counts do not.
     cfgs = [WalkForwardConfig(n_bands=k, lags=lags, window=window, gamma=g, boundary_mode=mode)
             for k in band_counts for g in gammas]
-    first = window - 1 if isinstance(window, int) else lags + MIN_WINDOW_MARGIN - 1
+    first = cfgs[0].first_origin
     n = data.draw(st.integers(first + 2, first + 200), label="n")
     start = data.draw(st.integers(first, n - 2), label="start")
     stop = start + data.draw(st.integers(1, n - 1 - start), label="rows")
