@@ -11,6 +11,7 @@ floating-point rounding. Band edges live on the normalized frequency axis
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -270,45 +271,21 @@ def _smooth_step(x: np.ndarray) -> np.ndarray:
     return x ** 4 * (35.0 - 84.0 * x + 70.0 * x ** 2 - 20.0 * x ** 3)
 
 
-def filter_bank_responses(omegas, signal_length: int, gammas):
-    """Frequency responses of stacks of filter banks on the one-sided grid.
+def _edge_profiles(omegas: np.ndarray, gammas: np.ndarray, aw: np.ndarray):
+    """The two cross-fade profiles of every edge at the frequencies ``aw``.
 
-    Entry ``j`` of ``omegas`` holds one row of band edges per bank, shape
-    ``(R, K_j - 1)``, and ``gammas[j]`` is its requested ``gamma``. Around each
-    edge ``w`` the neighbouring filters cross-fade over the zone
-    ``[(1-gamma)*w, (1+gamma)*w]`` with raised-cosine profiles driven by a
-    smooth-step polynomial, so adjacent responses sum to one exactly. A row's
-    ``gamma`` is clipped whenever the requested value would make transition
-    zones of consecutive edges overlap.
-
-    Returns one pair per entry: the responses at the bins
-    ``0 .. signal_length // 2``, shape ``(R, K_j, signal_length // 2 + 1)``,
-    and the gamma each row used, shape ``(R,)``; a row was clipped where that
-    is below its entry's gamma. Bin ``k`` of the full grid has the response of
-    bin ``min(k, signal_length - k)``. Every edge's profiles are evaluated in
-    one pass, each with its own entry's clipped gamma; the arithmetic is
-    elementwise, so every value equals a one-entry call's bit for bit.
+    Around an edge ``w`` with gamma ``g`` (``gammas`` broadcasts against
+    ``omegas``) the filter below the edge falls and the one above rises over
+    the zone ``[(1-g)*w, (1+g)*w]`` with raised-cosine profiles driven by a
+    smooth-step polynomial, so the two sum to one. Returns ``(falling,
+    rising)``, each of shape ``omegas.shape + aw.shape``. The arithmetic is
+    elementwise, so an edge's profiles do not depend on what else is evaluated
+    with it, bit for bit.
     """
-    om = omegas[0] if len(omegas) == 1 else np.concatenate(omegas, axis=1)
-    n_rows = om.shape[0]
-    n = signal_length
-    aw = 2.0 * np.pi * np.arange(n // 2 + 1) / n
-    used = []
-    edge_gamma = np.empty((n_rows, om.shape[1], 1))
-    col = 0
-    for bank, gamma in zip(omegas, gammas):
-        n_edges = bank.shape[1]
-        gamma_eff = np.full(n_rows, gamma)
-        if n_edges > 1:
-            ratios = np.diff(bank, axis=1) / (bank[:, 1:] + bank[:, :-1])
-            gamma_eff = np.minimum(gamma, ratios.min(axis=1))
-        edge_gamma[:, col: col + n_edges, 0] = gamma_eff[:, None]
-        used.append(gamma_eff)
-        col += n_edges
-
-    w = om[:, :, None]
-    lo = (1.0 - edge_gamma) * w
-    width = 2.0 * edge_gamma * w
+    w = omegas[..., None]
+    g = gammas[..., None]
+    lo = (1.0 - g) * w
+    width = 2.0 * g * w
     x = aw - lo
     x /= width
     np.clip(x, 0.0, 1.0, out=x)
@@ -319,24 +296,100 @@ def filter_bank_responses(omegas, signal_length: int, gammas):
     zone = x > 0.0
     zone &= not_past
     arg = 0.5 * np.pi * _smooth_step(x[zone])
-    falling = np.where(not_past, 1.0, np.cos(0.5 * np.pi) ** 2)  # band below each edge
+    falling = np.where(not_past, 1.0, np.cos(0.5 * np.pi) ** 2)
     falling[zone] = np.cos(arg) ** 2
-    rising = x                   # (R, edges, n // 2 + 1): band above each edge
+    rising = x
     rising[zone] = np.sin(arg) ** 2
+    return falling, rising
+
+
+def _grid(signal_length: int) -> np.ndarray:
+    """Normalized frequencies ``2*pi*k/n`` of the one-sided bins ``k = 0 .. n // 2``."""
+    return 2.0 * np.pi * np.arange(signal_length // 2 + 1) / signal_length
+
+
+@lru_cache(maxsize=8)
+def _profile_table(signal_length: int, gamma: float) -> np.ndarray:
+    """:func:`_edge_profiles` of an edge on every bin strictly inside (0, pi).
+
+    With ``E = (n - 1) // 2`` such bins, row ``b - 1`` holds the falling profile
+    of the edge ``2*pi*b/n`` with ``gamma`` and row ``E + b - 1`` its rising
+    profile, shape ``(2 * E, n // 2 + 1)``: about ``4 * n ** 2`` bytes, 260 kB at
+    n = 256. Read-only, as it is shared.
+    """
+    aw = _grid(signal_length)
+    table = np.concatenate(_edge_profiles(aw[1:(signal_length + 1) // 2], np.array(gamma), aw))
+    table.setflags(write=False)
+    return table
+
+
+def _bands(falling: np.ndarray, rising: np.ndarray) -> np.ndarray:
+    """Responses ``(R, K, bins)`` of banks from the profiles ``(R, K - 1, bins)``
+    of their edges (see :func:`filter_bank_responses`)."""
+    rows, n_edges, n_bins = falling.shape
+    responses = np.empty((rows, n_edges + 1, n_bins))
+    responses[:, 0] = falling[:, 0]
+    np.multiply(rising[:, :-1], falling[:, 1:], out=responses[:, 1:-1])
+    responses[:, -1] = rising[:, -1]
+    return responses
+
+
+def filter_bank_responses(omegas, signal_length: int, gammas):
+    """Frequency responses of stacks of filter banks on the one-sided grid.
+
+    Entry ``j`` of ``omegas`` holds one row of band edges per bank, shape
+    ``(R, K_j - 1)``, and ``gammas[j]`` is its requested ``gamma``. Neighbouring
+    filters cross-fade around each edge with the profiles of
+    :func:`_edge_profiles`, so adjacent responses sum to one exactly. A row's
+    ``gamma`` is clipped whenever the requested value would make transition
+    zones of consecutive edges overlap.
+
+    Returns one pair per entry: the responses at the bins
+    ``0 .. signal_length // 2``, shape ``(R, K_j, signal_length // 2 + 1)``,
+    and the gamma each row used, shape ``(R,)``; a row was clipped where that
+    is below its entry's gamma. Bin ``k`` of the full grid has the response of
+    bin ``min(k, signal_length - k)``.
+
+    Numbering edges from 1, band 0 is the falling profile of edge 1, band
+    ``k`` the rising profile of edge ``k`` times the falling profile of edge
+    ``k + 1``, and the last band the rising profile of the last edge. In a
+    stack of several rows, a row whose edges all sit on the bin grid
+    (``2*pi*b/n`` bit for bit, as :func:`band_edges` places them) and whose
+    gamma was not clipped gathers its profiles from a table cached per
+    ``(signal_length, gamma)`` (:func:`_profile_table`). The other rows, and
+    every one-row stack, which could not repay a table, evaluate the formula.
+    Profiles are elementwise, so every value equals a one-row call's, and the
+    formula's, bit for bit.
+    """
+    n = signal_length
+    aw = _grid(n)
     banks = []
-    col = 0
-    for bank, gamma_eff in zip(omegas, used):
-        n_edges = bank.shape[1]
-        responses = np.empty((n_rows, n_edges + 1, aw.size))
-        if n_edges:
-            last = col + n_edges - 1
-            responses[:, 0] = falling[:, col]
-            responses[:, 1:-1] = rising[:, col: last] * falling[:, col + 1: last + 1]
-            responses[:, -1] = rising[:, last]
+    for bank, gamma in zip(omegas, gammas):
+        n_rows, n_edges = bank.shape
+        gamma_eff = np.full(n_rows, gamma)
+        if n_edges > 1:
+            ratios = np.diff(bank, axis=1) / (bank[:, 1:] + bank[:, :-1])
+            gamma_eff = np.minimum(gamma, ratios.min(axis=1))
+        if not n_edges:
+            responses = np.ones((n_rows, 1, aw.size))
+        elif n_rows == 1:
+            responses = _bands(*_edge_profiles(bank, gamma_eff[:, None], aw))
         else:
-            responses[:] = 1.0
+            n_table = (n - 1) // 2
+            bins = np.rint(bank * (n / (2.0 * np.pi))).astype(np.intp)
+            np.clip(bins, 1, n_table, out=bins)
+            # Gather each band's first factor straight into place: the falling
+            # profile of the first edge, then the rising profile of every edge.
+            first = np.empty((n_rows, n_edges + 1), dtype=np.intp)
+            first[:, 0] = bins[:, 0] - 1
+            np.add(bins, n_table - 1, out=first[:, 1:])
+            table = _profile_table(n, gamma)
+            responses = table[first]
+            responses[:, 1:-1] *= table[bins[:, 1:] - 1]
+            own = np.flatnonzero((aw[bins] != bank).any(axis=1) | (gamma_eff != gamma))
+            if own.size:
+                responses[own] = _bands(*_edge_profiles(bank[own], gamma_eff[own, None], aw))
         banks.append((responses, gamma_eff))
-        col += n_edges
     return banks
 
 

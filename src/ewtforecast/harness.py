@@ -445,7 +445,7 @@ def _group_forecasts(keys, make_config, fit) -> dict:
 
 
 class _GroupDesigns(NamedTuple):
-    """A search group's designs ``[X? | 1? | A]`` for its largest node count."""
+    """A search group's designs ``[1? | X? | A]`` for its largest node count."""
 
     H: np.ndarray       # train rows
     H_val: np.ndarray   # validation rows
@@ -459,8 +459,8 @@ def _fit_group(configs: list[RvflConfig], train: WindowedDataset, val: WindowedD
     ``enh``/``enh_val`` feed the hidden layer (default: the rows' ``X``, which
     always feeds the direct links). One hidden layer of the largest node count
     is drawn: a smaller one is its first nodes. The train and validation
-    designs are built once, with the ones column ahead of the nodes, so that
-    each node count's design is a column prefix, and one Gram matrix and one
+    designs are built once, ones column first and the nodes last, so that each
+    node count's design is a column prefix, and one Gram matrix and one
     factorization per C serve every node count
     (:func:`rvfl.nested_ridge_path`). Returns the designs and, per config, the
     forecast or the exception its solve raised.
@@ -474,7 +474,7 @@ def _fit_group(configs: list[RvflConfig], train: WindowedDataset, val: WindowedD
 
     def design(rows: WindowedDataset, rows_enh: np.ndarray) -> np.ndarray:
         return rvfl_mod._design(rows.X if cfg.direct_link else None, rows_enh, hidden,
-                                cfg.output_bias, bias_first=True)
+                                cfg.output_bias, bias_leads=True)
 
     H = design(train, enh)
     lead = train.n_features * cfg.direct_link + cfg.output_bias
@@ -543,11 +543,11 @@ class _Prefix:
 
     def extend(self, n_features: int, n_nodes: int, designs: _GroupDesigns,
                forecast) -> "_Prefix":
-        """The prefix with one more layer of ``n_nodes`` nodes, taken from its
-        group's designs ``[X | 1? | A]``."""
-        nodes = slice(designs.lead, designs.lead + n_nodes)
-        return _Prefix(*(np.hstack([H[:, :n_features], H[:, nodes]])
-                         for H in (designs.H, designs.H_val)),
+        """The prefix with one more layer of ``n_nodes`` nodes: its inputs are
+        the column range ``[X | first n_nodes nodes]`` of its group's designs
+        ``[1? | X | A]``, as views."""
+        inputs = slice(designs.lead - n_features, designs.lead + n_nodes)
+        return _Prefix(designs.H[:, inputs], designs.H_val[:, inputs],
                        self.forecasts + (forecast,))
 
 
@@ -1160,9 +1160,14 @@ def write_report(report: ExperimentReport, out_dir) -> dict:
                         len(report.origins), *(vals[c] for c in columns)])
     _write_atomically(paths["metrics"], _csv_text(metrics))
 
-    rows = [["model", "origin", "actual", "forecast"]]
+    # The cells are ints, floats and model names that need no quoting, so the
+    # lines are joined directly, with the bytes _csv_text would give: csv
+    # writes an int by str and a float by repr. Each origin's leading cells are
+    # formed once for every model.
+    heads = [f"{origin},{actual!r}," for origin, actual in zip(report.origins, report.actuals)]
+    lines = ["model,origin,actual,forecast\n"]
     for model in sorted(report.forecasts):
-        for origin, actual, pred in zip(report.origins, report.actuals, report.forecasts[model]):
-            rows.append([model, origin, actual, pred])
-    _write_atomically(paths["forecasts"], _csv_text(rows))
+        lines += [f"{model},{head}{pred!r}\n"
+                  for head, pred in zip(heads, report.forecasts[model])]
+    _write_atomically(paths["forecasts"], "".join(lines))
     return paths

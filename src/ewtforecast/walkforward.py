@@ -19,7 +19,10 @@ real matrix of taps per window width, and a group's rows are one product of
 its windows with that matrix. With
 adaptive edges each chunk of rows takes one real FFT, which feeds both the
 batched edge detection and the stack of per-row banks on the one-sided grid,
-and a fixed real basis maps each filtered spectrum to its band's tail.
+and a fixed real basis maps each filtered spectrum to its band's tail. Adaptive
+edges sit on the bin grid, so a chunk's banks are gathered from a table of edge
+profiles cached per width and gamma; a one-row stack, such as a one-origin
+build, evaluates the formula instead.
 
 Configs that differ only in ``n_bands`` and ``gamma``, such as the candidates
 of a model search, are built in one pass over the origins by
@@ -28,9 +31,10 @@ of a model search, are built in one pass over the origins by
 per adaptive chunk, the FFT and one call of each batched EWT stage, which
 takes and returns one entry per config: :func:`~ewtforecast.ewt.band_edges`
 shares the smoothing and the ranking of spectral peaks, and
-:func:`~ewtforecast.ewt.filter_bank_responses` evaluates every config's
-edges in one pass. The edge check and the product with the tail basis run per
-config, so every row is bit for bit what a build of its config alone gives.
+:func:`~ewtforecast.ewt.filter_bank_responses` gathers each config's banks
+from its gamma's table. The edge check and the product with the tail basis
+run per config, so every row is bit for bit what a build of its config alone
+gives.
 :func:`causal_decompose_at` decomposes one origin in full with the scalar EWT
 functions and is the reference the batched rows are tested against, within a
 stated rounding tolerance.
@@ -64,12 +68,12 @@ BOUNDARY_MODES = (ADAPTIVE_PER_STEP, FROZEN_FROM_TRAIN)
 # A spectrum needs a few samples beyond the lag window to say anything.
 MIN_WINDOW_MARGIN = 8
 DEFAULT_WINDOW_FLOOR = 128
-# Size of one adaptive chunk's largest temporaries: its filtered one-sided
-# spectra (rows x bands x 2 x bins floats) and its banks' per-edge arrays (rows
-# x (bands - 1) x bins floats), summed over the configs built together. Most
-# of a chunk's cost is per numpy call, so smaller chunks cost time; larger
-# ones buy little and raise peak memory by a few times this amount.
-CHUNK_BYTES = 1 << 20
+# Size of one adaptive chunk's largest temporaries: its banks' responses (rows
+# x bands x bins floats) and its filtered one-sided spectra (rows x bands x 2 x
+# bins floats), summed over the configs built together. Most of a chunk's cost
+# is per numpy call, so smaller chunks cost time; larger ones buy little and
+# raise peak memory by a few times this amount.
+CHUNK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -200,7 +204,7 @@ def _check_range(ts: TimeSeries, cfg: WalkForwardConfig, start: int, stop: int) 
 
 def _row_bytes(n_bands: int, width: int) -> int:
     """Bytes of one row's largest temporaries for one adaptive config (see ``CHUNK_BYTES``)."""
-    return 8 * (width // 2 + 1) * (3 * n_bands - 1)
+    return 8 * (width // 2 + 1) * 3 * n_bands
 
 
 @lru_cache(maxsize=16)

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ewtforecast import ewt
@@ -305,6 +305,64 @@ def test_half_grid_bank_equals_the_full_grid_formula(n, n_bands, gamma, seed):
     if np.all(np.diff(edges[0]) > 0.0):  # a repeated draw is no valid boundary set
         bank = build_filter_bank(EwtBoundaries(edges[0]), n, gamma)
         assert bank.responses.tobytes() == expected.tobytes()
+
+
+@st.composite
+def edge_rows(draw, n, n_edges):
+    """One row of ``n_edges`` edges for a signal of length ``n``: on the bin grid
+    (``2*pi*b/n``, as band_edges places them), one ulp off it, anywhere, or the
+    uniform fallback."""
+    kind = draw(st.sampled_from(["grid", "ulp", "anywhere", "fallback"]))
+    if kind == "fallback":
+        return np.pi * np.arange(1, n_edges + 1) / (n_edges + 1)
+    if kind == "anywhere":
+        return np.array(sorted(draw(st.lists(st.floats(1e-3, np.pi - 1e-3), min_size=n_edges,
+                                             max_size=n_edges, unique=True))))
+    bins = sorted(draw(st.lists(st.integers(1, (n - 1) // 2), min_size=n_edges,
+                                max_size=n_edges, unique=True)))
+    edges = 2.0 * np.pi * np.array(bins, dtype=np.intp) / n
+    if kind == "ulp" and n_edges:
+        i = draw(st.integers(0, n_edges - 1))
+        edges[i] = np.nextafter(edges[i], draw(st.sampled_from([0.0, np.pi])))
+    return edges
+
+
+@settings(deadline=None)
+@given(st.integers(16, 320), st.lists(st.tuples(st.integers(1, 5),
+                                                st.sampled_from([0.02, 0.1, 0.3, 0.6, 0.95])),
+                                      min_size=1, max_size=2, unique_by=lambda e: e[1]),
+       st.integers(1, 6), st.booleans(), st.data())
+def test_bank_table_rows_equal_the_formula_row_by_row(n, entries, n_rows, cold, data):
+    # Rows of several-row stacks gather their profiles from the cached table
+    # when their edges sit on the grid and their gamma is not clipped (large
+    # gammas clip often); every row must equal the formula evaluated for it
+    # alone, bit for bit, whether the table is built in this call or earlier.
+    stacks = [np.array([data.draw(edge_rows(n, n_bands - 1)) for _ in range(n_rows)])
+              .reshape(n_rows, n_bands - 1) for n_bands, _ in entries]
+    gammas = [gamma for _, gamma in entries]
+    if cold:
+        ewt._profile_table.cache_clear()
+    banks = filter_bank_responses(stacks, n, gammas)
+    for edges, gamma, (responses, gamma_used) in zip(stacks, gammas, banks):
+        assert responses.shape == (n_rows, edges.shape[1] + 1, n // 2 + 1)
+        for row, omegas in enumerate(edges):
+            expected = (filter_bank_full_grid(omegas, n, float(gamma_used[row])) if omegas.size
+                        else np.ones((1, n)))
+            assert responses[row].tobytes() == expected[:, :n // 2 + 1].tobytes()
+            ((alone, alone_gamma),) = filter_bank_responses([edges[row: row + 1]], n, [gamma])
+            assert responses[row].tobytes() == alone[0].tobytes()
+            assert gamma_used[row] == alone_gamma[0]
+
+
+def test_one_row_stacks_build_no_profile_table():
+    ewt._profile_table.cache_clear()
+    edges = 2.0 * np.pi * np.array([[10, 30]]) / 128
+    filter_bank_responses([edges, edges[:, :1]], 128, [0.1, 0.2])
+    build_filter_bank(EwtBoundaries(edges[0]), 128, 0.1)
+    assert ewt._profile_table.cache_info().currsize == 0
+    # Two rows on the grid: one table, for the entry's (length, gamma).
+    filter_bank_responses([np.vstack([edges, edges])], 128, [0.1])
+    assert ewt._profile_table.cache_info().currsize == 1
 
 
 def test_response_symmetry():

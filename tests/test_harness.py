@@ -450,6 +450,38 @@ def test_metrics_csv_quotes_a_series_name_with_a_comma(tmp_path):
     assert {row[1] for row in rows[1:]} == {"load, kW"}
 
 
+def test_forecasts_csv_has_the_bytes_of_the_csv_writer(tmp_path):
+    # forecasts.csv is joined from reprs; it must equal csv.writer's text,
+    # including floats whose repr takes an exponent, a sign or 17 digits.
+    values = np.cumsum(np.random.default_rng(37).normal(size=200))
+    report = run_experiment(walk_config(tmp_path, write_series(tmp_path, values)))
+    odd = [1e-7, 1e22, -0.0, 0.1 + 0.2, 5e-324, 2.5e-310, -123.0, 1.0]
+    origins = [0, 7, 99, 10**12, 3, 4, 5, 6]
+    forecasts = {"rvfl": odd[::-1], "persistence": odd, "linear": [-v for v in odd]}
+    report = harness.ExperimentReport(**{**report.__dict__, "origins": origins, "actuals": odd,
+                                         "forecasts": forecasts})
+    paths = write_report(report, tmp_path / "odd")
+    rows = [["model", "origin", "actual", "forecast"]]
+    rows += [[model, origin, actual, pred] for model in sorted(forecasts)
+             for origin, actual, pred in zip(origins, odd, forecasts[model])]
+    assert paths["forecasts"].read_bytes() == harness._csv_text(rows).encode("utf-8")
+
+
+def test_a_prefix_layer_takes_its_inputs_as_views_of_its_group_designs():
+    # The next layer's input [X | first nodes] is a column range of the group's
+    # designs [1 | X | A], so the layer-wise search copies no prefix.
+    train, val = small_problem(38, 40, 20, 3)
+    configs = [rvfl.RvflConfig(n_enhancement=n, output_bias=True, seed=4) for n in (5, 9)]
+    designs, _ = harness._fit_group(configs, train, val)
+    prefix = harness._Prefix(train.X, val.X).extend(train.n_features, 5, designs, None)
+    for inputs, rows, H in ((prefix.train_in, train, designs.H),
+                            (prefix.val_in, val, designs.H_val)):
+        assert np.shares_memory(inputs, H)
+        assert np.all(H[:, 0] == 1.0)
+        assert inputs.tobytes() == np.hstack([rows.X, H[:, 4:9]]).tobytes()
+    assert prefix.forecasts == (None,)
+
+
 def test_report_files_shape(tmp_path):
     rng = np.random.default_rng(18)
     values = np.cumsum(rng.normal(size=260))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ewtforecast import walkforward
+from ewtforecast import ewt, walkforward
 from ewtforecast.ewt import (
     EwtBoundaries,
     build_filter_bank,
@@ -400,6 +400,21 @@ def test_a_frozen_build_holds_its_rows_once():
         tracemalloc.stop()
     # The band tails are written into X in place and X is kept without a copy.
     assert peak < 1.5 * ds.X.nbytes
+
+
+def test_one_row_banks_build_no_profile_table():
+    # A frozen bank, a one-origin build and each origin of window="all" are
+    # one-row stacks: they evaluate the formula, and no table is built for them.
+    ts = TimeSeries(noisy_two_tone(300, seed=14))
+    ewt._profile_table.cache_clear()
+    frozen = WalkForwardConfig(n_bands=3, lags=4, window=64, boundary_mode=FROZEN_FROM_TRAIN)
+    build_walkforward_features(ts, frozen, 63, 200)
+    adaptive = WalkForwardConfig(n_bands=3, lags=4, window=64)
+    build_walkforward_features(ts, adaptive, 150, 151)
+    build_walkforward_features(ts, WalkForwardConfig(n_bands=3, lags=4, window="all"), 11, 40)
+    assert ewt._profile_table.cache_info().currsize == 0
+    build_walkforward_features(ts, adaptive, 150, 152)
+    assert ewt._profile_table.cache_info().currsize == 1
 
 
 def test_determinism():
