@@ -10,6 +10,7 @@ floating-point rounding. Band edges live on the normalized frequency axis
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -352,17 +353,26 @@ def filter_bank_responses(omegas, signal_length: int, gammas):
 
     Numbering edges from 1, band 0 is the falling profile of edge 1, band
     ``k`` the rising profile of edge ``k`` times the falling profile of edge
-    ``k + 1``, and the last band the rising profile of the last edge. In a
-    stack of several rows, a row whose edges all sit on the bin grid
-    (``2*pi*b/n`` bit for bit, as :func:`band_edges` places them) and whose
-    gamma was not clipped gathers its profiles from a table cached per
-    ``(signal_length, gamma)`` (:func:`_profile_table`). The other rows, and
-    every one-row stack, which could not repay a table, evaluate the formula.
-    Profiles are elementwise, so every value equals a one-row call's, and the
-    formula's, bit for bit.
+    ``k + 1``, and the last band the rising profile of the last edge. The
+    profiles of an edge on the bin grid (``2*pi*b/n`` bit for bit, as
+    :func:`band_edges` places them) depend only on ``(signal_length, gamma,
+    b)``, so they can be gathered from a table of every such edge's profiles,
+    cached per ``(signal_length, gamma)`` (:func:`_profile_table`). A table
+    holds ``E = (signal_length - 1) // 2`` edges and costs about as much to
+    build as evaluating that many, so it is used only where the call's entries
+    with that gamma hold at least ``E`` edges between them: it then takes at
+    most twice the memory of their responses, and a one-row stack, such as a
+    frozen bank, builds one only with about an edge per bin. There, a row
+    whose edges all sit on the grid and whose gamma was not clipped is
+    gathered; every other row evaluates the formula. Profiles are elementwise,
+    so every value equals a one-row call's, and the formula's, bit for bit.
     """
     n = signal_length
     aw = _grid(n)
+    n_table = (n - 1) // 2
+    edges_of = Counter()
+    for bank, gamma in zip(omegas, gammas):
+        edges_of[gamma] += bank.size
     banks = []
     for bank, gamma in zip(omegas, gammas):
         n_rows, n_edges = bank.shape
@@ -372,10 +382,9 @@ def filter_bank_responses(omegas, signal_length: int, gammas):
             gamma_eff = np.minimum(gamma, ratios.min(axis=1))
         if not n_edges:
             responses = np.ones((n_rows, 1, aw.size))
-        elif n_rows == 1:
+        elif edges_of[gamma] < n_table:
             responses = _bands(*_edge_profiles(bank, gamma_eff[:, None], aw))
         else:
-            n_table = (n - 1) // 2
             bins = np.rint(bank * (n / (2.0 * np.pi))).astype(np.intp)
             np.clip(bins, 1, n_table, out=bins)
             # Gather each band's first factor straight into place: the falling

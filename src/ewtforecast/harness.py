@@ -474,7 +474,7 @@ def _fit_group(configs: list[RvflConfig], train: WindowedDataset, val: WindowedD
 
     def design(rows: WindowedDataset, rows_enh: np.ndarray) -> np.ndarray:
         return rvfl_mod._design(rows.X if cfg.direct_link else None, rows_enh, hidden,
-                                cfg.output_bias, bias_leads=True)
+                                cfg.output_bias, bias_first=True)
 
     H = design(train, enh)
     lead = train.n_features * cfg.direct_link + cfg.output_bias

@@ -217,12 +217,11 @@ _ACTIVATION_BLOCK_BYTES = 64 * 1024
 
 
 def _design(direct, enh_input: np.ndarray, hidden: HiddenLayer, output_bias: bool,
-            bias_first: bool = False, bias_leads: bool = False) -> np.ndarray:
+            bias_first: bool = False) -> np.ndarray:
     """``[direct | g(enh_input W' + b) | 1]`` written into one preallocated buffer;
-    with ``bias_first``, ``[direct | 1 | g(enh_input W' + b)]``, so that the
-    design of the first L nodes is a column prefix; with ``bias_leads``,
-    ``[1 | direct | g(enh_input W' + b)]``, so that it is a column prefix and
-    ``[direct | first L nodes]`` a column range.
+    with ``bias_first``, ``[1 | direct | g(enh_input W' + b)]``, so that the
+    design of the first L nodes is a column prefix and ``[direct | first L
+    nodes]`` a column range.
 
     The direct block (``None`` for none) is copied in and the product lands in
     its columns. The bias and activation ``g`` are applied to a contiguous copy
@@ -234,11 +233,11 @@ def _design(direct, enh_input: np.ndarray, hidden: HiddenLayer, output_bias: boo
     n_direct = 0 if direct is None else direct.shape[1]
     n_nodes = hidden.n_nodes
     H = np.empty((enh_input.shape[0], n_direct + n_nodes + int(output_bias)))
-    skip = int(output_bias and bias_leads)  # columns ahead of the direct block
+    lead = int(output_bias and bias_first)  # columns ahead of the direct block
     if n_direct:
-        H[:, skip:skip + n_direct] = direct
+        H[:, lead:lead + n_direct] = direct
     if n_nodes:
-        start = n_direct + int(output_bias and (bias_first or bias_leads))
+        start = lead + n_direct
         A = H[:, start:start + n_nodes]
         np.matmul(enh_input, hidden.weights.T, out=A)
         activate = ACTIVATIONS[hidden.activation]
@@ -248,7 +247,7 @@ def _design(direct, enh_input: np.ndarray, hidden: HiddenLayer, output_bias: boo
             rows = A[i:i + step]
             rows[...] = activate(np.add(rows, hidden.biases, out=block[:len(rows)]))
     if output_bias:
-        H[:, 0 if bias_leads else n_direct if bias_first else -1] = 1.0
+        H[:, 0 if bias_first else -1] = 1.0
     return H
 
 

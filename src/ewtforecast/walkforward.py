@@ -20,9 +20,10 @@ its windows with that matrix. With
 adaptive edges each chunk of rows takes one real FFT, which feeds both the
 batched edge detection and the stack of per-row banks on the one-sided grid,
 and a fixed real basis maps each filtered spectrum to its band's tail. Adaptive
-edges sit on the bin grid, so a chunk's banks are gathered from a table of edge
-profiles cached per width and gamma; a one-row stack, such as a one-origin
-build, evaluates the formula instead.
+edges sit on the bin grid, so a chunk that holds at least as many edges as its
+one-sided grid has bins gathers its banks from a table of edge profiles cached
+per width and gamma; a smaller chunk, such as a one-origin build or any chunk
+of a window wider than about 500 samples, evaluates the formula instead.
 
 Configs that differ only in ``n_bands`` and ``gamma``, such as the candidates
 of a model search, are built in one pass over the origins by
@@ -31,10 +32,10 @@ of a model search, are built in one pass over the origins by
 per adaptive chunk, the FFT and one call of each batched EWT stage, which
 takes and returns one entry per config: :func:`~ewtforecast.ewt.band_edges`
 shares the smoothing and the ranking of spectral peaks, and
-:func:`~ewtforecast.ewt.filter_bank_responses` gathers each config's banks
-from its gamma's table. The edge check and the product with the tail basis
-run per config, so every row is bit for bit what a build of its config alone
-gives.
+:func:`~ewtforecast.ewt.filter_bank_responses` computes every config's banks,
+counting the edges of all configs with one gamma towards its table. The edge
+check and the product with the tail basis run per config, so every row is bit
+for bit what a build of its config alone gives.
 :func:`causal_decompose_at` decomposes one origin in full with the scalar EWT
 functions and is the reference the batched rows are tested against, within a
 stated rounding tolerance.
@@ -70,7 +71,8 @@ MIN_WINDOW_MARGIN = 8
 DEFAULT_WINDOW_FLOOR = 128
 # Size of one adaptive chunk's largest temporaries: its banks' responses (rows
 # x bands x bins floats) and its filtered one-sided spectra (rows x bands x 2 x
-# bins floats), summed over the configs built together. Most of a chunk's cost
+# bins floats), summed over the configs built together; a cached profile table
+# is taken only where it is at most twice the responses. Most of a chunk's cost
 # is per numpy call, so smaller chunks cost time; larger ones buy little and
 # raise peak memory by a few times this amount.
 CHUNK_BYTES = 2 << 20

@@ -330,39 +330,39 @@ def edge_rows(draw, n, n_edges):
 @settings(deadline=None)
 @given(st.integers(16, 320), st.lists(st.tuples(st.integers(1, 5),
                                                 st.sampled_from([0.02, 0.1, 0.3, 0.6, 0.95])),
-                                      min_size=1, max_size=2, unique_by=lambda e: e[1]),
-       st.integers(1, 6), st.booleans(), st.data())
-def test_bank_table_rows_equal_the_formula_row_by_row(n, entries, n_rows, cold, data):
-    # Rows of several-row stacks gather their profiles from the cached table
-    # when their edges sit on the grid and their gamma is not clipped (large
-    # gammas clip often); every row must equal the formula evaluated for it
-    # alone, bit for bit, whether the table is built in this call or earlier.
-    stacks = [np.array([data.draw(edge_rows(n, n_bands - 1)) for _ in range(n_rows)])
-              .reshape(n_rows, n_bands - 1) for n_bands, _ in entries]
+                                      min_size=1, max_size=3),
+       st.integers(1, 6), st.integers(1, 8), st.booleans(), st.data())
+def test_bank_table_rows_equal_the_formula_row_by_row(n, entries, n_distinct, copies, cold,
+                                                      data):
+    # Rows gather their profiles from the cached table when their entry's gamma
+    # has at least (n - 1) // 2 edges in the call, their edges sit on the grid
+    # and their gamma is not clipped (large gammas clip often); every row must
+    # equal the formula evaluated for it alone, bit for bit, whether the table
+    # is built in this call or earlier. Each stack repeats its distinct rows
+    # ``copies`` times, so that small and large stacks both occur.
+    distinct = [np.array([data.draw(edge_rows(n, n_bands - 1)) for _ in range(n_distinct)])
+                .reshape(n_distinct, n_bands - 1) for n_bands, _ in entries]
+    stacks = [np.tile(rows, (copies, 1)) for rows in distinct]
     gammas = [gamma for _, gamma in entries]
     if cold:
         ewt._profile_table.cache_clear()
     banks = filter_bank_responses(stacks, n, gammas)
-    for edges, gamma, (responses, gamma_used) in zip(stacks, gammas, banks):
-        assert responses.shape == (n_rows, edges.shape[1] + 1, n // 2 + 1)
-        for row, omegas in enumerate(edges):
+    if cold:
+        # A table is built for each gamma with at least (n - 1) // 2 edges.
+        edges = {gamma: sum(s.size for s, g in zip(stacks, gammas) if g == gamma)
+                 for gamma in gammas}
+        built = sum(count >= (n - 1) // 2 for count in edges.values())
+        assert ewt._profile_table.cache_info().currsize == built
+    for rows, gamma, (responses, gamma_used) in zip(distinct, gammas, banks):
+        assert responses.shape == (n_distinct * copies, rows.shape[1] + 1, n // 2 + 1)
+        for row, omegas in enumerate(rows):
             expected = (filter_bank_full_grid(omegas, n, float(gamma_used[row])) if omegas.size
                         else np.ones((1, n)))
-            assert responses[row].tobytes() == expected[:, :n // 2 + 1].tobytes()
-            ((alone, alone_gamma),) = filter_bank_responses([edges[row: row + 1]], n, [gamma])
-            assert responses[row].tobytes() == alone[0].tobytes()
-            assert gamma_used[row] == alone_gamma[0]
-
-
-def test_one_row_stacks_build_no_profile_table():
-    ewt._profile_table.cache_clear()
-    edges = 2.0 * np.pi * np.array([[10, 30]]) / 128
-    filter_bank_responses([edges, edges[:, :1]], 128, [0.1, 0.2])
-    build_filter_bank(EwtBoundaries(edges[0]), 128, 0.1)
-    assert ewt._profile_table.cache_info().currsize == 0
-    # Two rows on the grid: one table, for the entry's (length, gamma).
-    filter_bank_responses([np.vstack([edges, edges])], 128, [0.1])
-    assert ewt._profile_table.cache_info().currsize == 1
+            ((alone, alone_gamma),) = filter_bank_responses([rows[row: row + 1]], n, [gamma])
+            assert alone[0].tobytes() == expected[:, :n // 2 + 1].tobytes()
+            for copy in range(row, n_distinct * copies, n_distinct):
+                assert responses[copy].tobytes() == alone[0].tobytes()
+                assert gamma_used[copy] == alone_gamma[0]
 
 
 def test_response_symmetry():

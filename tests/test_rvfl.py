@@ -356,7 +356,7 @@ def relative_error(got, ref):
 
 
 def nested_problem(n_rows, activation, output_bias, nodes, seed=0):
-    """Inputs, targets, the node-count configs and the design ``[X | 1? | A]``
+    """Inputs, targets, the node-count configs and the design ``[1? | X | A]``
     of the largest node count."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n_rows, 6))
@@ -382,7 +382,7 @@ def test_nested_solves_equal_each_width_solved_alone(activation, output_bias, n_
         design = build_design_matrix(X, init_hidden_layer(6, cfg), cfg)
         for c_reg, beta in zip(regs, betas):
             # The model's layout puts the bias entry last.
-            beta = np.r_[beta[:6], beta[lead:], beta[6:lead]]
+            beta = np.r_[beta[output_bias:lead], beta[lead:], beta[:output_bias]]
             assert relative_error(beta, fit_output_weights(design, Y, c_reg)) <= SEARCH_RTOL
 
 

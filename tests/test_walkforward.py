@@ -402,18 +402,26 @@ def test_a_frozen_build_holds_its_rows_once():
     assert peak < 1.5 * ds.X.nbytes
 
 
-def test_one_row_banks_build_no_profile_table():
-    # A frozen bank, a one-origin build and each origin of window="all" are
-    # one-row stacks: they evaluate the formula, and no table is built for them.
-    ts = TimeSeries(noisy_two_tone(300, seed=14))
+def test_only_builds_that_repay_a_profile_table_build_one():
+    # A table of an edge per bin is built only where a call holds at least as
+    # many edges. A frozen bank, build_filter_bank, a one-origin build and each
+    # origin of window="all" are one-row stacks, and a chunk at a large window
+    # holds too few rows: they evaluate the formula, and no table is built.
+    ts = TimeSeries(noisy_two_tone(2400, seed=14))
     ewt._profile_table.cache_clear()
     frozen = WalkForwardConfig(n_bands=3, lags=4, window=64, boundary_mode=FROZEN_FROM_TRAIN)
     build_walkforward_features(ts, frozen, 63, 200)
+    build_filter_bank(EwtBoundaries(np.array([0.5, 1.5])), 64, 0.1)
     adaptive = WalkForwardConfig(n_bands=3, lags=4, window=64)
     build_walkforward_features(ts, adaptive, 150, 151)
     build_walkforward_features(ts, WalkForwardConfig(n_bands=3, lags=4, window="all"), 11, 40)
+    wide = WalkForwardConfig(n_bands=4, lags=4, window=2048)
+    build_walkforward_features(ts, wide, 2047, 2300)
     assert ewt._profile_table.cache_info().currsize == 0
-    build_walkforward_features(ts, adaptive, 150, 152)
+    # 16 rows of 2 edges fill a table of (64 - 1) // 2 = 31 edges.
+    build_walkforward_features(ts, adaptive, 150, 165)
+    assert ewt._profile_table.cache_info().currsize == 0
+    build_walkforward_features(ts, adaptive, 150, 166)
     assert ewt._profile_table.cache_info().currsize == 1
 
 
