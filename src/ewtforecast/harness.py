@@ -9,13 +9,17 @@ stay interpretable. The linear baseline, ridge on the raw lags, is the RVFL
 search with no enhancement nodes, run by the same candidate loop. Every search,
 the baseline's included, ends before any test row is assembled.
 
-Model search solves each group of ridge problems once: candidates that differ
-only in node count and regularization share one hidden layer (a smaller layer
-is the first nodes of the largest), one pair of designs, one Gram matrix and
-one factorization per C, and the layer-wise search fits its fixed layers once
-and reuses their activations and forecasts. Every score equals that of
-fitting the candidate from scratch to within rounding (:data:`SEARCH_RTOL`),
-and the winner's validation forecast comes from the search, not from a refit.
+Model search solves each group of ridge problems once (:func:`_fit_group`):
+candidates that differ only in node count and regularization share one hidden
+layer (a smaller layer is the first nodes of the largest), one pair of
+designs, one Gram matrix and one factorization per C. One rule picks every
+winner (:func:`_winner`). The layer-wise search is one loop over the layers:
+each stage fits only its new layer, on views of the accepted layers'
+activations, and combines its forecasts with theirs. Every score equals that
+of fitting the candidate from scratch to within rounding
+(:data:`SEARCH_RTOL`), and the winner's validation forecast comes from the
+search, not from a refit. The winner is refitted and forecasts the test rows
+in one place (:func:`_test_forecast`).
 Adaptive walk-forward candidates that differ only in band count and gamma get
 their tuning rows from one pass over the origins, bit for bit the rows each
 would build alone.
@@ -421,29 +425,6 @@ def _nested_group(p: ModelParams) -> ModelParams:
     return p._replace(n_enhancement=None, regularization=None)
 
 
-def _group_forecasts(keys, make_config, fit) -> dict:
-    """Per key, its candidate's validation forecast or the exception it raised.
-
-    ``make_config(key)`` validates one candidate's settings, so an invalid value
-    fails its candidate alone; ``fit(configs)`` fits the valid candidates of the
-    group together and returns their forecasts (or exceptions) in order. An
-    exception ``fit`` raises is every valid candidate's failure.
-    """
-    configs, forecasts = {}, {}
-    for key in keys:
-        try:
-            configs[key] = make_config(key)
-        except ValueError as exc:
-            forecasts[key] = exc
-    if configs:
-        try:
-            path = fit(list(configs.values()))
-        except (ValueError, RuntimeError) as exc:
-            path = [exc] * len(configs)
-        forecasts.update(zip(configs, path))
-    return forecasts
-
-
 class _GroupDesigns(NamedTuple):
     """A search group's designs ``[1? | X? | A]`` for its largest node count."""
 
@@ -452,42 +433,74 @@ class _GroupDesigns(NamedTuple):
     lead: int           # columns ahead of the nodes
 
 
-def _fit_group(configs: list[RvflConfig], train: WindowedDataset, val: WindowedDataset,
+def _fit_group(keys, make_config, train: WindowedDataset, val: WindowedDataset,
                enh=None, enh_val=None):
-    """Validation forecasts of networks that differ only in node count and regularization.
+    """Validation forecasts of one search group: networks that differ only in
+    node count and regularization.
 
-    ``enh``/``enh_val`` feed the hidden layer (default: the rows' ``X``, which
-    always feeds the direct links). One hidden layer of the largest node count
-    is drawn: a smaller one is its first nodes. The train and validation
-    designs are built once, ones column first and the nodes last, so that each
-    node count's design is a column prefix, and one Gram matrix and one
-    factorization per C serve every node count
-    (:func:`rvfl.nested_ridge_path`). Returns the designs and, per config, the
-    forecast or the exception its solve raised.
+    ``make_config(key)`` gives a candidate's :class:`RvflConfig`; a
+    ``ValueError`` it raises fails that candidate alone. ``enh``/``enh_val``
+    feed the hidden layer (default: the rows' ``X``, which always feeds the
+    direct links). The valid candidates are fitted together: one hidden layer
+    of the largest node count is drawn, a smaller one being its first nodes,
+    and the train and validation designs are built once, ones column first and
+    the nodes last, so that each node count's design is a column prefix, and
+    one Gram matrix and one factorization per C serve every node count
+    (:func:`rvfl.nested_ridge_path`).
+
+    Returns, per key, the forecast or the exception raised in its place (an
+    exception raised for the whole group is every valid candidate's), and the
+    designs, or None when they were not built.
     """
-    if train.n_samples < 1:
-        raise ValueError("X must be a non-empty matrix")
+    configs, forecasts = {}, {}
+    for key in keys:
+        try:
+            configs[key] = make_config(key)
+        except ValueError as exc:
+            forecasts[key] = exc
+    if not configs:
+        return forecasts, None
     enh = train.X if enh is None else enh
     enh_val = val.X if enh_val is None else enh_val
-    cfg = max(configs, key=lambda c: c.n_enhancement)
-    hidden = rvfl_mod.init_hidden_layer(enh.shape[1], cfg)
+    cfg = max(configs.values(), key=lambda c: c.n_enhancement)
+    lead = train.n_features * cfg.direct_link + cfg.output_bias
+    widths = list(dict.fromkeys(lead + c.n_enhancement for c in configs.values()))
+    regs = list(dict.fromkeys(c.regularization for c in configs.values()))
 
     def design(rows: WindowedDataset, rows_enh: np.ndarray) -> np.ndarray:
         return rvfl_mod._design(rows.X if cfg.direct_link else None, rows_enh, hidden,
                                 cfg.output_bias, bias_first=True)
 
-    H = design(train, enh)
-    lead = train.n_features * cfg.direct_link + cfg.output_bias
-    widths = list(dict.fromkeys(lead + c.n_enhancement for c in configs))
-    regs = list(dict.fromkeys(c.regularization for c in configs))
-    path = rvfl_mod.nested_ridge_path(H, train.Y, widths, regs)
-    designs = _GroupDesigns(H, design(val, enh_val), lead)
-    forecasts = []
-    for c in configs:
-        width = designs.lead + c.n_enhancement
+    try:
+        if train.n_samples < 1:
+            raise ValueError("X must be a non-empty matrix")
+        hidden = rvfl_mod.init_hidden_layer(enh.shape[1], cfg)
+        H = design(train, enh)
+        path = rvfl_mod.nested_ridge_path(H, train.Y, widths, regs)
+        designs = _GroupDesigns(H, design(val, enh_val), lead)
+    except (ValueError, RuntimeError) as exc:
+        return {**forecasts, **dict.fromkeys(configs, exc)}, None
+    for key, c in configs.items():
+        width = lead + c.n_enhancement
         beta = path[widths.index(width)][regs.index(c.regularization)]
-        forecasts.append(beta if isinstance(beta, Exception) else designs.H_val[:, :width] @ beta)
-    return designs, forecasts
+        forecasts[key] = beta if isinstance(beta, Exception) else designs.H_val[:, :width] @ beta
+    return forecasts, designs
+
+
+class _NoWinner(RuntimeError):
+    """Every candidate of a model search failed; ``outcomes`` are their entries."""
+
+    def __init__(self, outcomes):
+        super().__init__(f"every grid candidate failed; the first: {outcomes[0].error}")
+        self.outcomes = outcomes
+
+
+def _winner(candidates, outcomes):
+    """Index of the candidate with the lowest ``(val_rmse, tuple(candidate))``,
+    or None when none has a score; an outcome of None is one not yet scored."""
+    scored = [(o.val_rmse, tuple(c), i) for i, (c, o) in enumerate(zip(candidates, outcomes))
+              if o is not None and o.val_rmse is not None]
+    return min(scored)[2] if scored else None
 
 
 def grid_search(space: GridSpace, train: WindowedDataset, val: WindowedDataset,
@@ -510,126 +523,82 @@ def grid_search(space: GridSpace, train: WindowedDataset, val: WindowedDataset,
     logger.info("grid search over %d model candidates", len(candidates))
     forecasts = {}
     for group in _groups(candidates, _nested_group):
-        forecasts.update(_group_forecasts(group, lambda i: _rvfl_config(candidates[i], base_seed),
-                                          lambda configs: _fit_group(configs, train, val)[1]))
+        forecasts.update(_fit_group(group, lambda i: _rvfl_config(candidates[i], base_seed),
+                                    train, val)[0])
     outcomes = [_outcome(p.as_dict(), forecasts[i], val.Y) for i, p in enumerate(candidates)]
-    best, best_rmse = _pick_winner(candidates, outcomes)
-    return GridSearchResult(best, best_rmse, outcomes, forecasts[candidates.index(best)])
-
-
-class _NoWinner(RuntimeError):
-    """Every candidate of a model search failed; ``outcomes`` are their entries."""
-
-    def __init__(self, outcomes):
-        super().__init__(f"every grid candidate failed; the first: {outcomes[0].error}")
-        self.outcomes = outcomes
-
-
-def _pick_winner(candidates, outcomes):
-    scored = [(o.val_rmse, tuple(c)) for c, o in zip(candidates, outcomes) if o.val_rmse is not None]
-    if not scored:
+    best = _winner(candidates, outcomes)
+    if best is None:
         raise _NoWinner(outcomes)
-    best_rmse, best_tuple = min(scored)
-    return type(candidates[0])(*best_tuple), best_rmse
-
-
-@dataclass(frozen=True)
-class _Prefix:
-    """The fixed layers of the layer-wise search, as far as the next layer needs them."""
-
-    train_in: np.ndarray  # the next layer's enhancement input [X | A], train rows
-    val_in: np.ndarray    # the same for the validation rows
-    forecasts: tuple = ()  # each fixed layer's validation forecast
-
-    def extend(self, n_features: int, n_nodes: int, designs: _GroupDesigns,
-               forecast) -> "_Prefix":
-        """The prefix with one more layer of ``n_nodes`` nodes: its inputs are
-        the column range ``[X | first n_nodes nodes]`` of its group's designs
-        ``[1? | X | A]``, as views."""
-        inputs = slice(designs.lead - n_features, designs.lead + n_nodes)
-        return _Prefix(designs.H[:, inputs], designs.H_val[:, inputs],
-                       self.forecasts + (forecast,))
+    return GridSearchResult(candidates[best], outcomes[best].val_rmse, outcomes, forecasts[best])
 
 
 def layerwise_grid_search(space: GridSpace, train: WindowedDataset, val: WindowedDataset,
                           max_layers: int, base_seed: int = 0) -> LayerwiseResult:
     """Greedy deep-network tuning: fix each layer's size/regularization in turn.
 
-    Candidates are ranked by the validation RMSE of their median ensemble.
-    Stage one searches the full model grid for a one-layer network. Each later
-    stage searches nodes x regularization for the new layer while all earlier
-    layers stay fixed, and the layer is kept only when validation RMSE improves
-    by at least a relative ``1e-6``; otherwise the search stops early. Direct
-    links are structural in this architecture, so that axis is ignored.
+    Candidates are ranked by the validation RMSE of their median ensemble, in
+    one stage per layer. Stage one searches the full model grid for a
+    one-layer network. Each later stage searches nodes x regularization for
+    the new layer while all earlier layers stay fixed, and the layer is kept
+    only when validation RMSE improves by at least a relative
+    :data:`MIN_RELATIVE_GAIN`; otherwise the search stops early. Direct links
+    are structural in this architecture, so that axis is ignored.
 
     The fixed layers are fitted once: the search keeps the accepted layers'
-    activations and validation forecasts, and a candidate fits only its new
-    layer and combines its forecast with theirs. Candidates of a stage that
-    differ only in the new layer's ``n_enhancement`` and ``regularization``
-    share its hidden layer, designs, Gram matrix and one factorization per C.
-    Every score equals, within :data:`SEARCH_RTOL` relative, that of
-    ``fit_edrvfl`` and ``ensemble_predict`` on the candidate's whole stack.
-    Only the running winner's designs are kept.
+    validation forecasts, and the next layer's input ``[X | A]`` is a column
+    range of the winner's designs, taken as views. A candidate fits only its
+    new layer and combines its forecast with theirs. Candidates of a stage
+    that differ only in the new layer's ``n_enhancement`` and
+    ``regularization`` are one :func:`_fit_group`. Every score equals, within
+    :data:`SEARCH_RTOL` relative, that of ``fit_edrvfl`` and
+    ``ensemble_predict`` on the candidate's whole stack. Only the running
+    winner's designs are kept.
     """
     if max_layers < 1:
         raise ValueError("max_layers must be >= 1")
-    leaderboard = []
-
-    def run_stage(prefix: _Prefix, stage: list):
-        """Leaderboard entries of one stage, and its winner with its designs (None if none)."""
-        outcomes = [None] * len(stage)
-        best = None
-        for group in _groups(stage, lambda s: (s[0][:-1], s[1][:-1], _nested_group(s[2]))):
-            designs = [None]
-
-            def fit(configs: list[EdRvflConfig]) -> list:
-                """Fit the group's new layer; its forecast (or failure) per config."""
-                layer = configs[0].n_layers
-                designs[0], path = _fit_group([c.layer_config(layer - 1) for c in configs],
-                                              train, val, prefix.train_in, prefix.val_in)
-                return [RuntimeError(f"layer {layer} solve failed: {f}")
-                        if isinstance(f, RuntimeError) else f for f in path]
-
-            forecasts = _group_forecasts(
-                group, lambda k: _edrvfl_config(*stage[k], base_seed), fit)
-            for k in group:
-                nodes, regs, shared = stage[k]
-                layer_forecast = ensemble = forecasts[k]
-                if not isinstance(layer_forecast, Exception):
-                    ensemble = edrvfl_mod.combine_predictions(
-                        np.stack(prefix.forecasts + (layer_forecast,)), "median")
-                params = {"layer_nodes": list(nodes), "layer_regs": list(regs),
-                          **shared.as_dict()}
-                outcomes[k] = outcome = _outcome(params, ensemble, val.Y)
-                key = (outcome.val_rmse, nodes, regs, tuple(shared))
-                if outcome.val_rmse is not None and (best is None or key < best[0]):
-                    best = (key, shared, layer_forecast, ensemble, designs[0])
-        leaderboard.extend(outcomes)
-        return outcomes, best
-
-    stage1 = [((p.n_enhancement,), (p.regularization,), p)
-              for p in space.model_candidates("edrvfl")]
-    prefix = _Prefix(train.X, val.X)
-    outcomes, best = run_stage(prefix, stage1)
-    if best is None:
-        raise _NoWinner(outcomes)
-    (best_rmse, nodes, regs, _), shared, *_ = best
-    history = [best_rmse]
-
+    stage = [((p.n_enhancement,), (p.regularization,), p)
+             for p in space.model_candidates("edrvfl")]
     pairs = sorted(set(itertools.product(space.n_enhancement, space.regularization)))
-    for _ in range(2, max_layers + 1):
-        _, _, layer_forecast, _, designs = best
-        prefix = prefix.extend(train.n_features, nodes[-1], designs, layer_forecast)
+    leaderboard, history = [], []
+    fixed, enh, enh_val = (), train.X, val.X  # the fixed layers' forecasts, the next one's input
+    for layer in range(1, max_layers + 1):
+        outcomes = [None] * len(stage)
+        for group in _groups(stage, lambda s: (s[0][:-1], s[1][:-1], _nested_group(s[2]))):
+            fitted, designs = _fit_group(
+                group, lambda k: _edrvfl_config(*stage[k], base_seed).layer_config(layer - 1),
+                train, val, enh, enh_val)
+            ensembles = {}
+            for k in group:
+                ensemble = fitted[k]
+                if isinstance(ensemble, RuntimeError):
+                    ensemble = RuntimeError(f"layer {layer} solve failed: {ensemble}")
+                elif not isinstance(ensemble, Exception):
+                    ensemble = edrvfl_mod.combine_predictions(np.stack(fixed + (ensemble,)),
+                                                              "median")
+                ensembles[k] = ensemble
+                params = {"layer_nodes": list(stage[k][0]), "layer_regs": list(stage[k][1]),
+                          **stage[k][2].as_dict()}
+                outcomes[k] = _outcome(params, ensemble, val.Y)
+            best = _winner(stage, outcomes)
+            if best in group:
+                won = designs, fitted[best], ensembles[best]
+            del designs  # only the stage's running winner keeps its designs
+        leaderboard.extend(outcomes)
+        if best is None:
+            if layer == 1:
+                raise _NoWinner(outcomes)
+            break
+        rmse = outcomes[best].val_rmse
+        if history and rmse > history[-1] * (1.0 - MIN_RELATIVE_GAIN):
+            break
+        history.append(rmse)
+        (nodes, regs, shared), (designs, forecast, val_forecast) = stage[best], won
+        inputs = slice(designs.lead - train.n_features, designs.lead + nodes[-1])
+        enh, enh_val = designs.H[:, inputs], designs.H_val[:, inputs]
+        fixed += (forecast,)
         stage = [(nodes + (l,), regs + (c,), shared) for l, c in pairs]
-        _, stage_best = run_stage(prefix, stage)
-        if stage_best is None:
-            break
-        (rmse_l, nodes_l, regs_l, _), *_ = stage_best
-        if rmse_l > best_rmse * (1.0 - MIN_RELATIVE_GAIN):
-            break
-        nodes, regs, best_rmse, best = nodes_l, regs_l, rmse_l, stage_best
-        history.append(best_rmse)
-    return LayerwiseResult(nodes, regs, shared, best_rmse, tuple(history), leaderboard, best[3])
+    return LayerwiseResult(nodes, regs, shared, history[-1], tuple(history), leaderboard,
+                           val_forecast)
 
 
 class _PipelineBuild:
@@ -718,17 +687,17 @@ class _PipelineBuild:
             self.frozen = freeze_boundaries(ts, self.wf_cfg, self.start)
 
     def _keep_tune(self, tune=None) -> None:
-        """Keep the tuning rows, built here unless given, and split them at the
-        training span; a given ``tune`` may be the ``ValueError`` its build raised."""
+        """Keep the tuning rows, built here unless given, and count those whose
+        targets lie in the training span; a given ``tune`` may be the
+        ``ValueError`` its build raised."""
         if tune is None:
             tune = self._build(self.start, self.tune_stop)
         if isinstance(tune, ValueError):
             raise tune
         self.tune = tune
-        targets = tune.origin_indices + self.horizon
-        self.train_mask = targets < self.i_train
-        self.val_mask = targets >= self.i_train
-        if not self.train_mask.any():
+        # Origins increase, so the training rows come first.
+        self.n_train = int(np.searchsorted(tune.origin_indices, self.i_train - self.horizon))
+        if not self.n_train:
             raise ValueError("no training rows inside the training span")
 
     def _build(self, start: int, stop: int) -> WindowedDataset:
@@ -740,13 +709,12 @@ class _PipelineBuild:
         return leaky_features(self.ts, self.wf_cfg, start, stop)
 
     def train_rows(self) -> WindowedDataset:
-        return self.tune.take(np.flatnonzero(self.train_mask))
+        """The tuning rows before the validation span, as read-only views."""
+        return self.tune.take(slice(self.n_train))
 
     def val_rows(self) -> WindowedDataset:
-        return self.tune.take(np.flatnonzero(self.val_mask))
-
-    def refit_rows(self, include_validation: bool) -> WindowedDataset:
-        return self.tune if include_validation else self.train_rows()
+        """The tuning rows in the validation span, as read-only views."""
+        return self.tune.take(slice(self.n_train, None))
 
     def test_rows(self) -> WindowedDataset:
         """The single gate through which test rows leave a feature build."""
@@ -831,7 +799,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     needs_tuning = cfg.family in ("rvfl", "edrvfl", "baseline_linear")
     grid_size = cfg.grid.size(cfg.pipeline, cfg.family) if needs_tuning else 0
-    if needs_tuning and grid_size > 1 and n_val < 1:
+    # The layer-wise search tunes the depth too: each depth is a candidate.
+    deep = cfg.family == "edrvfl" and cfg.max_layers > 1
+    if needs_tuning and (grid_size > 1 or deep) and n_val < 1:
         raise ConfigError("tuning over more than one candidate requires a validation segment")
     logger.info("experiment %s/%s: grid size %d", cfg.family, cfg.pipeline, grid_size)
 
@@ -874,20 +844,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.family in ("rvfl", "edrvfl"):
         chosen.update({"pipeline_params": pipe_params, **model_info,
                        "validation_rmse": rmse_val})
-        final_model = _refit_chosen(cfg, build, model_info)
         val_rows = build.val_rows()
         if val_rows.n_samples:
             ev = EvalSeries(val_rows.Y.ravel(), val_pred.ravel(),
                             ts.values[val_rows.origin_indices + h - 1], ts.values[:i_train])
             validation_metrics = _filter_metrics(compute_metrics(ev), cfg.metrics)
-        test_ds = build.test_rows()
-        if not np.array_equal(test_ds.origin_indices, test_origins):
-            raise RuntimeError("test rows do not cover the expected origins")
-        if cfg.family == "rvfl":
-            pred = rvfl_mod.predict(final_model, test_ds.X)
-        else:
-            pred = edrvfl_mod.ensemble_predict(final_model, test_ds.X)
-        forecasts[cfg.family] = pred.ravel()
+        forecasts[cfg.family], test_ds = _test_forecast(cfg, build, model_info)
         counters = build.decomposition_counters(build.tune, test_ds)
 
     # Baselines are always evaluated on the same test origins.
@@ -1029,16 +991,25 @@ def _tune_family(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val: int
     return key[0], pipe_params, build, model_info, val_forecast
 
 
-def _refit_chosen(cfg: ExperimentConfig, build: _PipelineBuild, model_info: dict):
-    """Refit the winner on train(+validation) rows."""
-    refit_rows = build.refit_rows(cfg.refit_on_train_plus_validation)
-    scaler = None if cfg.scaler == "none" else fit_scaler(refit_rows.X, cfg.scaler)
+def _test_forecast(cfg: ExperimentConfig, build: _PipelineBuild, model_info: dict):
+    """The winner refitted on train(+validation) rows, and its forecast of the
+    test rows: returns the forecast and the rows, which must cover the origins
+    ``[tune_stop, test_stop)``. The refit comes first, so that its designs are
+    freed before the test rows are built."""
+    rows = build.tune if cfg.refit_on_train_plus_validation else build.train_rows()
+    scaler = None if cfg.scaler == "none" else fit_scaler(rows.X, cfg.scaler)
     params = ModelParams(**model_info["model_params"])
     if cfg.family == "rvfl":
-        return rvfl_mod.fit(refit_rows.X, refit_rows.Y, _rvfl_config(params, cfg.seed), scaler)
-
-    ed_cfg = _edrvfl_config(model_info["layer_nodes"], model_info["layer_regs"], params, cfg.seed)
-    return edrvfl_mod.fit_edrvfl(refit_rows.X, refit_rows.Y, ed_cfg, scaler)
+        model = rvfl_mod.fit(rows.X, rows.Y, _rvfl_config(params, cfg.seed), scaler)
+    else:
+        ed_cfg = _edrvfl_config(model_info["layer_nodes"], model_info["layer_regs"], params,
+                                cfg.seed)
+        model = edrvfl_mod.fit_edrvfl(rows.X, rows.Y, ed_cfg, scaler)
+    predict = rvfl_mod.predict if cfg.family == "rvfl" else edrvfl_mod.ensemble_predict
+    test_rows = build.test_rows()
+    if not np.array_equal(test_rows.origin_indices, np.arange(build.tune_stop, build.test_stop)):
+        raise RuntimeError("test rows do not cover the expected origins")
+    return predict(model, test_rows.X).ravel(), test_rows
 
 
 def _linear_baseline(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val: int,
@@ -1063,8 +1034,7 @@ def _linear_baseline(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val:
             if entry["params"] is not None:
                 params["regularization"] = entry["params"]["regularization"]
             leaderboard.append({**entry, "pipeline": None, "params": params})
-    model = _refit_chosen(ridge, build, model_info)
-    pred = rvfl_mod.predict(model, build.test_rows().X).ravel()
+    pred, _ = _test_forecast(ridge, build, model_info)
     reg = model_info["model_params"]["regularization"]
     return pred, {"model_params": {**pipe_params, "regularization": reg}, "validation_rmse": rmse}
 

@@ -121,8 +121,9 @@ class WindowedDataset:
         return int(self.X.shape[1])
 
     def take(self, indices) -> "WindowedDataset":
-        """Row subset in the given (strictly increasing) order."""
-        idx = np.asarray(indices)
+        """Row subset in the given (strictly increasing) order; a slice takes
+        views of the rows, other indices copies."""
+        idx = indices if isinstance(indices, slice) else np.asarray(indices)
         return WindowedDataset._adopt(self.X[idx], self.Y[idx], self.origin_indices[idx],
                                       self.meta)
 

@@ -86,10 +86,14 @@ ACTIVATION_FORMULAS = {
 
 
 def _pick(candidates, outcomes, rtol, prefer):
-    """``harness._pick_winner``, except that ``prefer`` wins when its score lies
-    within ``rtol`` (relative) of the best one: the oracle then follows a search
-    whose scores differ from its own by rounding at a tie."""
-    best, best_rmse = harness._pick_winner(candidates, outcomes)
+    """The winner ``harness._winner`` picks and its score, except that
+    ``prefer`` wins when its score lies within ``rtol`` (relative) of the best
+    one: the oracle then follows a search whose scores differ from its own by
+    rounding at a tie. Raises ``harness._NoWinner`` when no candidate scored."""
+    i = harness._winner(candidates, outcomes)
+    if i is None:
+        raise harness._NoWinner(outcomes)
+    best, best_rmse = candidates[i], outcomes[i].val_rmse
     scores = {tuple(c): o.val_rmse for c, o in zip(candidates, outcomes)}
     score = scores.get(tuple(prefer)) if prefer is not None else None
     if score is not None and score <= best_rmse + rtol * abs(best_rmse):

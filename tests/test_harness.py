@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -326,16 +327,22 @@ def test_layerwise_rejects_a_layer_with_a_non_finite_validation_forecast(monkeyp
 def test_layerwise_single_layer_equals_grid_search():
     train = linear_dataset(10, noise=0.1)
     val = linear_dataset(11, noise=0.1)
-    space = GridSpace(n_enhancement=(5, 15), regularization=(1.0, 100.0))
+    # Two activations, two seeds and both bias settings make eight groups of
+    # shared settings; the layer-wise search ignores the direct-link axis.
+    space = GridSpace(n_enhancement=(5, 15), regularization=(1.0, 100.0),
+                      activation=("sigmoid", "relu"), seeds=(0, 1), output_bias=(False, True),
+                      direct_link=(False, True))
     lw = layerwise_grid_search(space, train, val, max_layers=1)
     assert len(lw.layer_nodes) == 1
     # The one-layer ensemble is the shallow network, so the winner must agree
     # with a shallow search over the same axes (direct links forced on).
-    gs = grid_search(space, train, val)
+    gs = grid_search(replace(space, direct_link=(True,)), train, val)
+    assert lw.shared == gs.best
     assert lw.layer_nodes[0] == gs.best.n_enhancement
     assert lw.layer_regs[0] == gs.best.regularization
     assert lw.best_rmse == gs.best_rmse
     assert lw.val_forecast.tobytes() == gs.val_forecast.tobytes()
+    assert [o.val_rmse for o in lw.leaderboard] == [o.val_rmse for o in gs.leaderboard]
 
 
 def test_layerwise_history_is_non_increasing():
@@ -467,19 +474,45 @@ def test_forecasts_csv_has_the_bytes_of_the_csv_writer(tmp_path):
     assert paths["forecasts"].read_bytes() == harness._csv_text(rows).encode("utf-8")
 
 
-def test_a_prefix_layer_takes_its_inputs_as_views_of_its_group_designs():
-    # The next layer's input [X | first nodes] is a column range of the group's
-    # designs [1 | X | A], so the layer-wise search copies no prefix.
+def test_a_prefix_layer_takes_its_inputs_as_views_of_its_group_designs(monkeypatch):
+    # Layer two's input [X | first nodes] is a column range of the stage-one
+    # winner's designs [1 | X | A], so the layer-wise search copies no prefix.
     train, val = small_problem(38, 40, 20, 3)
-    configs = [rvfl.RvflConfig(n_enhancement=n, output_bias=True, seed=4) for n in (5, 9)]
-    designs, _ = harness._fit_group(configs, train, val)
-    prefix = harness._Prefix(train.X, val.X).extend(train.n_features, 5, designs, None)
-    for inputs, rows, H in ((prefix.train_in, train, designs.H),
-                            (prefix.val_in, val, designs.H_val)):
+    calls = []
+    original = harness._fit_group
+
+    def fit_group(keys, make_config, train, val, enh=None, enh_val=None):
+        forecasts, designs = original(keys, make_config, train, val, enh, enh_val)
+        calls.append((enh, enh_val, designs))
+        return forecasts, designs
+
+    monkeypatch.setattr(harness, "_fit_group", fit_group)
+    space = GridSpace(n_enhancement=(5, 9), output_bias=(True,), seeds=(4,))
+    result = layerwise_grid_search(space, train, val, max_layers=2)
+    assert len(calls) == 2  # one group per stage
+    (_, _, designs), (enh, enh_val, _) = calls
+    n, lead = result.layer_nodes[0], designs.lead
+    for inputs, rows, H in ((enh, train, designs.H), (enh_val, val, designs.H_val)):
         assert np.shares_memory(inputs, H)
         assert np.all(H[:, 0] == 1.0)
-        assert inputs.tobytes() == np.hstack([rows.X, H[:, 4:9]]).tobytes()
-    assert prefix.forecasts == (None,)
+        assert inputs.tobytes() == np.hstack([rows.X, H[:, lead:lead + n]]).tobytes()
+
+
+@pytest.mark.parametrize("pipeline", ["raw_lags", "walkforward_ewt"])
+def test_train_and_validation_rows_are_read_only_views_of_the_tuning_rows(pipeline):
+    ts = TimeSeries(np.cumsum(np.random.default_rng(39).normal(size=200)))
+    i_train, i_val = harness.split_boundaries(len(ts), SplitSpec(0.6, 0.2))
+    params = {"lags": 4, "n_bands": 2, "gamma": 0.1, "boundary_mode": "adaptive_per_step"}
+    build = harness._PipelineBuild(ts, pipeline, params, 2, 64, i_train, i_val)
+    targets = build.tune.origin_indices + build.horizon
+    for rows, mask in ((build.train_rows(), targets < i_train),
+                       (build.val_rows(), targets >= i_train)):
+        assert mask.any()
+        for name in ("X", "Y", "origin_indices"):
+            view, whole = getattr(rows, name), getattr(build.tune, name)
+            assert np.shares_memory(view, whole)
+            assert not view.flags.writeable
+            assert view.tobytes() == whole[mask].tobytes()
 
 
 def test_report_files_shape(tmp_path):
@@ -743,6 +776,19 @@ def test_validation_required_for_multi_candidate_grids(tmp_path):
         run_experiment(cfg)
 
 
+def test_depth_is_tuned_only_with_a_validation_segment(tmp_path):
+    # The layer-wise search tunes the depth even for a one-candidate grid: with
+    # no validation rows every stage would score 0.0 and every layer be kept.
+    values = np.cumsum(np.random.default_rng(23).normal(size=200))
+    cfg = walk_config(tmp_path, write_series(tmp_path, values), family="edrvfl",
+                      split=SplitSpec(0.8, 0.0), max_layers=4)
+    with pytest.raises(ConfigError, match="requires a validation segment"):
+        run_experiment(cfg)
+    report = run_experiment(replace(cfg, max_layers=1))
+    assert report.chosen["layer_nodes"] == [10]
+    assert report.validation_metrics is None
+
+
 def test_zero_validation_single_candidate_runs(tmp_path):
     values = np.cumsum(np.random.default_rng(23).normal(size=200))
     path = write_series(tmp_path, values)
@@ -860,10 +906,10 @@ def test_a_search_without_a_winner_lists_every_candidate_and_the_next_one_wins(
     values = np.cumsum(np.random.default_rng(36).normal(size=200))
     original = harness._fit_group
 
-    def fit_group(configs, train, val, *inputs):
+    def fit_group(keys, make_config, train, val, *inputs):
         if train.n_features == 4:
-            raise ValueError("injected fit failure")
-        return original(configs, train, val, *inputs)
+            return dict.fromkeys(keys, ValueError("injected fit failure")), None
+        return original(keys, make_config, train, val, *inputs)
 
     monkeypatch.setattr(harness, "_fit_group", fit_group)
     grid = GridSpace(n_enhancement=(5, 10), regularization=(1.0, 10.0), lags=(4, 8))
