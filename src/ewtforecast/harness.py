@@ -7,7 +7,10 @@ validation span, refits on train+validation, and evaluates the test span.
 Persistence and linear baselines are always evaluated alongside so improvements
 stay interpretable. The linear baseline, ridge on the raw lags, is the RVFL
 search with no enhancement nodes, run by the same candidate loop. Every search,
-the baseline's included, ends before any test row is assembled.
+the baseline's included, ends before any test row is assembled, and none ranks
+more than one candidate without validation rows (:func:`_tune_family` raises
+before its first build). A candidate's settings are named once, by the fields
+of :class:`ModelParams`, which :class:`~ewtforecast.rvfl.RvflConfig` shares.
 
 Model search solves each group of ridge problems once (:func:`_fit_group`):
 candidates that differ only in node count and regularization share one hidden
@@ -120,9 +123,6 @@ class ModelParams(NamedTuple):
     output_bias: bool
     seed: int
 
-    def as_dict(self) -> dict:
-        return dict(self._asdict())
-
 
 # Grid axes whose values must be one of these names.
 _AXIS_NAMES = {"activation": tuple(ACTIVATIONS), "boundary_mode": BOUNDARY_MODES}
@@ -192,28 +192,24 @@ class GridSpace:
                                _axis_values(name, getattr(self, name), get_args(hint)[0]))
 
     def size(self, pipeline: str, family: str) -> int:
-        """Number of distinct (pipeline, model) candidates the search of ``family`` visits.
+        """Number of distinct (pipeline, model) candidates the search of ``family``
+        (``rvfl`` or ``edrvfl``) visits.
 
-        ``baseline_linear`` fits ridge on raw lags only, over lags x regularization.
+        The linear baseline is counted as what it is, the ``rvfl`` search of
+        its own grid (:func:`_ridge_search`).
         """
-        if family == "baseline_linear":
-            return len(set(self.lags)) * len(set(self.regularization))
         return len(self.model_candidates(family)) * len(self.pipeline_candidates(pipeline))
 
     def model_candidates(self, family: str) -> list[ModelParams]:
-        """Distinct model settings in sorted order.
+        """Distinct model settings in sorted order, axes in field order.
 
-        Direct links are structural in ``edrvfl``, so its candidates pin that
-        axis to ``True``.
+        The ``seed`` field reads the ``seeds`` axis. Direct links are structural
+        in ``edrvfl``, so its candidates pin that axis to ``True``.
         """
-        direct_link = (True,) if family == "edrvfl" else self.direct_link
-        combos = itertools.product(
-            sorted(set(self.n_enhancement)), sorted(set(self.regularization)),
-            sorted(set(self.activation)), sorted(set(self.input_scale)),
-            sorted(set(direct_link)), sorted(set(self.output_bias)),
-            sorted(set(self.seeds)),
-        )
-        return [ModelParams(*c) for c in combos]
+        axes = [getattr(self, "seeds" if name == "seed" else name) for name in ModelParams._fields]
+        if family == "edrvfl":
+            axes[ModelParams._fields.index("direct_link")] = (True,)
+        return [ModelParams(*c) for c in itertools.product(*(sorted(set(a)) for a in axes))]
 
     def pipeline_candidates(self, pipeline: str) -> list[dict]:
         """Distinct feature-build settings in sorted order.
@@ -380,7 +376,8 @@ def _rmse(pred: np.ndarray, target: np.ndarray) -> float:
     if n_bad:
         raise ValueError(f"non-finite validation forecast ({n_bad} of {pred.size} values)")
     if target.size == 0:
-        # Only reachable for single-candidate grids (no validation span).
+        # Only reachable for a single one-layer candidate: the searches refuse
+        # to rank more on zero rows.
         return 0.0
     return float(np.sqrt(np.mean((pred - target) ** 2)))
 
@@ -396,12 +393,7 @@ def _outcome(params: dict, forecast, target) -> CandidateOutcome:
 
 
 def _rvfl_config(p: ModelParams, base_seed: int) -> RvflConfig:
-    return RvflConfig(
-        n_enhancement=p.n_enhancement, activation=p.activation,
-        regularization=p.regularization, input_scale=p.input_scale,
-        direct_link=p.direct_link, output_bias=p.output_bias,
-        seed=base_seed + p.seed,
-    )
+    return RvflConfig(**p._replace(seed=base_seed + p.seed)._asdict())
 
 
 def _edrvfl_config(nodes: tuple, regs: tuple, p: ModelParams, base_seed: int) -> EdRvflConfig:
@@ -518,14 +510,19 @@ def grid_search(space: GridSpace, train: WindowedDataset, val: WindowedDataset,
     adds its ridge and factors once for every node count. Every score equals,
     within :data:`SEARCH_RTOL` relative, that of ``rvfl.fit`` and
     ``rvfl.predict`` with the candidate's settings.
+
+    Ranking needs validation rows: with none, more than one candidate raises
+    ``ValueError``, and a single candidate scores 0.0.
     """
     candidates = space.model_candidates("rvfl")
+    if len(candidates) > 1 and not val.n_samples:
+        raise ValueError(f"ranking requires validation rows (candidates: {len(candidates)})")
     logger.info("grid search over %d model candidates", len(candidates))
     forecasts = {}
     for group in _groups(candidates, _nested_group):
         forecasts.update(_fit_group(group, lambda i: _rvfl_config(candidates[i], base_seed),
                                     train, val)[0])
-    outcomes = [_outcome(p.as_dict(), forecasts[i], val.Y) for i, p in enumerate(candidates)]
+    outcomes = [_outcome(p._asdict(), forecasts[i], val.Y) for i, p in enumerate(candidates)]
     best = _winner(candidates, outcomes)
     if best is None:
         raise _NoWinner(outcomes)
@@ -553,11 +550,18 @@ def layerwise_grid_search(space: GridSpace, train: WindowedDataset, val: Windowe
     :data:`SEARCH_RTOL` relative, that of ``fit_edrvfl`` and
     ``ensemble_predict`` on the candidate's whole stack. Only the running
     winner's designs are kept.
+
+    Ranking needs validation rows: with none, more than one stage-one
+    candidate or more than one layer raises ``ValueError``, and a single
+    one-layer candidate scores 0.0.
     """
     if max_layers < 1:
         raise ValueError("max_layers must be >= 1")
     stage = [((p.n_enhancement,), (p.regularization,), p)
              for p in space.model_candidates("edrvfl")]
+    if (len(stage) > 1 or max_layers > 1) and not val.n_samples:
+        raise ValueError(f"ranking requires validation rows (candidates: {len(stage)}, "
+                         f"max_layers: {max_layers})")
     pairs = sorted(set(itertools.product(space.n_enhancement, space.regularization)))
     leaderboard, history = [], []
     fixed, enh, enh_val = (), train.X, val.X  # the fixed layers' forecasts, the next one's input
@@ -577,7 +581,7 @@ def layerwise_grid_search(space: GridSpace, train: WindowedDataset, val: Windowe
                                                               "median")
                 ensembles[k] = ensemble
                 params = {"layer_nodes": list(stage[k][0]), "layer_regs": list(stage[k][1]),
-                          **stage[k][2].as_dict()}
+                          **stage[k][2]._asdict()}
                 outcomes[k] = _outcome(params, ensemble, val.Y)
             best = _winner(stage, outcomes)
             if best in group:
@@ -659,29 +663,21 @@ class _PipelineBuild:
         self.ts = ts
         self.pipeline = pipeline
         self.params = params
-        self.horizon = horizon
+        self.horizon = h = horizon
         self.i_train = i_train
-        n = len(ts)
-        h = horizon
-        lags = params["lags"]
-
         if pipeline == "raw_lags":
             self.wf_cfg = None
-            self.start = lags - 1
+            self.start = params["lags"] - 1
         else:
-            self.wf_cfg = WalkForwardConfig(
-                n_bands=params["n_bands"], lags=lags, horizon=h, window=window_policy,
-                gamma=params["gamma"], boundary_mode=params["boundary_mode"],
-            )
+            self.wf_cfg = WalkForwardConfig(**params, horizon=h, window=window_policy)
             if window_policy == "auto":  # keep at least one training row
                 self.wf_cfg = replace(self.wf_cfg, window=self.wf_cfg.window_at(i_train - h - 1))
             self.start = self.wf_cfg.first_origin
         self.tune_stop = i_val - h
-        self.test_stop = n - h
+        self.test_stop = len(ts) - h
         if self.tune_stop <= self.start:
-            raise ValueError(
-                f"no tuning rows: first origin {self.start} reaches past the validation span"
-            )
+            raise ValueError(f"no tuning rows: first origin {self.start} reaches past the "
+                             "validation span")
         self.frozen = None
         if pipeline == "walkforward_ewt" and self.wf_cfg.boundary_mode == FROZEN_FROM_TRAIN:
             self.frozen = freeze_boundaries(ts, self.wf_cfg, self.start)
@@ -790,19 +786,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         raise ConfigError(str(exc)) from exc
     n = len(ts)
     i_train, i_val = split_boundaries(n, cfg.split)
-    n_val = i_val - i_train
     if i_train < 1 or n - i_val < 1:
         raise ConfigError(f"split leaves an empty train or test segment for n={n}")
     h = cfg.horizon
     if i_val - h < 0:
         raise ConfigError("horizon reaches past the start of the test span")
 
-    needs_tuning = cfg.family in ("rvfl", "edrvfl", "baseline_linear")
-    grid_size = cfg.grid.size(cfg.pipeline, cfg.family) if needs_tuning else 0
-    # The layer-wise search tunes the depth too: each depth is a candidate.
-    deep = cfg.family == "edrvfl" and cfg.max_layers > 1
-    if needs_tuning and (grid_size > 1 or deep) and n_val < 1:
-        raise ConfigError("tuning over more than one candidate requires a validation segment")
+    search = _ridge_search(cfg) if cfg.family == "baseline_linear" else cfg
+    grid_size = (search.grid.size(search.pipeline, search.family)
+                 if search.family in ("rvfl", "edrvfl") else 0)
     logger.info("experiment %s/%s: grid size %d", cfg.family, cfg.pipeline, grid_size)
 
     leaderboard: list[dict] = []
@@ -826,7 +818,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         forecasts["linear"], linear_info = _linear_baseline(
             cfg, ts, i_train, i_val, baseline_lags,
             leaderboard if chosen_name == "linear" else [])
-    except RuntimeError as exc:
+    except (RuntimeError, ConfigError) as exc:
         if chosen_name == "linear":
             raise
         # A baseline the run did not choose is left out, and the report says why.
@@ -941,10 +933,17 @@ def _tune_family(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val: int
     """Search pipeline x model candidates; return the winning build, params and
     the winner's validation forecast.
 
+    Ranking needs validation rows, so with none a search over more than one
+    candidate raises :class:`ConfigError` before any build; the layer-wise
+    search tunes the depth too, so each depth counts as a candidate.
+
     A candidate whose feature build or scaling fails, or whose model search has
     no winner, leaves its failures on the leaderboard and the search moves on;
     it raises only when no candidate wins.
     """
+    deep = cfg.family == "edrvfl" and cfg.max_layers > 1
+    if i_val <= i_train and (deep or cfg.grid.size(cfg.pipeline, cfg.family) > 1):
+        raise ConfigError("tuning over more than one candidate requires a validation segment")
     first, best = len(leaderboard), None
     for pipe_params, build in _candidate_builds(cfg, ts, i_train, i_val):
         error = f"feature build failed: {build}" if isinstance(build, ValueError) else None
@@ -961,13 +960,13 @@ def _tune_family(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val: int
         try:
             if cfg.family == "rvfl":
                 result = grid_search(cfg.grid, train_rows, val_rows, base_seed=cfg.seed)
-                model_info = {"model_params": result.best.as_dict()}
+                model_info = {"model_params": result.best._asdict()}
                 model_key = (tuple(result.best),)
             else:
                 result = layerwise_grid_search(cfg.grid, train_rows, val_rows, cfg.max_layers,
                                                base_seed=cfg.seed)
                 model_info = {
-                    "model_params": result.shared.as_dict(),
+                    "model_params": result.shared._asdict(),
                     "layer_nodes": list(result.layer_nodes),
                     "layer_regs": list(result.layer_regs),
                     "layerwise_history": list(result.history),
@@ -1012,19 +1011,24 @@ def _test_forecast(cfg: ExperimentConfig, build: _PipelineBuild, model_info: dic
     return predict(model, test_rows.X).ravel(), test_rows
 
 
+def _ridge_search(cfg: ExperimentConfig, lags: int | None = None) -> ExperimentConfig:
+    """The linear baseline's search: the RVFL search with no enhancement
+    nodes, whose design is the lag matrix itself, on unscaled raw lags, over
+    the grid's lags (``lags`` alone when given) and regularization values."""
+    grid = GridSpace(n_enhancement=(0,), regularization=cfg.grid.regularization,
+                     lags=cfg.grid.lags if lags is None else (lags,))
+    return replace(cfg, family="rvfl", pipeline="raw_lags", scaler="none", grid=grid)
+
+
 def _linear_baseline(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val: int,
                      lags: int | None, leaderboard: list):
     """Ridge on raw lags: persistence's honest competitor.
 
-    It is the RVFL search with no enhancement nodes, whose design is the lag
-    matrix itself: :func:`_tune_family` searches the lags (the chosen model's
-    when one exists) and the grid's regularization values, and the winner is
-    refitted as any other. Features stay unscaled by definition. Leaderboard
-    entries name only the lags and, once the build succeeded, the C.
+    :func:`_tune_family` runs its search (:func:`_ridge_search`, on the chosen
+    model's lags when one exists), and the winner is refitted as any other.
+    Leaderboard entries name only the lags and, once the build succeeded, the C.
     """
-    grid = GridSpace(n_enhancement=(0,), regularization=cfg.grid.regularization,
-                     lags=cfg.grid.lags if lags is None else (lags,))
-    ridge = replace(cfg, family="rvfl", pipeline="raw_lags", scaler="none", grid=grid)
+    ridge = _ridge_search(cfg, lags)
     entries: list = []
     try:
         rmse, pipe_params, build, model_info, _ = _tune_family(ridge, ts, i_train, i_val, entries)

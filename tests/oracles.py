@@ -108,15 +108,17 @@ def grid_search_per_candidate(space, train, val, base_seed=0, rtol=0.0, follow=N
     score ties the best one within ``rtol``.
     """
     candidates = space.model_candidates("rvfl")
+    if len(candidates) > 1 and not val.n_samples:
+        raise ValueError(f"ranking requires validation rows (candidates: {len(candidates)})")
     outcomes, forecasts = [], []
     for p in candidates:
         forecast = None
         try:
             model = rvfl.fit(train.X, train.Y, harness._rvfl_config(p, base_seed))
             forecast = rvfl.predict(model, val.X)
-            outcomes.append(CandidateOutcome(p.as_dict(), harness._rmse(forecast, val.Y)))
+            outcomes.append(CandidateOutcome(p._asdict(), harness._rmse(forecast, val.Y)))
         except (ValueError, RuntimeError) as exc:
-            outcomes.append(CandidateOutcome(p.as_dict(), None, str(exc)))
+            outcomes.append(CandidateOutcome(p._asdict(), None, str(exc)))
         forecasts.append(forecast)
     best, best_rmse = _pick(candidates, outcomes, rtol, follow and follow.best)
     return GridSearchResult(best, best_rmse, outcomes, forecasts[candidates.index(best)])
@@ -133,7 +135,7 @@ def layerwise_per_candidate(space, train, val, max_layers, base_seed=0, rtol=0.0
     """
 
     def evaluate(nodes, regs, shared):
-        params = {"layer_nodes": list(nodes), "layer_regs": list(regs), **shared.as_dict()}
+        params = {"layer_nodes": list(nodes), "layer_regs": list(regs), **shared._asdict()}
         try:
             cfg = edrvfl.EdRvflConfig(
                 n_layers=len(nodes), n_enhancement=nodes, regularization=regs,
@@ -154,6 +156,9 @@ def layerwise_per_candidate(space, train, val, max_layers, base_seed=0, rtol=0.0
         return follow.layer_nodes[:depth], follow.layer_regs[:depth]
 
     stage1 = space.model_candidates("edrvfl")
+    if (len(stage1) > 1 or max_layers > 1) and not val.n_samples:
+        raise ValueError(f"ranking requires validation rows (candidates: {len(stage1)}, "
+                         f"max_layers: {max_layers})")
     results = [evaluate((p.n_enhancement,), (p.regularization,), p) for p in stage1]
     leaderboard = [o for o, _ in results]
     shared, best_rmse = _pick(stage1, leaderboard, rtol, follow and follow.shared)

@@ -130,9 +130,11 @@ problems = st.builds(small_problem, st.integers(0, 2 ** 16), st.integers(1, 24),
 
 
 def outcome_or_error(search, *args, **kwargs):
+    """The search's result, or the message of the error it raised: a search
+    without a winner, or one asked to rank candidates on no validation rows."""
     try:
         return search(*args, **kwargs)
-    except RuntimeError as exc:
+    except (RuntimeError, ValueError) as exc:
         return str(exc)
 
 
@@ -244,6 +246,23 @@ def test_grid_search_winner_is_permutation_independent(problem, space, max_layer
                        outcome_or_error(grid_search, space, train, val))
     assert_same_search(outcome_or_error(layerwise_grid_search, permuted, train, val, max_layers),
                        outcome_or_error(layerwise_grid_search, space, train, val, max_layers))
+
+
+def test_the_searches_rank_no_candidates_on_zero_validation_rows():
+    train, empty = small_problem(3, 40, 0, 2)
+    four = GridSpace(n_enhancement=(5, 10), regularization=(0.1, 1.0))
+    one = GridSpace(n_enhancement=(10,), regularization=(10.0,))
+    with pytest.raises(ValueError, match=r"validation rows \(candidates: 4\)"):
+        grid_search(four, train, empty)
+    with pytest.raises(ValueError, match=r"validation rows \(candidates: 4, max_layers: 1\)"):
+        layerwise_grid_search(four, train, empty, 1)
+    # Each depth is a candidate too, so one candidate over four layers is ranked.
+    with pytest.raises(ValueError, match=r"validation rows \(candidates: 1, max_layers: 4\)"):
+        layerwise_grid_search(one, train, empty, 4)
+    # A single one-layer candidate has nothing to rank: it scores 0.0.
+    assert grid_search(one, train, empty).best_rmse == 0.0
+    result = layerwise_grid_search(one, train, empty, 1)
+    assert result.layer_nodes == (10,) and result.history == (0.0,)
 
 
 # On this problem the search keeps four layers.
@@ -835,6 +854,62 @@ def test_linear_baseline_grid_size_counts_lags_times_regularization(tmp_path):
     grid = GridSpace(n_enhancement=(5, 10), regularization=(1.0, 10.0, 10.0), lags=(3, 4))
     report = run_experiment(walk_config(tmp_path, path, family="baseline_linear", grid=grid))
     assert report.meta["grid_size"] == len(report.leaderboard) == 4
+
+
+grid_size_searches = st.sampled_from([("rvfl", 1), ("edrvfl", 1), ("edrvfl", 2),
+                                      ("baseline_linear", 1)])
+# Small grids whose every feature build succeeds on a 160-point series.
+buildable_grids = st.builds(
+    GridSpace,
+    n_enhancement=axis(st.sampled_from([3, 6]), 2),
+    regularization=axis(st.sampled_from([0.1, 1.0, 10.0]), 3),
+    direct_link=axis(st.booleans(), 2),
+    output_bias=axis(st.booleans(), 2),
+    seeds=axis(st.integers(0, 1), 2),
+    lags=axis(st.sampled_from([2, 3, 4]), 2),
+    n_bands=axis(st.sampled_from([1, 2, 3]), 2),
+    gamma=axis(st.sampled_from([0.1, 0.2]), 2),
+    boundary_mode=axis(st.sampled_from(["adaptive_per_step", "frozen_from_train"]), 2),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(search=grid_size_searches, pipeline=st.sampled_from(["raw_lags", "walkforward_ewt"]),
+       grid=buildable_grids)
+def test_grid_size_is_the_number_of_candidates_searched(tmp_path_factory, search, pipeline,
+                                                        grid):
+    tmp_path = tmp_path_factory.mktemp("grid_size")
+    values = np.cumsum(np.random.default_rng(30).normal(size=160))
+    family, max_layers = search
+    report = run_experiment(walk_config(tmp_path, write_series(tmp_path, values), family=family,
+                                        pipeline=pipeline, grid=grid, window=32,
+                                        max_layers=max_layers))
+    # Every build succeeds, so the search leaves one stage-one entry per
+    # (pipeline, model) candidate; deeper layer-wise stages add their own.
+    assert not any(e["error"] and e["error"].startswith("feature build failed")
+                   for e in report.leaderboard)
+    stage_one = [e for e in report.leaderboard if len(e["params"].get("layer_nodes", ())) < 2]
+    assert report.meta["grid_size"] == len(stage_one)
+
+
+def test_a_persistence_run_without_validation_leaves_out_a_baseline_it_cannot_tune(tmp_path):
+    values = np.cumsum(np.random.default_rng(31).normal(size=300))
+    cfg = walk_config(tmp_path, write_series(tmp_path, values), family="baseline_persistence",
+                      split=SplitSpec(0.7, 0.0),
+                      grid=GridSpace(lags=(4,), regularization=(0.01, 1.0, 100.0)))
+    report = run_experiment(cfg)
+    assert sorted(report.forecasts) == sorted(report.test_metrics) == ["persistence"]
+    assert report.meta["linear_baseline_error"] == (
+        "tuning over more than one candidate requires a validation segment")
+    assert report.leaderboard == [] and report.meta["grid_size"] == 0
+    # With a single C there is nothing to rank: the baseline is fitted as before.
+    cfg = replace(cfg, grid=GridSpace(lags=(4,), regularization=(100.0,)))
+    report = run_experiment(cfg)
+    assert "linear_baseline_error" not in report.meta
+    i_train, i_val = harness.split_boundaries(300, cfg.split)
+    pred, _ = oracles.linear_baseline_per_candidate(cfg, TimeSeries(values), i_train, i_val, 4,
+                                                    [])
+    assert np.array(report.forecasts["linear"]).tobytes() == pred.tobytes()
 
 
 def nan_forecasting_rvfl(monkeypatch, n_rows, n_bad):
