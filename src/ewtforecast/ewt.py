@@ -10,7 +10,6 @@ floating-point rounding. Band edges live on the normalized frequency axis
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -272,16 +271,16 @@ def _smooth_step(x: np.ndarray) -> np.ndarray:
     return x ** 4 * (35.0 - 84.0 * x + 70.0 * x ** 2 - 20.0 * x ** 3)
 
 
-def _edge_profiles(omegas: np.ndarray, gammas: np.ndarray, aw: np.ndarray):
+def _edge_profiles(omegas: np.ndarray, gammas: np.ndarray, aw: np.ndarray, rising: bool = True):
     """The two cross-fade profiles of every edge at the frequencies ``aw``.
 
     Around an edge ``w`` with gamma ``g`` (``gammas`` broadcasts against
     ``omegas``) the filter below the edge falls and the one above rises over
     the zone ``[(1-g)*w, (1+g)*w]`` with raised-cosine profiles driven by a
     smooth-step polynomial, so the two sum to one. Returns ``(falling,
-    rising)``, each of shape ``omegas.shape + aw.shape``. The arithmetic is
-    elementwise, so an edge's profiles do not depend on what else is evaluated
-    with it, bit for bit.
+    rising)``, each of shape ``omegas.shape + aw.shape``, or ``falling`` alone
+    where ``rising`` is False. The arithmetic is elementwise, so an edge's
+    profiles do not depend on what else is evaluated with it, bit for bit.
     """
     w = omegas[..., None]
     g = gammas[..., None]
@@ -299,9 +298,10 @@ def _edge_profiles(omegas: np.ndarray, gammas: np.ndarray, aw: np.ndarray):
     arg = 0.5 * np.pi * _smooth_step(x[zone])
     falling = np.where(not_past, 1.0, np.cos(0.5 * np.pi) ** 2)
     falling[zone] = np.cos(arg) ** 2
-    rising = x
-    rising[zone] = np.sin(arg) ** 2
-    return falling, rising
+    if not rising:
+        return falling
+    x[zone] = np.sin(arg) ** 2
+    return falling, x
 
 
 def _grid(signal_length: int) -> np.ndarray:
@@ -311,17 +311,26 @@ def _grid(signal_length: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _profile_table(signal_length: int, gamma: float) -> np.ndarray:
-    """:func:`_edge_profiles` of an edge on every bin strictly inside (0, pi).
+    """Falling :func:`_edge_profiles` of an edge on every bin strictly inside (0, pi).
 
     With ``E = (n - 1) // 2`` such bins, row ``b - 1`` holds the falling profile
-    of the edge ``2*pi*b/n`` with ``gamma`` and row ``E + b - 1`` its rising
-    profile, shape ``(2 * E, n // 2 + 1)``: about ``4 * n ** 2`` bytes, 260 kB at
-    n = 256. Read-only, as it is shared.
+    of the edge ``2*pi*b/n`` with ``gamma``, shape ``(E, n // 2 + 1)``: about
+    ``2 * n ** 2`` bytes, 130 kB at n = 256. Read-only, as it is shared.
     """
     aw = _grid(signal_length)
-    table = np.concatenate(_edge_profiles(aw[1:(signal_length + 1) // 2], np.array(gamma), aw))
+    table = _edge_profiles(aw[1:(signal_length + 1) // 2], np.array(gamma), aw, rising=False)
     table.setflags(write=False)
     return table
+
+
+def _clipped_gamma(omegas: np.ndarray, gamma: float) -> np.ndarray:
+    """The gamma of each row of band edges ``(R, K - 1)``, shape ``(R,)``: the
+    requested ``gamma``, lowered where it would make the transition zones of
+    consecutive edges overlap."""
+    if omegas.shape[1] < 2:
+        return np.full(omegas.shape[0], gamma)
+    ratios = np.diff(omegas, axis=1) / (omegas[:, 1:] + omegas[:, :-1])
+    return np.minimum(gamma, ratios.min(axis=1))
 
 
 def _bands(falling: np.ndarray, rising: np.ndarray) -> np.ndarray:
@@ -343,7 +352,7 @@ def filter_bank_responses(omegas, signal_length: int, gammas):
     filters cross-fade around each edge with the profiles of
     :func:`_edge_profiles`, so adjacent responses sum to one exactly. A row's
     ``gamma`` is clipped whenever the requested value would make transition
-    zones of consecutive edges overlap.
+    zones of consecutive edges overlap (:func:`_clipped_gamma`).
 
     Returns one pair per entry: the responses at the bins
     ``0 .. signal_length // 2``, shape ``(R, K_j, signal_length // 2 + 1)``,
@@ -353,51 +362,20 @@ def filter_bank_responses(omegas, signal_length: int, gammas):
 
     Numbering edges from 1, band 0 is the falling profile of edge 1, band
     ``k`` the rising profile of edge ``k`` times the falling profile of edge
-    ``k + 1``, and the last band the rising profile of the last edge. The
-    profiles of an edge on the bin grid (``2*pi*b/n`` bit for bit, as
-    :func:`band_edges` places them) depend only on ``(signal_length, gamma,
-    b)``, so they can be gathered from a table of every such edge's profiles,
-    cached per ``(signal_length, gamma)`` (:func:`_profile_table`). A table
-    holds ``E = (signal_length - 1) // 2`` edges and costs about as much to
-    build as evaluating that many, so it is used only where the call's entries
-    with that gamma hold at least ``E`` edges between them: it then takes at
-    most twice the memory of their responses, and a one-row stack, such as a
-    frozen bank, builds one only with about an edge per bin. There, a row
-    whose edges all sit on the grid and whose gamma was not clipped is
-    gathered; every other row evaluates the formula. Profiles are elementwise,
-    so every value equals a one-row call's, and the formula's, bit for bit.
+    ``k + 1``, and the last band the rising profile of the last edge. Profiles
+    are elementwise, so every row equals a one-row call's bit for bit. Frozen
+    banks and :func:`build_filter_bank` call this with one-row stacks; adaptive
+    walk-forward rows never form their banks (see
+    :mod:`ewtforecast.walkforward`).
     """
-    n = signal_length
-    aw = _grid(n)
-    n_table = (n - 1) // 2
-    edges_of = Counter()
-    for bank, gamma in zip(omegas, gammas):
-        edges_of[gamma] += bank.size
+    aw = _grid(signal_length)
     banks = []
     for bank, gamma in zip(omegas, gammas):
-        n_rows, n_edges = bank.shape
-        gamma_eff = np.full(n_rows, gamma)
-        if n_edges > 1:
-            ratios = np.diff(bank, axis=1) / (bank[:, 1:] + bank[:, :-1])
-            gamma_eff = np.minimum(gamma, ratios.min(axis=1))
-        if not n_edges:
-            responses = np.ones((n_rows, 1, aw.size))
-        elif edges_of[gamma] < n_table:
+        gamma_eff = _clipped_gamma(bank, gamma)
+        if bank.shape[1]:
             responses = _bands(*_edge_profiles(bank, gamma_eff[:, None], aw))
         else:
-            bins = np.rint(bank * (n / (2.0 * np.pi))).astype(np.intp)
-            np.clip(bins, 1, n_table, out=bins)
-            # Gather each band's first factor straight into place: the falling
-            # profile of the first edge, then the rising profile of every edge.
-            first = np.empty((n_rows, n_edges + 1), dtype=np.intp)
-            first[:, 0] = bins[:, 0] - 1
-            np.add(bins, n_table - 1, out=first[:, 1:])
-            table = _profile_table(n, gamma)
-            responses = table[first]
-            responses[:, 1:-1] *= table[bins[:, 1:] - 1]
-            own = np.flatnonzero((aw[bins] != bank).any(axis=1) | (gamma_eff != gamma))
-            if own.size:
-                responses[own] = _bands(*_edge_profiles(bank[own], gamma_eff[own, None], aw))
+            responses = np.ones((bank.shape[0], 1, aw.size))
         banks.append((responses, gamma_eff))
     return banks
 

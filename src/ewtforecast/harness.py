@@ -84,7 +84,7 @@ logger = logging.getLogger(__name__)
 # (weights, bias) row at a time; version 1 reports drew all weights first, so
 # they do not rerun to their forecasts. Model files store the drawn weights,
 # so the draw does not change them.
-REPORT_SCHEMA_VERSION = "2"
+REPORT_SCHEMA_VERSION = "3"
 MODEL_SCHEMA_VERSION = "1"
 FAMILIES = ("rvfl", "edrvfl", "baseline_persistence", "baseline_linear")
 PIPELINES = ("raw_lags", "walkforward_ewt", "leaky_ewt")
@@ -813,7 +813,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         chosen_name, baseline_lags = "linear", None  # tuned by the baseline's search
 
     # The baseline's search is tuning too, so it runs before any test row is built.
-    baseline_error = {}
     try:
         forecasts["linear"], linear_info = _linear_baseline(
             cfg, ts, i_train, i_val, baseline_lags,
@@ -822,7 +821,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         if chosen_name == "linear":
             raise
         # A baseline the run did not choose is left out, and the report says why.
-        baseline_error = {"linear_baseline_error": str(exc)}
+        baseline_meta = {"linear_baseline_error": str(exc)}
+    else:
+        baseline_meta = {"linear_baseline": {**linear_info["model_params"],
+                                             "validation_rmse": linear_info["validation_rmse"]}}
     if chosen_name == "linear":
         chosen.update(linear_info)
 
@@ -872,7 +874,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             "split_indices": {"train_end": i_train, "validation_end": i_val},
             "grid_size": grid_size,
             **counters,
-            **baseline_error,
+            **baseline_meta,
             **_numeric_stack(),
             "base_seed": cfg.seed,
             "wall_time_s": round(time.perf_counter() - started, 6),
@@ -882,10 +884,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _numeric_stack() -> dict:
-    """numpy's version, its BLAS library and the SIMD extensions it dispatches
-    to (its ``exp`` kernel sets the sigmoid's rounding), which together fix the
-    rounding of the forecasts; ``numpy_blas`` and ``numpy_simd`` are None where
-    numpy does not say."""
+    """numpy's version, its BLAS library and thread count and the SIMD
+    extensions it dispatches to (its ``exp`` kernel sets the sigmoid's
+    rounding), which together fix the rounding of the forecasts;
+    ``numpy_blas``, ``numpy_blas_threads`` and ``numpy_simd`` are None where
+    numpy or its BLAS does not say."""
     try:
         config = np.show_config(mode="dicts")
     except TypeError:
@@ -895,8 +898,25 @@ def _numeric_stack() -> dict:
         numpy_blas = f"{blas['name']} {blas.get('version', '')}".strip()
     except KeyError:
         numpy_blas = None
+    threads = _openblas_threads()
     return {"numpy_version": np.__version__, "numpy_blas": numpy_blas,
+            "numpy_blas_threads": None if threads is None else int(threads()),
             "numpy_simd": config.get("SIMD Extensions")}
+
+
+@cache
+def _openblas_threads():
+    """The thread-count getter of the OpenBLAS bundled with numpy, or None."""
+    import ctypes
+
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            if hasattr(lib, symbol):
+                return getattr(lib, symbol)
+    return None
 
 
 def _candidate_builds(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val: int):
@@ -1122,7 +1142,7 @@ def write_report(report: ExperimentReport, out_dir) -> dict:
         "metrics": out / "metrics.csv",
         "forecasts": out / "forecasts.csv",
     }
-    _write_atomically(paths["report"], json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    _write_atomically(paths["report"], json.dumps(report.to_dict(), sort_keys=True))
 
     models = sorted(report.test_metrics)
     # Every model's metrics were filtered by the same selection, in one order.

@@ -16,26 +16,31 @@ the Fourier domain, so the builder never forms a band in full. With frozen
 edges each band's impulse response is the real inverse FFT of its one-sided
 response (EWT filters are real and even in frequency); the responses become one
 real matrix of taps per window width, and a group's rows are one product of
-its windows with that matrix. With
-adaptive edges each chunk of rows takes one real FFT, which feeds both the
-batched edge detection and the stack of per-row banks on the one-sided grid,
-and a fixed real basis maps each filtered spectrum to its band's tail. Adaptive
-edges sit on the bin grid, so a chunk that holds at least as many edges as its
-one-sided grid has bins gathers its banks from a table of edge profiles cached
-per width and gamma; a smaller chunk, such as a one-origin build or any chunk
-of a window wider than about 500 samples, evaluates the formula instead.
+its windows with that matrix. With adaptive edges each chunk of rows takes one
+real FFT, which feeds the batched edge detection, and a fixed real basis maps
+a filtered one-sided spectrum to its tail. The banks themselves are never
+formed: band ``k`` is the falling profile of edge ``k + 1`` minus that of edge
+``k`` (in real arithmetic the rising profile of an edge is one minus its
+falling one, and the clipped gamma keeps transition zones apart). So band 0's
+tail is the low-pass tail below the first edge, a middle band's the
+difference of the low-pass tails below its two edges, and the last band's the
+raw lags minus the low-pass tail below the last edge; a row computes one
+low-pass tail per distinct edge. Adaptive edges sit on the bin grid, so a
+chunk that evaluates at least as many such profiles as its one-sided grid has
+inner bins gathers them from a table of falling profiles cached per width and
+gamma; a smaller chunk, such as a one-origin build or any chunk of a window
+wider than about 400 samples, evaluates the formula instead.
 
 Configs that differ only in ``n_bands`` and ``gamma``, such as the candidates
 of a model search, are built in one pass over the origins by
 :func:`_build_family`, whose one-config case is
 :func:`build_walkforward_features`. They share the windows and raw lags and,
-per adaptive chunk, the FFT and one call of each batched EWT stage, which
-takes and returns one entry per config: :func:`~ewtforecast.ewt.band_edges`
-shares the smoothing and the ranking of spectral peaks, and
-:func:`~ewtforecast.ewt.filter_bank_responses` computes every config's banks,
-counting the edges of all configs with one gamma towards its table. The edge
-check and the product with the tail basis run per config, so every row is bit
-for bit what a build of its config alone gives.
+per adaptive chunk, the FFT, one call of :func:`~ewtforecast.ewt.band_edges`,
+which shares the smoothing and the ranking of spectral peaks, and the
+low-pass tails of :func:`_low_pass_tails`: configs with one gamma compute a
+(row, edge) pair shared between them once. Each pair's product with the tail
+basis has one shape, so every row is bit for bit what a build of its config
+alone gives, whatever the range and the chunking.
 :func:`causal_decompose_at` decomposes one origin in full with the scalar EWT
 functions and is the reference the batched rows are tested against, within a
 stated rounding tolerance.
@@ -52,6 +57,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ewtforecast.ewt import (
     EwtBoundaries,
+    _clipped_gamma,
+    _edge_profiles,
+    _grid,
+    _profile_table,
     band_edges,
     build_filter_bank,
     check_edges,
@@ -69,12 +78,13 @@ BOUNDARY_MODES = (ADAPTIVE_PER_STEP, FROZEN_FROM_TRAIN)
 # A spectrum needs a few samples beyond the lag window to say anything.
 MIN_WINDOW_MARGIN = 8
 DEFAULT_WINDOW_FLOOR = 128
-# Size of one adaptive chunk's largest temporaries: its banks' responses (rows
-# x bands x bins floats) and its filtered one-sided spectra (rows x bands x 2 x
-# bins floats), summed over the configs built together; a cached profile table
-# is taken only where it is at most twice the responses. Most of a chunk's cost
-# is per numpy call, so smaller chunks cost time; larger ones buy little and
-# raise peak memory by a few times this amount.
+# Size of one adaptive chunk's largest temporaries: per row, its spectrum as
+# real and imaginary parts, and per band edge at most one (row, edge) pair's
+# falling profile and filtered spectrum, that is 2 + 3 * (K - 1) floats per bin
+# for a config of K bands, summed over the configs built together (which counts
+# the spectrum once per config). Most of a chunk's cost is per numpy call, so
+# smaller chunks cost time; larger ones buy little and raise peak memory by a
+# few times this amount.
 CHUNK_BYTES = 2 << 20
 
 
@@ -206,7 +216,7 @@ def _check_range(ts: TimeSeries, cfg: WalkForwardConfig, start: int, stop: int) 
 
 def _row_bytes(n_bands: int, width: int) -> int:
     """Bytes of one row's largest temporaries for one adaptive config (see ``CHUNK_BYTES``)."""
-    return 8 * (width // 2 + 1) * 3 * n_bands
+    return 8 * (width // 2 + 1) * (3 * n_bands - 1)
 
 
 @lru_cache(maxsize=16)
@@ -248,6 +258,88 @@ def _frozen_taps(responses: np.ndarray, width: int, lags: int) -> np.ndarray:
     return taps.transpose(1, 0, 2).reshape(width, -1)
 
 
+def _low_pass_tails(parts: np.ndarray, edges, gammas, width: int, basis: np.ndarray):
+    """Tail of the part of each row's window below each of its band edges.
+
+    ``parts`` holds each row's one-sided spectrum as ``[real parts | imaginary
+    parts]``, shape ``(R, 2, W // 2 + 1)``; entry ``j`` of ``edges`` holds one
+    row of band edges per window, shape ``(R, K_j - 1)``, with ``gammas[j]``.
+    Returns one pair per entry: ``L``, shape ``(R, K_j - 1, lags)``, whose
+    ``L[r, i]`` is ``basis`` applied to row ``r``'s spectrum times the falling
+    profile of its edge ``i``, and the gamma each row used, shape ``(R,)``.
+
+    A profile is :func:`~ewtforecast.ewt._edge_profiles` with the row's gamma.
+    That of an edge on the bin grid in a row whose gamma was not clipped
+    depends only on the bin and the requested gamma, so the entries with one
+    gamma compute such a (row, bin) pair's ``L`` once. Its profile is gathered
+    from :func:`~ewtforecast.ewt._profile_table` where the call evaluates at
+    least as many such profiles as the table holds, and evaluated otherwise,
+    with the same bits. Every pair's product with the basis has one shape, so
+    a pair's ``L`` does not depend on what else is computed with it, bit for bit.
+    """
+    aw = _grid(width)
+    n_table = (width - 1) // 2
+    pairs = []  # rows and profiles of the pooled pairs, in the order of their L
+    n_pairs = 0
+    found = [None] * len(edges)
+    lows = [None] * len(edges)
+    for gamma in dict.fromkeys(gammas):
+        group = [j for j, g in enumerate(gammas) if g == gamma]
+        if len(group) == 1 and edges[group[0]].size < n_table:
+            # One config with too few edges to fill a table shares no pair.
+            (j,) = group
+            gamma_eff = _clipped_gamma(edges[j], gamma)
+            falling = _edge_profiles(edges[j], gamma_eff[:, None], aw, rising=False)
+            filtered = falling[:, :, None] * parts[:, None]
+            low = filtered.reshape(-1, 1, basis.shape[0]) @ basis
+            lows[j] = low.reshape(*edges[j].shape, basis.shape[1]), gamma_eff
+            continue
+        keys = []
+        for j in group:
+            omegas = edges[j]
+            gamma_eff = _clipped_gamma(omegas, gamma)
+            bins = np.rint(omegas * (width / (2.0 * np.pi))).astype(np.intp)
+            np.clip(bins, 1, n_table, out=bins)
+            shared = aw[bins] == omegas
+            shared &= (gamma_eff == gamma)[:, None]
+            # A pooled pair's key is row * (n_table + 1) + bin.
+            bins += (n_table + 1) * np.arange(omegas.shape[0])[:, None]
+            keys.append(bins[shared])
+            at = np.empty(omegas.shape, dtype=np.intp)
+            own_rows, own_edges = np.nonzero(~shared)
+            if own_rows.size:
+                pairs.append((own_rows, _edge_profiles(omegas[own_rows, own_edges],
+                                                       gamma_eff[own_rows], aw, rising=False)))
+                at[own_rows, own_edges] = np.arange(n_pairs, n_pairs + own_rows.size)
+                n_pairs += own_rows.size
+            found[j] = at, shared, gamma_eff
+        keys = np.concatenate(keys)
+        if len(group) > 1:
+            keys, inverse = np.unique(keys, return_inverse=True)
+        else:
+            inverse = np.arange(keys.size)
+        inverse += n_pairs
+        key_rows, key_bins = np.divmod(keys, n_table + 1)
+        pairs.append((key_rows, _profile_table(width, gamma)[key_bins - 1]
+                      if keys.size >= n_table
+                      else _edge_profiles(aw[key_bins], np.array(gamma), aw, rising=False)))
+        n_pairs += keys.size
+        done = 0
+        for j in group:
+            at, shared, _ = found[j]
+            count = int(np.count_nonzero(shared))
+            at[shared] = inverse[done: done + count]
+            done += count
+    if pairs:
+        filtered = parts[np.concatenate([rows for rows, _ in pairs])]
+        filtered *= np.concatenate([profiles for _, profiles in pairs])[:, None]
+        low = (filtered.reshape(n_pairs, 1, basis.shape[0]) @ basis)[:, 0]
+        for j, pooled in enumerate(found):
+            if pooled is not None:
+                lows[j] = low[pooled[0]], pooled[2]
+    return lows
+
+
 def build_walkforward_features(
     ts: TimeSeries,
     cfg: WalkForwardConfig,
@@ -265,7 +357,8 @@ def build_walkforward_features(
     band tails match its full inverse FFT to rounding, within ``1e-12`` times
     the largest absolute value of the row's window (tested). A row does not
     depend on the range or the chunking it was built in, bit for bit: every
-    per-row product has the same shape whatever the number of rows.
+    per-row or per-(row, edge) product has the same shape whatever the number
+    of rows.
 
     ``meta`` counts uniform-fallback edges and clipped ``gamma`` (per row in
     adaptive mode, once for frozen edges). Both modes work in real arithmetic,
@@ -288,9 +381,9 @@ def _build_family(ts: TimeSeries, cfgs, start: int, stop: int, frozen_boundaries
     for that config alone; a range or window that fits no config raises. The
     windows and raw lags are shared, and the frozen configs' banks are one
     call of the bank function per window width. Per adaptive chunk, the
-    ``rfft``, one edge call and one bank call serve every config, each with
-    one entry per config; the edge check, the counters and the product with
-    the tail basis run per config, so that a row keeps one product shape.
+    ``rfft``, one edge call and one call of :func:`_low_pass_tails` serve
+    every config, each with one entry per config; the edge check and the
+    counters run per config.
     """
     cfg = cfgs[0]
     if any(replace(c, n_bands=cfg.n_bands, gamma=cfg.gamma) != cfg for c in cfgs[1:]):
@@ -322,10 +415,10 @@ def _build_family(ts: TimeSeries, cfgs, start: int, stop: int, frozen_boundaries
                                                      start + last - width + 1]
         for k in live:
             X[k][first:last, :lags] = windows[:, -lags:]
-        # Every product below is a stack of per-row products, so that a row's
-        # product has one shape whatever the number of rows: as a 2-D product,
-        # a single row would take another BLAS kernel and round differently
-        # from the same row inside a larger build.
+        # Every product below is a stack of per-row (frozen) or per-(row, edge)
+        # (adaptive) products, so that each has one shape whatever the number
+        # of rows: as a 2-D product, a single row would take another BLAS
+        # kernel and round differently from the same row inside a larger build.
         fixed = [k for k in live if frozen[k] is not None]
         banks = filter_bank_responses([frozen[k].omegas[None] for k in fixed], width,
                                       [cfgs[k].gamma for k in fixed]) if fixed else []
@@ -352,18 +445,23 @@ def _build_family(ts: TimeSeries, cfgs, start: int, stop: int, frozen_boundaries
             adaptive = [k for k in adaptive if results[k] is None]
             if not adaptive:
                 break
-            banks = filter_bank_responses([edges[k][0] for k in adaptive], width,
-                                          [cfgs[k].gamma for k in adaptive])
-            # Each band's filtered spectrum as [real parts | imaginary parts],
-            # the basis's row order: (R, bands, 2 * bins).
-            parts = np.empty((rows, 1, 2, spectra.shape[1]))
-            parts[:, 0, 0] = spectra.real
-            parts[:, 0, 1] = spectra.imag
-            for k, (responses, gamma_eff) in zip(adaptive, banks):
+            # Each row's spectrum as [real parts | imaginary parts], the
+            # basis's row order.
+            parts = np.empty((rows, 2, spectra.shape[1]))
+            parts[:, 0] = spectra.real
+            parts[:, 1] = spectra.imag
+            lows = _low_pass_tails(parts, [edges[k][0] for k in adaptive],
+                                   [cfgs[k].gamma for k in adaptive], width, basis)
+            for k, (low, gamma_eff) in zip(adaptive, lows):
                 fallbacks[k] += int(np.count_nonzero(edges[k][1]))
                 clipped[k] += int(np.count_nonzero(gamma_eff < cfgs[k].gamma))
-                filtered = (responses[:, :, None] * parts).reshape(rows, cfgs[k].n_bands, -1)
-                X[k][first + lo: first + lo + rows, lags:] = (filtered @ basis).reshape(rows, -1)
+                # Band 0 is the low-pass tail below edge 1, band i the
+                # difference of those below edges i + 1 and i, and the last
+                # band the raw lags minus the tail below the last edge: the
+                # steps of [0, tails below each edge, raw lags].
+                out = X[k][first + lo: first + lo + rows].reshape(rows, -1, lags)
+                cuts = np.concatenate((np.zeros((rows, 1, lags)), low, out[:, :1]), axis=1)
+                np.subtract(cuts[:, 1:], cuts[:, :-1], out=out[:, 1:])
         live = [k for k in live if results[k] is None]
     Y = values[origins + cfg.horizon].reshape(-1, 1)
     for k in live:

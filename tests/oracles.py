@@ -9,7 +9,8 @@ one pipeline candidate at a time, spectra from direct O(n^2) summation,
 spectral peaks from a scan over runs of equal values, band edges from that scan
 plus a Python ranking and one ``argmin`` per edge, filter banks from the
 closed-form responses evaluated at every FFT bin, walk-forward band tails from
-a full inverse FFT of every band of every window, frozen tail taps from a
+a full inverse FFT of every band of every window or from every band's
+filtered spectrum, frozen tail taps from a
 complex inverse FFT of the bank mirrored onto the full grid, and the
 signed-rank null distribution from explicit sign enumeration.
 """
@@ -20,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from ewtforecast import edrvfl, harness, rvfl, walkforward
-from ewtforecast.ewt import build_filter_bank, decompose
+from ewtforecast.ewt import build_filter_bank, decompose, filter_bank_responses
 from ewtforecast.harness import CandidateOutcome, GridSearchResult, LayerwiseResult
 from ewtforecast.series import WindowedDataset, embed, fit_scaler
 
@@ -298,6 +299,26 @@ def build_walkforward_features_fft(ts, cfg, start, stop, frozen_boundaries=None)
     }
     return WindowedDataset(np.array(rows), values[origins + cfg.horizon].reshape(-1, 1),
                            origins, meta)
+
+
+def adaptive_rows_per_band(ts, cfg, start, stop):
+    """Adaptive ``walkforward.build_walkforward_features`` rows with every band
+    formed: per origin, the bank's one-sided responses from
+    ``ewt.filter_bank_responses`` times the window's spectrum, as [real parts |
+    imaginary parts], mapped to each band's tail by ``walkforward._tail_basis``.
+    """
+    rows = []
+    for t in range(start, stop):
+        width = cfg.window_at(t)
+        window = ts.values[t - width + 1: t + 1]
+        spectrum = np.fft.rfft(window)
+        omegas = walkforward.freeze_boundaries(ts, cfg, t).omegas
+        ((responses, _),) = filter_bank_responses([omegas[None]], width, [cfg.gamma])
+        parts = np.concatenate([responses[0] * spectrum.real, responses[0] * spectrum.imag],
+                               axis=1)
+        tails = parts @ walkforward._tail_basis(width, cfg.lags)
+        rows.append(np.concatenate([window[-cfg.lags:], tails.ravel()]))
+    return np.array(rows)
 
 
 def frozen_taps_ifft(bank, lags):

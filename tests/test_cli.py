@@ -256,9 +256,9 @@ sys.exit(rc)
 """
 
 
-def run_cli_subprocess(args, block_scipy):
+def run_cli_subprocess(args, block_scipy, **environ):
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     mode = "block-scipy" if block_scipy else "plain"
     return subprocess.run([sys.executable, "-c", CLI_IN_A_FRESH_INTERPRETER, mode, *args],
@@ -286,3 +286,22 @@ def test_run_imports_no_scipy_module(series_csv, tmp_path):
                               block_scipy=False)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+def numpy_blas_name():
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return ""
+
+
+@pytest.mark.skipif("openblas" not in numpy_blas_name(), reason="numpy's BLAS is not OpenBLAS")
+def test_a_report_records_the_blas_thread_count(series_csv, tmp_path):
+    # The thread count can move the last bits of the ridge solves, so the
+    # report says what it was: here the one the environment sets.
+    path, _ = series_csv
+    done = run_cli_subprocess(["run", "--config", str(experiment_config(tmp_path, path))],
+                              block_scipy=False, OPENBLAS_NUM_THREADS="1")
+    assert done.returncode == 0, done.stderr
+    meta = json.loads((tmp_path / "run" / "report.json").read_text())["meta"]
+    assert meta["numpy_blas_threads"] == 1

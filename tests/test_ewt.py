@@ -307,62 +307,35 @@ def test_half_grid_bank_equals_the_full_grid_formula(n, n_bands, gamma, seed):
         assert bank.responses.tobytes() == expected.tobytes()
 
 
-@st.composite
-def edge_rows(draw, n, n_edges):
-    """One row of ``n_edges`` edges for a signal of length ``n``: on the bin grid
-    (``2*pi*b/n``, as band_edges places them), one ulp off it, anywhere, or the
-    uniform fallback."""
-    kind = draw(st.sampled_from(["grid", "ulp", "anywhere", "fallback"]))
-    if kind == "fallback":
-        return np.pi * np.arange(1, n_edges + 1) / (n_edges + 1)
-    if kind == "anywhere":
-        return np.array(sorted(draw(st.lists(st.floats(1e-3, np.pi - 1e-3), min_size=n_edges,
-                                             max_size=n_edges, unique=True))))
-    bins = sorted(draw(st.lists(st.integers(1, (n - 1) // 2), min_size=n_edges,
-                                max_size=n_edges, unique=True)))
-    edges = 2.0 * np.pi * np.array(bins, dtype=np.intp) / n
-    if kind == "ulp" and n_edges:
-        i = draw(st.integers(0, n_edges - 1))
-        edges[i] = np.nextafter(edges[i], draw(st.sampled_from([0.0, np.pi])))
-    return edges
-
-
 @settings(deadline=None)
-@given(st.integers(16, 320), st.lists(st.tuples(st.integers(1, 5),
-                                                st.sampled_from([0.02, 0.1, 0.3, 0.6, 0.95])),
-                                      min_size=1, max_size=3),
-       st.integers(1, 6), st.integers(1, 8), st.booleans(), st.data())
-def test_bank_table_rows_equal_the_formula_row_by_row(n, entries, n_distinct, copies, cold,
-                                                      data):
-    # Rows gather their profiles from the cached table when their entry's gamma
-    # has at least (n - 1) // 2 edges in the call, their edges sit on the grid
-    # and their gamma is not clipped (large gammas clip often); every row must
-    # equal the formula evaluated for it alone, bit for bit, whether the table
-    # is built in this call or earlier. Each stack repeats its distinct rows
-    # ``copies`` times, so that small and large stacks both occur.
-    distinct = [np.array([data.draw(edge_rows(n, n_bands - 1)) for _ in range(n_distinct)])
-                .reshape(n_distinct, n_bands - 1) for n_bands, _ in entries]
-    stacks = [np.tile(rows, (copies, 1)) for rows in distinct]
-    gammas = [gamma for _, gamma in entries]
-    if cold:
-        ewt._profile_table.cache_clear()
-    banks = filter_bank_responses(stacks, n, gammas)
-    if cold:
-        # A table is built for each gamma with at least (n - 1) // 2 edges.
-        edges = {gamma: sum(s.size for s, g in zip(stacks, gammas) if g == gamma)
-                 for gamma in gammas}
-        built = sum(count >= (n - 1) // 2 for count in edges.values())
-        assert ewt._profile_table.cache_info().currsize == built
-    for rows, gamma, (responses, gamma_used) in zip(distinct, gammas, banks):
-        assert responses.shape == (n_distinct * copies, rows.shape[1] + 1, n // 2 + 1)
-        for row, omegas in enumerate(rows):
-            expected = (filter_bank_full_grid(omegas, n, float(gamma_used[row])) if omegas.size
-                        else np.ones((1, n)))
-            ((alone, alone_gamma),) = filter_bank_responses([rows[row: row + 1]], n, [gamma])
-            assert alone[0].tobytes() == expected[:, :n // 2 + 1].tobytes()
-            for copy in range(row, n_distinct * copies, n_distinct):
-                assert responses[copy].tobytes() == alone[0].tobytes()
-                assert gamma_used[copy] == alone_gamma[0]
+@given(st.integers(16, 600), st.sampled_from([0.02, 0.1, 0.3, 0.6, 0.95]) | st.floats(0.01, 0.99),
+       st.data())
+def test_profile_table_rows_equal_the_falling_formula(n, gamma, data):
+    # Row b - 1 of the cached table is the falling profile of the edge on bin b.
+    # It must equal the formula bit for bit however the edge is evaluated: alone,
+    # inside a row of edges with a per-row gamma, as one of a list of edges with
+    # a per-edge gamma, with both profiles, and as band 0 of a one-edge bank on
+    # the full grid.
+    n_table = (n - 1) // 2
+    table = ewt._profile_table(n, gamma)
+    assert table.shape == (n_table, n // 2 + 1)
+    assert not table.flags.writeable
+    aw = ewt._grid(n)
+    bins = np.array(sorted(data.draw(st.lists(st.integers(1, n_table), min_size=1, max_size=8,
+                                              unique=True))))
+    edges = aw[bins]
+    expected = table[bins - 1]
+    falling = ewt._edge_profiles
+    assert falling(edges[None], np.full((1, 1), gamma), aw, rising=False)[0].tobytes() \
+        == expected.tobytes()
+    assert falling(edges, np.full(edges.size, gamma), aw, rising=False).tobytes() \
+        == expected.tobytes()
+    assert falling(edges, np.array(gamma), aw)[0].tobytes() == expected.tobytes()
+    for b, edge in zip(bins, edges):
+        assert falling(aw[b: b + 1], np.array(gamma), aw, rising=False)[0].tobytes() \
+            == table[b - 1].tobytes()
+        assert filter_bank_full_grid([edge], n, gamma)[0, :n // 2 + 1].tobytes() \
+            == table[b - 1].tobytes()
 
 
 def test_response_symmetry():

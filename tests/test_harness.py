@@ -912,6 +912,27 @@ def test_a_persistence_run_without_validation_leaves_out_a_baseline_it_cannot_tu
     assert np.array(report.forecasts["linear"]).tobytes() == pred.tobytes()
 
 
+@pytest.mark.parametrize("family", ["rvfl", "baseline_persistence", "baseline_linear"])
+def test_a_report_records_the_settings_of_its_linear_baseline(tmp_path, family):
+    # Every report with linear forecasts says which lags and C they came from
+    # and the validation RMSE that chose them, also where the run chose rvfl.
+    values = np.cumsum(np.random.default_rng(32).normal(size=300))
+    cfg = walk_config(tmp_path, write_series(tmp_path, values), family=family,
+                      grid=GridSpace(n_enhancement=(10,), regularization=(0.1, 10.0, 1e3),
+                                     lags=(3, 5)))
+    report = run_experiment(cfg)
+    lags = (report.chosen["pipeline_params"]["lags"] if family == "rvfl"
+            else 3 if family == "baseline_persistence" else None)
+    i_train, i_val = harness.split_boundaries(300, cfg.split)
+    pred, info = oracles.linear_baseline_per_candidate(cfg, TimeSeries(values), i_train, i_val,
+                                                       lags, [])
+    assert report.meta["linear_baseline"] == {**info["model_params"],
+                                              "validation_rmse": info["validation_rmse"]}
+    assert np.array(report.forecasts["linear"]).tobytes() == pred.tobytes()
+    if family == "baseline_linear":
+        assert report.chosen["model_params"] == info["model_params"]
+
+
 def nan_forecasting_rvfl(monkeypatch, n_rows, n_bad):
     """Make rvfl (not the ridge baseline) forecast ``n_bad`` NaNs for ``n_rows`` rows."""
     original = rvfl.predict
@@ -954,6 +975,7 @@ def test_an_unfittable_linear_baseline_is_left_out_unless_chosen(tmp_path, monke
     report = run_experiment(cfg)
     assert "linear" not in report.forecasts and "linear" not in report.test_metrics
     assert report.meta["linear_baseline_error"].startswith(reason)
+    assert "linear_baseline" not in report.meta
 
 
 def test_a_scaling_failure_fails_only_its_pipeline_candidate(tmp_path, monkeypatch):
@@ -1067,6 +1089,8 @@ def test_report_meta_records_the_numeric_stack(tmp_path):
     report = run_experiment(walk_config(tmp_path, write_series(tmp_path, values)))
     assert report.meta["numpy_version"] == np.__version__
     assert "numpy_blas" in report.meta
+    threads = report.meta["numpy_blas_threads"]
+    assert threads is None or (isinstance(threads, int) and threads >= 1)
     assert "scipy_version" not in report.meta  # the package runs on numpy alone
     # Which exp kernel numpy dispatches to sets the sigmoid's last bits. A
     # numpy whose show_config takes no mode= does not say, and records None.

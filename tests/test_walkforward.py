@@ -252,6 +252,70 @@ def test_a_family_where_only_the_largest_band_count_falls_back(mode):
     assert [ds.meta["fallback_count"] > 0 for ds in family] == [False, False, True]
 
 
+# Adaptive band tails are differences of low-pass tails, one per edge, where the
+# per-band reference maps each band's filtered spectrum to its tail: the two
+# agree to rounding, within PER_BAND_RTOL times the largest absolute value of
+# the row's window (the largest ratio seen is 3.3e-15, at windows of 16-1300).
+PER_BAND_RTOL = 1e-14
+
+
+def assert_rows_equal_the_per_band_reference(ts, cfgs, datasets):
+    for cfg, ds in zip(cfgs, datasets):
+        origins = ds.origin_indices
+        expected = oracles.adaptive_rows_per_band(ts, cfg, int(origins[0]), int(origins[-1]) + 1)
+        lags = cfg.lags
+        assert ds.X[:, :lags].tobytes() == expected[:, :lags].tobytes()
+        scale = np.array([np.abs(ts.values[t - cfg.window_at(t) + 1: t + 1]).max()
+                          for t in origins])
+        assert np.all(np.abs(ds.X[:, lags:] - expected[:, lags:])
+                      <= PER_BAND_RTOL * scale[:, None])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_tones=st.integers(0, 3), lags=st.integers(1, 8),
+       band_counts=st.lists(st.integers(1, 5), min_size=1, max_size=4, unique=True),
+       gammas=st.lists(st.sampled_from([0.05, 0.2, 0.5, 0.9]), min_size=1, max_size=2,
+                       unique=True),
+       window=st.sampled_from(["auto", "all"]) | st.integers(16, 160),
+       chunk_rows=st.integers(1, 5), scale=st.sampled_from([1e-3, 1.0, 1e6]), data=st.data())
+def test_adaptive_rows_equal_the_per_band_reference(seed, n_tones, lags, band_counts, gammas,
+                                                    window, chunk_rows, scale, data):
+    # Families of band counts (one band included) and one or two gammas. Large
+    # gammas clip often, and on tone series band counts above the peak count
+    # fall back to uniform edges.
+    cfgs = [WalkForwardConfig(n_bands=k, lags=lags, window=window, gamma=g)
+            for k in band_counts for g in gammas]
+    first = cfgs[0].first_origin
+    n = data.draw(st.integers(first + 2, first + 200), label="n")
+    start = data.draw(st.integers(first, n - 2), label="start")
+    stop = start + data.draw(st.integers(1, n - 1 - start), label="rows")
+    noise = np.random.default_rng(seed).normal(size=n)
+    ts = TimeSeries(scale * (tone_series(n, n_tones, seed) + 1e-3 * noise if n_tones
+                             else np.cumsum(noise)))
+    width = cfgs[0].window_at(stop - 1)
+    chunk_bytes = chunk_rows * sum(walkforward._row_bytes(c.n_bands, width) for c in cfgs)
+    with mock.patch.object(walkforward, "CHUNK_BYTES", chunk_bytes):
+        family = walkforward._build_family(ts, cfgs, start, stop)
+    assert_rows_equal_the_per_band_reference(ts, cfgs, family)
+
+
+def test_clipped_fallback_and_all_pass_rows_equal_the_per_band_reference():
+    # One family in which rows clip their gamma, band counts above the peak
+    # count fall back to uniform edges, and one band is its raw lags, with two
+    # gammas, across the default chunk edges.
+    ts = TimeSeries(tone_series(600, 2, seed=6) + 1e-3 * np.random.default_rng(6).normal(size=600))
+    cfgs = [WalkForwardConfig(n_bands=k, lags=4, window=64, gamma=g)
+            for k in (1, 2, 3, 5) for g in (0.1, 0.9)]
+    family = walkforward._build_family(ts, cfgs, 63, 599)
+    meta = {(c.n_bands, c.gamma): ds.meta for c, ds in zip(cfgs, family)}
+    assert meta[5, 0.1]["fallback_count"] > 0 and meta[3, 0.1]["fallback_count"] == 0
+    assert meta[3, 0.9]["gamma_clipped_count"] > 0
+    assert_rows_equal_the_per_band_reference(ts, cfgs, family)
+    for c, ds in zip(cfgs, family):
+        if c.n_bands == 1:
+            assert ds.X[:, 4:].tobytes() == ds.X[:, :4].tobytes()
+
+
 def test_causal_decompose_ignores_future_values():
     base = noisy_two_tone(300, seed=2)
     cfg = WalkForwardConfig(n_bands=2, lags=3, window=64)
@@ -402,27 +466,99 @@ def test_a_frozen_build_holds_its_rows_once():
     assert peak < 1.5 * ds.X.nbytes
 
 
+def profile_pairs_per_chunk(ts, cfgs, start, stop):
+    """For each adaptive chunk of a family build, counted from the edges the
+    build detects: the number of distinct (row, bin) pairs, per gamma, whose edge
+    sits on the bin grid in a row whose gamma was not clipped, and the number of
+    (row, edge) pairs of every config that are not such."""
+    width = cfgs[0].window_at(start)
+    chunk = max(1, walkforward.CHUNK_BYTES
+                // sum(walkforward._row_bytes(c.n_bands, width) for c in cfgs))
+    aw = ewt._grid(width)
+    counts = []
+    for lo in range(start, stop, chunk):
+        windows = np.array([ts.values[t - width + 1: t + 1]
+                            for t in range(lo, min(lo + chunk, stop))])
+        found = ewt.band_edges(np.abs(np.fft.rfft(windows, axis=1)), width,
+                               [c.n_bands for c in cfgs])
+        shared, own = {}, 0
+        for c, (omegas, _) in zip(cfgs, found):
+            unclipped = ewt._clipped_gamma(omegas, c.gamma) == c.gamma
+            on_grid = np.isin(omegas, aw) & unclipped[:, None]
+            shared.setdefault(c.gamma, set()).update(
+                (row, omegas[row, edge]) for row, edge in zip(*np.nonzero(on_grid)))
+            own += int(np.count_nonzero(~on_grid))
+        counts.append(({gamma: len(pairs) for gamma, pairs in shared.items()}, own))
+    return counts
+
+
 def test_only_builds_that_repay_a_profile_table_build_one():
-    # A table of an edge per bin is built only where a call holds at least as
-    # many edges. A frozen bank, build_filter_bank, a one-origin build and each
-    # origin of window="all" are one-row stacks, and a chunk at a large window
-    # holds too few rows: they evaluate the formula, and no table is built.
+    # A table of the falling profile of an edge on every inner bin costs about
+    # as much as evaluating that many profiles, so a chunk takes it only where it
+    # evaluates at least (W - 1) // 2 shared profiles, counted once per distinct
+    # (row, bin) pair of the configs with its gamma. Frozen banks,
+    # build_filter_bank, one-origin builds, each origin of window="all" and the
+    # few-row chunks of a wide window evaluate the formula and build no table.
     ts = TimeSeries(noisy_two_tone(2400, seed=14))
     ewt._profile_table.cache_clear()
     frozen = WalkForwardConfig(n_bands=3, lags=4, window=64, boundary_mode=FROZEN_FROM_TRAIN)
     build_walkforward_features(ts, frozen, 63, 200)
     build_filter_bank(EwtBoundaries(np.array([0.5, 1.5])), 64, 0.1)
-    adaptive = WalkForwardConfig(n_bands=3, lags=4, window=64)
-    build_walkforward_features(ts, adaptive, 150, 151)
+    adaptive = [WalkForwardConfig(n_bands=k, lags=4, window=64) for k in (2, 3, 4)]
+    for t in (150, 151, 999):
+        walkforward._build_family(ts, adaptive, t, t + 1)
     build_walkforward_features(ts, WalkForwardConfig(n_bands=3, lags=4, window="all"), 11, 40)
-    wide = WalkForwardConfig(n_bands=4, lags=4, window=2048)
-    build_walkforward_features(ts, wide, 2047, 2300)
+    wide = [WalkForwardConfig(n_bands=k, lags=4, window=2048) for k in (2, 3, 4)]
+    walkforward._build_family(ts, wide, 2047, 2300)
     assert ewt._profile_table.cache_info().currsize == 0
-    # 16 rows of 2 edges fill a table of (64 - 1) // 2 = 31 edges.
-    build_walkforward_features(ts, adaptive, 150, 165)
-    assert ewt._profile_table.cache_info().currsize == 0
-    build_walkforward_features(ts, adaptive, 150, 166)
-    assert ewt._profile_table.cache_info().currsize == 1
+    n_table = (64 - 1) // 2
+    for cfgs in (adaptive[1:2], adaptive):
+        # The shortest range from origin 150 whose one chunk fills a table.
+        stop = 151
+        while profile_pairs_per_chunk(ts, cfgs, 150, stop)[0][0][0.1] < n_table:
+            stop += 1
+        ewt._profile_table.cache_clear()
+        walkforward._build_family(ts, cfgs, 150, stop - 1)
+        assert ewt._profile_table.cache_info().currsize == 0
+        walkforward._build_family(ts, cfgs, 150, stop)
+        assert ewt._profile_table.cache_info().currsize == 1
+    # The family's configs share most pairs: its rows held over twice a table's
+    # worth of edges before its distinct pairs filled one.
+    edges_per_row = sum(c.n_bands - 1 for c in adaptive)
+    assert (stop - 150) * edges_per_row > 2 * n_table
+
+
+def test_a_family_filters_each_shared_row_and_edge_once():
+    # Configs with one gamma share a (row, edge) pair whose edge sits on the bin
+    # grid in an unclipped row: its spectrum is filtered and mapped to a tail
+    # once, however many configs hold the edge. Configs with another gamma
+    # filter their own.
+    ts = TimeSeries(noisy_two_tone(2400, seed=15))
+    cfgs = [WalkForwardConfig(n_bands=k, lags=4, window=64, gamma=g)
+            for k in (2, 3, 4) for g in (0.05, 0.1)]
+    start, stop = 300, 700
+    filtered = []
+    tail_basis = walkforward._tail_basis
+
+    class Spy(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            assert ufunc is np.matmul
+            filtered.append(inputs[0].shape[0])
+            return ufunc(*(np.asarray(x) for x in inputs), **kwargs)
+
+    with mock.patch.object(walkforward, "_tail_basis",
+                           lambda width, lags: tail_basis(width, lags).view(Spy)):
+        family = walkforward._build_family(ts, cfgs, start, stop)
+    # One product per chunk, of one filtered spectrum per distinct shared pair
+    # and per pair of a clipped row, which each config filters for itself.
+    counts = profile_pairs_per_chunk(ts, cfgs, start, stop)
+    assert filtered == [sum(shared.values()) + own for shared, own in counts]
+    assert 0 < sum(own for _, own in counts) < sum(filtered) / 2
+    edges = sum((stop - start) * (c.n_bands - 1) for c in cfgs)
+    assert sum(filtered) < edges
+    # Each family row equals the one-config build's, bit for bit.
+    for cfg, ds in zip(cfgs, family):
+        assert ds.X.tobytes() == build_walkforward_features(ts, cfg, start, stop).X.tobytes()
 
 
 def test_determinism():
