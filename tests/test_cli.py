@@ -288,14 +288,8 @@ def test_run_imports_no_scipy_module(series_csv, tmp_path):
     assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
-def numpy_blas_name():
-    try:
-        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    except (TypeError, KeyError):
-        return ""
-
-
-@pytest.mark.skipif("openblas" not in numpy_blas_name(), reason="numpy's BLAS is not OpenBLAS")
+@pytest.mark.skipif(harness._openblas_threads() is None,
+                    reason="numpy's BLAS is not an OpenBLAS bundled with numpy")
 def test_a_report_records_the_blas_thread_count(series_csv, tmp_path):
     # The thread count can move the last bits of the ridge solves, so the
     # report says what it was: here the one the environment sets.
