@@ -333,69 +333,35 @@ def _clipped_gamma(omegas: np.ndarray, gamma: float) -> np.ndarray:
     return np.minimum(gamma, ratios.min(axis=1))
 
 
-def _bands(falling: np.ndarray, rising: np.ndarray) -> np.ndarray:
-    """Responses ``(R, K, bins)`` of banks from the profiles ``(R, K - 1, bins)``
-    of their edges (see :func:`filter_bank_responses`)."""
-    rows, n_edges, n_bins = falling.shape
-    responses = np.empty((rows, n_edges + 1, n_bins))
-    responses[:, 0] = falling[:, 0]
-    np.multiply(rising[:, :-1], falling[:, 1:], out=responses[:, 1:-1])
-    responses[:, -1] = rising[:, -1]
-    return responses
-
-
-def filter_bank_responses(omegas, signal_length: int, gammas):
-    """Frequency responses of stacks of filter banks on the one-sided grid.
-
-    Entry ``j`` of ``omegas`` holds one row of band edges per bank, shape
-    ``(R, K_j - 1)``, and ``gammas[j]`` is its requested ``gamma``. Neighbouring
-    filters cross-fade around each edge with the profiles of
-    :func:`_edge_profiles`, so adjacent responses sum to one exactly. A row's
-    ``gamma`` is clipped whenever the requested value would make transition
-    zones of consecutive edges overlap (:func:`_clipped_gamma`).
-
-    Returns one pair per entry: the responses at the bins
-    ``0 .. signal_length // 2``, shape ``(R, K_j, signal_length // 2 + 1)``,
-    and the gamma each row used, shape ``(R,)``; a row was clipped where that
-    is below its entry's gamma. Bin ``k`` of the full grid has the response of
-    bin ``min(k, signal_length - k)``.
-
-    Numbering edges from 1, band 0 is the falling profile of edge 1, band
-    ``k`` the rising profile of edge ``k`` times the falling profile of edge
-    ``k + 1``, and the last band the rising profile of the last edge. Profiles
-    are elementwise, so every row equals a one-row call's bit for bit. Frozen
-    banks and :func:`build_filter_bank` call this with one-row stacks; adaptive
-    walk-forward rows never form their banks (see
-    :mod:`ewtforecast.walkforward`).
-    """
-    aw = _grid(signal_length)
-    banks = []
-    for bank, gamma in zip(omegas, gammas):
-        gamma_eff = _clipped_gamma(bank, gamma)
-        if bank.shape[1]:
-            responses = _bands(*_edge_profiles(bank, gamma_eff[:, None], aw))
-        else:
-            responses = np.ones((bank.shape[0], 1, aw.size))
-        banks.append((responses, gamma_eff))
-    return banks
-
-
 def build_filter_bank(boundaries: EwtBoundaries, signal_length: int, gamma: float = 0.1) -> EwtFilterBank:
     """Construct the K band filters for a signal of length ``signal_length``.
 
-    The one-row, one-entry case of :func:`filter_bank_responses`, mirrored onto
-    the full FFT grid; the clip of ``gamma`` is flagged on the result.
+    Neighbouring filters cross-fade around each edge with the profiles of
+    :func:`_edge_profiles`, so adjacent responses sum to one exactly. Numbering
+    edges from 1, band 0 is the falling profile of edge 1, band ``k`` the
+    rising profile of edge ``k`` times the falling profile of edge ``k + 1``,
+    and the last band the rising profile of the last edge. ``gamma`` is
+    clipped, and the clip flagged on the result, where it would make the
+    transition zones of consecutive edges overlap (:func:`_clipped_gamma`).
+    The responses are evaluated on the one-sided bins ``0 .. n // 2`` and
+    mirrored onto the full grid. Adaptive walk-forward rows never form their
+    banks (see :mod:`ewtforecast.walkforward`).
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     if signal_length < MIN_SIGNAL_LENGTH:
         raise ValueError(f"signal length must be >= {MIN_SIGNAL_LENGTH}")
-    ((half, gamma_eff),) = filter_bank_responses([boundaries.omegas[None, :]], signal_length,
-                                                 [gamma])
-    half = half[0]
+    omegas = boundaries.omegas
+    gamma_eff = float(_clipped_gamma(omegas[None], gamma)[0])
+    aw = _grid(signal_length)
+    half = np.ones((omegas.size + 1, aw.size))
+    if omegas.size:
+        falling, rising = _edge_profiles(omegas, np.array(gamma_eff), aw)
+        half[0] = falling[0]
+        np.multiply(rising[:-1], falling[1:], out=half[1:-1])
+        half[-1] = rising[-1]
     # Bin k > n // 2 mirrors bin n - k, so response[k] == response[n - k] is bit-exact.
-    responses = np.concatenate((half, half[:, signal_length - half.shape[1]:0:-1]), axis=1)
-    gamma_eff = float(gamma_eff[0])
+    responses = np.concatenate((half, half[:, signal_length - aw.size:0:-1]), axis=1)
     return EwtFilterBank(boundaries, gamma_eff, responses, signal_length, gamma,
                          gamma_eff < gamma)
 

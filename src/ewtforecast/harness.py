@@ -68,7 +68,6 @@ from ewtforecast.series import (
     split_boundaries,
 )
 from ewtforecast.walkforward import (
-    ADAPTIVE_PER_STEP,
     BOUNDARY_MODES,
     FROZEN_FROM_TRAIN,
     WalkForwardConfig,
@@ -82,8 +81,10 @@ logger = logging.getLogger(__name__)
 
 # Version 2 reports come from hidden layers whose nodes are drawn one
 # (weights, bias) row at a time; version 1 reports drew all weights first, so
-# they do not rerun to their forecasts. Model files store the drawn weights,
-# so the draw does not change them.
+# they do not rerun to their forecasts. Version 3 builds adaptive walk-forward
+# band tails as differences of per-edge low-pass tails, which moved adaptive
+# forecasts at rounding level, so version 2 reports do not rerun to theirs
+# either. Model files store the drawn weights, so neither change moves them.
 REPORT_SCHEMA_VERSION = "3"
 MODEL_SCHEMA_VERSION = "1"
 FAMILIES = ("rvfl", "edrvfl", "baseline_persistence", "baseline_linear")
@@ -270,6 +271,13 @@ class ExperimentConfig:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.pipeline not in PIPELINES:
             raise ConfigError(f"pipeline must be one of {PIPELINES}, got {self.pipeline!r}")
+        # A network needs an enhancement node or, in rvfl, a direct link.
+        nodes, links = self.grid.n_enhancement, self.grid.direct_link
+        if self.family == "edrvfl" and max(nodes) < 1:
+            raise ConfigError("an edrvfl grid needs an n_enhancement of at least 1")
+        if self.family == "rvfl" and max(nodes) < 1 and not (0 in nodes and any(links)):
+            raise ConfigError("an rvfl grid needs an n_enhancement of at least 1, "
+                              "or 0 with a true direct_link")
         bad = set(self.metrics) - set(METRIC_NAMES)
         if bad:
             raise ConfigError(f"unknown metrics: {sorted(bad)}")
@@ -923,16 +931,14 @@ def _candidate_builds(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val
     """Yield each pipeline candidate in order with its build, or the
     ``ValueError`` the build raised.
 
-    Adaptive walk-forward candidates that differ only in ``n_bands`` and
-    ``gamma`` are one :meth:`_PipelineBuild.group`, built when its first
-    candidate comes up. Frozen edges leave such a group nothing to share but
-    window views, so every other candidate is a group of one, and its
-    dataset is held only while it is searched.
+    Walk-forward candidates that differ only in ``n_bands`` and ``gamma``
+    are one :meth:`_PipelineBuild.group`, built when its first candidate
+    comes up; every other candidate is a group of one.
     """
     candidates = cfg.grid.pipeline_candidates(cfg.pipeline)
 
     def group_key(p: dict) -> tuple:
-        if cfg.pipeline == "walkforward_ewt" and p["boundary_mode"] == ADAPTIVE_PER_STEP:
+        if cfg.pipeline == "walkforward_ewt":
             return p["lags"], p["boundary_mode"]
         return tuple(p.values())
 

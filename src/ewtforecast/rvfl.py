@@ -253,9 +253,11 @@ def _design(direct, enh_input: np.ndarray, hidden: HiddenLayer, output_bias: boo
 
 # Diagonal of the corner block of the bordered matrix that _solve_spd factors.
 # The factor's other blocks do not depend on it; it only has to exceed
-# ||L^-1 B||^2 = B'A^-1 B <= ||B||^2 / lambda_min(A), so that the corner's
-# Schur complement stays positive. For that bound to reach 1e300, A must be far
-# too ill-conditioned for its own Cholesky factor to exist in float64.
+# ||L^-1 B||^2 = B'A^-1 B <= ||B||_F^2 / lambda_min(A), so that the corner's
+# Schur complement stays positive. _solve_leading scales B by a power of two
+# to entries of at most one, so ||B||_F^2 <= B.size, and for the bound to
+# reach 1e300 A must be far too ill-conditioned for its own Cholesky factor to
+# exist in float64.
 _BORDER = 1e300
 
 
@@ -302,8 +304,16 @@ def _solve_leading(A: np.ndarray, B: np.ndarray, widths) -> list:
     smaller width is solved on its own by :func:`_solve_spd`, jittered only if
     its own factorization fails, and ``A`` itself is retried with jitter as
     :func:`_solve_spd` describes.
+
+    ``B`` is solved scaled by a power of two to a largest entry of at most
+    one, and the solutions are scaled back: both scalings are exact wherever
+    no entry leaves float64's normal range, so the solutions do not change,
+    and targets of any finite scale keep the bordered factorization positive
+    definite (see ``_BORDER``).
     """
     n = A.shape[0]
+    exponent = np.frexp(np.abs(B).max(initial=0.0))[1]
+    B = np.ldexp(B, -exponent)
     try:
         F = _bordered_cholesky(A, B)
     except np.linalg.LinAlgError:
@@ -314,23 +324,27 @@ def _solve_leading(A: np.ndarray, B: np.ndarray, widths) -> list:
             except RuntimeError as exc:
                 out.append(exc)
         jitter = 1e-10 * np.trace(A) / n
-        logger.warning("ridge system of size %d is not positive definite; "
+        logger.warning("ridge system of size %d is not numerically positive definite; "
                        "retrying with jitter %.3e on the diagonal", n, jitter)
         try:
             F = _bordered_cholesky(A + jitter * np.eye(n), B)
         except np.linalg.LinAlgError:
-            return out + [RuntimeError(
+            out.append(RuntimeError(
                 f"ridge system factorization failed even with jitter {jitter:.3e}; "
-                f"condition estimate {np.linalg.cond(A):.3e}")]
-        return out + [_back_substitute(F[:n, :n], F[n:, :n].T)]
-    # L[:w, :w]' x = z is L' [x; 0] = [z; 0], as L' is upper triangular: one
-    # back substitution serves every width, each right side padded with zeros.
-    k = B.shape[1]
-    Z = np.zeros((n, k * len(widths)))
-    for i, w in enumerate(widths):
-        Z[:w, i * k:(i + 1) * k] = F[n:, :w].T
-    X = _back_substitute(F[:n, :n], Z)
-    return [X[:w, i * k:(i + 1) * k] for i, w in enumerate(widths)]
+                f"condition estimate {np.linalg.cond(A):.3e}"))
+        else:
+            out.append(_back_substitute(F[:n, :n], F[n:, :n].T))
+    else:
+        # L[:w, :w]' x = z is L' [x; 0] = [z; 0], as L' is upper triangular:
+        # one back substitution serves every width, each right side padded
+        # with zeros.
+        k = B.shape[1]
+        Z = np.zeros((n, k * len(widths)))
+        for i, w in enumerate(widths):
+            Z[:w, i * k:(i + 1) * k] = F[n:, :w].T
+        X = _back_substitute(F[:n, :n], Z)
+        out = [X[:w, i * k:(i + 1) * k] for i, w in enumerate(widths)]
+    return [x if isinstance(x, Exception) else np.ldexp(x, exponent) for x in out]
 
 
 # Rows per block of the back substitution. A block's LU inside np.linalg.solve

@@ -14,9 +14,10 @@ values of every band component, giving a fixed dimension of
 A band's tail is a fixed linear map of its window, because EWT filters act in
 the Fourier domain, so the builder never forms a band in full. With frozen
 edges each band's impulse response is the real inverse FFT of its one-sided
-response (EWT filters are real and even in frequency); the responses become one
-real matrix of taps per window width, and a group's rows are one product of
-its windows with that matrix. With adaptive edges each chunk of rows takes one
+response (EWT filters are real and even in frequency); the responses of the
+bank :func:`~ewtforecast.ewt.build_filter_bank` forms become one real matrix
+of taps per window width, and a group's rows are one product of its windows
+with that matrix. With adaptive edges each chunk of rows takes one
 real FFT, which feeds the batched edge detection, and a fixed real basis maps
 a filtered one-sided spectrum to its tail. The banks themselves are never
 formed: band ``k`` is the falling profile of edge ``k + 1`` minus that of edge
@@ -66,7 +67,6 @@ from ewtforecast.ewt import (
     check_edges,
     decompose,
     detect_boundaries,
-    filter_bank_responses,
     magnitude_spectrum,
 )
 from ewtforecast.series import TimeSeries, WindowedDataset
@@ -354,13 +354,13 @@ def build_walkforward_features(
     Row layout per origin t: ``[x_{t-lags+1..t} | band-1 tail | ... | band-K
     tail]`` with target ``x_{t+horizon}``. In frozen mode the band edges come
     from the earliest window of the range (a training prefix for every row)
-    unless ``frozen_boundaries`` carries edges frozen earlier. Band edges and
-    fallback flags are those :func:`causal_decompose_at` finds, bit for bit;
-    band tails match its full inverse FFT to rounding, within ``1e-12`` times
-    the largest absolute value of the row's window (tested). A row does not
-    depend on the range or the chunking it was built in, bit for bit: every
-    per-row or per-(row, edge) product has the same shape whatever the number
-    of rows.
+    unless ``frozen_boundaries`` carries edges frozen earlier; adaptive mode
+    takes none. Band edges and fallback flags are those
+    :func:`causal_decompose_at` finds, bit for bit; band tails match its full
+    inverse FFT to rounding, within ``1e-12`` times the largest absolute value
+    of the row's window (tested). A row does not depend on the range or the
+    chunking it was built in, bit for bit: every per-row or per-(row, edge)
+    product has the same shape whatever the number of rows.
 
     ``meta`` counts uniform-fallback edges and clipped ``gamma`` (per row in
     adaptive mode, once for frozen edges). Both modes work in real arithmetic,
@@ -377,15 +377,15 @@ def _build_family(ts: TimeSeries, cfgs, start: int, stop: int, frozen_boundaries
     """:func:`build_walkforward_features` for configs that differ only in
     ``n_bands`` and ``gamma``, in one pass over the origins.
 
-    ``frozen_boundaries`` holds each config's frozen edges or None. Entry ``k``
+    ``frozen_boundaries`` holds each frozen config's edges or None. Entry ``k``
     is, bit for bit, what ``build_walkforward_features(ts, cfgs[k], start,
     stop, frozen_boundaries[k])`` returns, or the ``ValueError`` it would raise
     for that config alone; a range or window that fits no config raises. The
-    windows and raw lags are shared, and the frozen configs' banks are one
-    call of the bank function per window width. Per adaptive chunk, the
-    ``rfft``, one edge call and one call of :func:`_low_pass_tails` serve
-    every config, each with one entry per config; the edge check and the
-    counters run per config.
+    windows and raw lags are shared, and each frozen config's bank is one
+    :func:`~ewtforecast.ewt.build_filter_bank` call per window width. Per
+    adaptive chunk, the ``rfft``, one edge call and one call of
+    :func:`_low_pass_tails` serve every config, each with one entry per
+    config; the edge check and the counters run per config.
     """
     cfg = cfgs[0]
     if any(replace(c, n_bands=cfg.n_bands, gamma=cfg.gamma) != cfg for c in cfgs[1:]):
@@ -395,7 +395,10 @@ def _build_family(ts: TimeSeries, cfgs, start: int, stop: int, frozen_boundaries
     widths = cfg.window_widths(origins)
     results: list = [None] * len(cfgs)
     frozen = list(frozen_boundaries or [None] * len(cfgs))
-    if cfg.boundary_mode == FROZEN_FROM_TRAIN:
+    fixed = cfg.boundary_mode == FROZEN_FROM_TRAIN
+    if not fixed and any(f is not None for f in frozen):
+        raise ValueError(f"frozen band edges need boundary_mode {FROZEN_FROM_TRAIN!r}")
+    if fixed:
         for k, c in enumerate(cfgs):
             if frozen[k] is None:
                 try:
@@ -411,6 +414,8 @@ def _build_family(ts: TimeSeries, cfgs, start: int, stop: int, frozen_boundaries
     clipped = [0] * len(cfgs)
     bounds = [0, *(np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist(), origins.size]
     for first, last in zip(bounds, bounds[1:]):
+        if not live:
+            break
         width = int(widths[first])
         # windows[i] ends at origin first + i; consecutive origins overlap.
         windows = sliding_window_view(values, width)[start + first - width + 1:
@@ -421,40 +426,37 @@ def _build_family(ts: TimeSeries, cfgs, start: int, stop: int, frozen_boundaries
         # (adaptive) products, so that each has one shape whatever the number
         # of rows: as a 2-D product, a single row would take another BLAS
         # kernel and round differently from the same row inside a larger build.
-        fixed = [k for k in live if frozen[k] is not None]
-        banks = filter_bank_responses([frozen[k].omegas[None] for k in fixed], width,
-                                      [cfgs[k].gamma for k in fixed]) if fixed else []
-        for k, (responses, gamma_eff) in zip(fixed, banks):
-            clipped[k] = int(gamma_eff[0] < cfgs[k].gamma)
-            taps = _frozen_taps(responses[0], width, lags)
-            np.matmul(windows[:, None, :], taps, out=X[k][first:last, None, lags:])
-        adaptive = [k for k in live if frozen[k] is None]
-        if not adaptive:
+        if fixed:
+            for k in live:
+                bank = build_filter_bank(frozen[k], width, cfgs[k].gamma)
+                clipped[k] = int(bank.gamma_clipped)
+                taps = _frozen_taps(bank.responses[:, :width // 2 + 1], width, lags)
+                np.matmul(windows[:, None, :], taps, out=X[k][first:last, None, lags:])
             continue
         basis = _tail_basis(width, lags)
-        chunk = max(1, CHUNK_BYTES // sum(_row_bytes(cfgs[k].n_bands, width) for k in adaptive))
+        chunk = max(1, CHUNK_BYTES // sum(_row_bytes(cfgs[k].n_bands, width) for k in live))
         for lo in range(0, windows.shape[0], chunk):
             block = windows[lo: lo + chunk]
             rows = block.shape[0]
             spectra = np.fft.rfft(block, axis=1)
-            edges = dict(zip(adaptive, band_edges(np.abs(spectra), width,
-                                                  [cfgs[k].n_bands for k in adaptive])))
+            edges = dict(zip(live, band_edges(np.abs(spectra), width,
+                                              [cfgs[k].n_bands for k in live])))
             for k, (omegas, _) in edges.items():
                 try:
                     check_edges(omegas)
                 except ValueError as exc:
                     results[k] = exc
-            adaptive = [k for k in adaptive if results[k] is None]
-            if not adaptive:
+            live = [k for k in live if results[k] is None]
+            if not live:
                 break
             # Each row's spectrum as [real parts | imaginary parts], the
             # basis's row order.
             parts = np.empty((rows, 2, spectra.shape[1]))
             parts[:, 0] = spectra.real
             parts[:, 1] = spectra.imag
-            lows = _low_pass_tails(parts, [edges[k][0] for k in adaptive],
-                                   [cfgs[k].gamma for k in adaptive], width, basis)
-            for k, (low, gamma_eff) in zip(adaptive, lows):
+            lows = _low_pass_tails(parts, [edges[k][0] for k in live],
+                                   [cfgs[k].gamma for k in live], width, basis)
+            for k, (low, gamma_eff) in zip(live, lows):
                 fallbacks[k] += int(np.count_nonzero(edges[k][1]))
                 clipped[k] += int(np.count_nonzero(gamma_eff < cfgs[k].gamma))
                 # Band 0 is the low-pass tail below edge 1, band i the
@@ -464,12 +466,10 @@ def _build_family(ts: TimeSeries, cfgs, start: int, stop: int, frozen_boundaries
                 out = X[k][first + lo: first + lo + rows].reshape(rows, -1, lags)
                 cuts = np.concatenate((np.zeros((rows, 1, lags)), low, out[:, :1]), axis=1)
                 np.subtract(cuts[:, 1:], cuts[:, :-1], out=out[:, 1:])
-        live = [k for k in live if results[k] is None]
     Y = values[origins + cfg.horizon].reshape(-1, 1)
     for k in live:
         meta = {
-            "fallback_count": int(frozen[k].uniform_fallback if frozen[k] is not None
-                                  else fallbacks[k]),
+            "fallback_count": int(frozen[k].uniform_fallback if fixed else fallbacks[k]),
             "gamma_clipped_count": clipped[k],
             "max_imag_residue": 0.0,
         }

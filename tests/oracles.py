@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from ewtforecast import edrvfl, harness, rvfl, walkforward
-from ewtforecast.ewt import build_filter_bank, decompose, filter_bank_responses
+from ewtforecast.ewt import build_filter_bank, decompose
 from ewtforecast.harness import CandidateOutcome, GridSearchResult, LayerwiseResult
 from ewtforecast.series import WindowedDataset, embed, fit_scaler
 
@@ -304,18 +304,18 @@ def build_walkforward_features_fft(ts, cfg, start, stop, frozen_boundaries=None)
 def adaptive_rows_per_band(ts, cfg, start, stop):
     """Adaptive ``walkforward.build_walkforward_features`` rows with every band
     formed: per origin, the bank's one-sided responses from
-    ``ewt.filter_bank_responses`` times the window's spectrum, as [real parts |
-    imaginary parts], mapped to each band's tail by ``walkforward._tail_basis``.
+    ``ewt.build_filter_bank`` on the one-sided bins times the window's
+    spectrum, as [real parts | imaginary parts], mapped to each band's tail by
+    ``walkforward._tail_basis``.
     """
     rows = []
     for t in range(start, stop):
         width = cfg.window_at(t)
         window = ts.values[t - width + 1: t + 1]
         spectrum = np.fft.rfft(window)
-        omegas = walkforward.freeze_boundaries(ts, cfg, t).omegas
-        ((responses, _),) = filter_bank_responses([omegas[None]], width, [cfg.gamma])
-        parts = np.concatenate([responses[0] * spectrum.real, responses[0] * spectrum.imag],
-                               axis=1)
+        bank = build_filter_bank(walkforward.freeze_boundaries(ts, cfg, t), width, cfg.gamma)
+        responses = bank.responses[:, :spectrum.size]
+        parts = np.concatenate([responses * spectrum.real, responses * spectrum.imag], axis=1)
         tails = parts @ walkforward._tail_basis(width, cfg.lags)
         rows.append(np.concatenate([window[-cfg.lags:], tails.ravel()]))
     return np.array(rows)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from ewtforecast import cli, harness
 
@@ -144,6 +146,94 @@ def test_run_with_malformed_grid_value_exits_2(series_csv, tmp_path, capsys, axi
     assert cli.main(["run", "--config", str(bad_path)]) == 2
     err = capsys.readouterr().err
     assert "configuration error:" in err and f"grid axis {axis!r}" in err
+
+
+@pytest.mark.parametrize("family, grid", [
+    ("edrvfl", {"n_enhancement": [0]}),
+    ("rvfl", {"n_enhancement": [0], "direct_link": [False]}),
+])
+def test_run_whose_grid_has_no_buildable_network_exits_2(series_csv, tmp_path, capsys, family,
+                                                         grid):
+    # Every candidate would fail: the grid is a configuration error, found
+    # before any feature build.
+    path, _ = series_csv
+    cfg = experiment_config(tmp_path, path, family=family, grid={"lags": [4], **grid})
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and "n_enhancement" in err
+    assert not (tmp_path / "run").exists()
+
+
+def fuzz_series(kind, n, seed):
+    if kind == "constant":
+        return np.full(n, 3.0)
+    if kind == "step":
+        return np.where(np.arange(n) < n // 2, -1.0, 2.0)
+    if kind == "spike":
+        values = np.zeros(n)
+        values[n // 3] = 5.0
+        return values
+    walk = np.cumsum(np.random.default_rng(seed).normal(size=n))
+    return walk * {"random_walk": 1.0, "1e150": 1e150, "1e-150": 1e-150}[kind]
+
+
+def few(values):
+    return st.lists(st.sampled_from(values), min_size=1, max_size=2, unique=True)
+
+
+FUZZ_CONFIGS = st.fixed_dictionaries({
+    "family": st.sampled_from(harness.FAMILIES),
+    "pipeline": st.sampled_from(harness.PIPELINES),
+    "grid": st.fixed_dictionaries({
+        "n_enhancement": few([0, 3, 12]), "regularization": few([1e-3, 1.0, 1e3]),
+        "lags": few([1, 3, 8]), "n_bands": few([1, 2, 4]), "gamma": few([0.05, 0.5]),
+        "direct_link": few([True, False]), "activation": few(["sigmoid", "relu", "sign"]),
+        "boundary_mode": few(["adaptive_per_step", "frozen_from_train"])}),
+    "window": st.sampled_from(["auto", "all"]) | st.integers(2, 80),
+    "scaler": st.sampled_from(["none", "zscore", "minmax"]),
+    "split": st.sampled_from([{"train_fraction": 0.6, "validation_fraction": 0.2},
+                              {"train_fraction": 0.5, "validation_fraction": 0.3},
+                              {"train_fraction": 0.8}]),
+    "horizon": st.integers(1, 3),
+    "max_layers": st.integers(1, 3),
+})
+# A run exits 3 only where the series is too short or too degenerate for every
+# candidate's feature build or scaling.
+FUZZ_EXIT_3_ERRORS = ("error: every pipeline candidate failed; the first: feature build failed: ",
+                      "error: every pipeline candidate failed; the first: scaling failed: ")
+HUGE_WALKFORWARD = {
+    "pipeline": "walkforward_ewt", "window": 64, "scaler": "none", "horizon": 1,
+    "max_layers": 2, "split": {"train_fraction": 0.6, "validation_fraction": 0.2},
+    "grid": {"n_enhancement": [10], "regularization": [1.0, 100.0], "lags": [4], "n_bands": [2]},
+}
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=FUZZ_CONFIGS, n=st.integers(40, 300), seed=st.integers(0, 2**16),
+       kind=st.sampled_from(["random_walk", "constant", "step", "spike", "1e150", "1e-150"]))
+@example(config={"family": "rvfl", **HUGE_WALKFORWARD}, n=300, seed=0, kind="1e150")
+@example(config={"family": "edrvfl", **HUGE_WALKFORWARD}, n=300, seed=0, kind="1e150")
+def test_run_on_any_small_config_and_series_succeeds_or_says_why(tmp_path_factory, capsys,
+                                                                  config, n, seed, kind):
+    work = tmp_path_factory.mktemp("fuzz")
+    np.savetxt(work / "series.csv", fuzz_series(kind, n, seed), delimiter=",")
+    path = work / "config.json"
+    path.write_text(json.dumps({"data": {"path": str(work / "series.csv")}, **config,
+                                "output_dir": str(work / "run")}))
+    capsys.readouterr()
+    rc = cli.main(["run", "--config", str(path)])
+    err = capsys.readouterr().err
+    if rc == 0:
+        with open(work / "run" / "forecasts.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        values = [float(row[name]) for row in rows for name in ("actual", "forecast")]
+        assert rows and np.all(np.isfinite(values))
+    elif rc == 2:
+        assert "configuration error:" in err
+    else:
+        assert rc == 3, err
+        assert any(line.startswith(FUZZ_EXIT_3_ERRORS) for line in err.splitlines()), err
 
 
 def test_run_with_non_finite_forecasts_exits_3_without_a_report(series_csv, tmp_path, capsys,

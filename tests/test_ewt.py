@@ -15,7 +15,6 @@ from ewtforecast.ewt import (
     build_filter_bank,
     decompose,
     detect_boundaries,
-    filter_bank_responses,
     magnitude_spectrum,
 )
 
@@ -270,41 +269,20 @@ def test_partition_of_unity_randomized():
         assert np.abs(bank.responses.sum(axis=0) - 1.0).max() <= 1e-12
 
 
-@given(st.integers(4, 300), st.lists(st.tuples(st.integers(1, 6), st.floats(0.01, 0.99)),
-                                     min_size=1, max_size=4),
-       st.integers(1, 5), st.integers(0, 2**32 - 1))
-def test_stacked_banks_equal_one_bank_at_a_time(n, entries, n_rows, seed):
-    # Several entries, each a stack of banks with its own band count and gamma.
-    rng = np.random.default_rng(seed)
-    stacks = [np.sort(rng.uniform(1e-3, np.pi - 1e-3, size=(n_rows, n_bands - 1)), axis=1)
-              for n_bands, _ in entries]
-    gammas = [gamma for _, gamma in entries]
-    banks = filter_bank_responses(stacks, n, gammas)
-    assert len(banks) == len(entries)
-    for edges, gamma, (responses, gamma_used) in zip(stacks, gammas, banks):
-        ((alone, alone_gamma),) = filter_bank_responses([edges], n, [gamma])
-        assert responses.tobytes() == alone.tobytes()
-        assert gamma_used.tobytes() == alone_gamma.tobytes()
-        assert responses.shape == (n_rows, edges.shape[1] + 1, n // 2 + 1)
-        for row, omegas in enumerate(edges):
-            if np.any(np.diff(omegas) <= 0.0):
-                continue  # a repeated draw is no valid boundary set
-            bank = build_filter_bank(EwtBoundaries(omegas), n, gamma)
-            assert responses[row].tobytes() == bank.responses[:, :n // 2 + 1].tobytes()
-            assert gamma_used[row] == bank.gamma
-            assert (gamma_used[row] < gamma) == bank.gamma_clipped
-            assert np.abs(responses[row].sum(axis=0) - 1.0).max() <= 1e-12
-
-
 @given(st.integers(4, 300), st.integers(2, 6), st.floats(0.01, 0.99), st.integers(0, 2**32 - 1))
 def test_half_grid_bank_equals_the_full_grid_formula(n, n_bands, gamma, seed):
-    edges = np.sort(np.random.default_rng(seed).uniform(1e-3, np.pi - 1e-3, size=(1, n_bands - 1)))
-    ((responses, gamma_used),) = filter_bank_responses([edges], n, [gamma])
-    expected = filter_bank_full_grid(edges[0], n, float(gamma_used[0]))
-    assert responses[0].tobytes() == expected[:, :n // 2 + 1].tobytes()
-    if np.all(np.diff(edges[0]) > 0.0):  # a repeated draw is no valid boundary set
-        bank = build_filter_bank(EwtBoundaries(edges[0]), n, gamma)
-        assert bank.responses.tobytes() == expected.tobytes()
+    # The bank is evaluated on the one-sided bins and mirrored; the oracle
+    # evaluates every bin of the full grid with the clipped gamma.
+    edges = np.sort(np.random.default_rng(seed).uniform(1e-3, np.pi - 1e-3, size=n_bands - 1))
+    if np.any(np.diff(edges) <= 0.0):
+        return  # a repeated draw is no valid boundary set
+    bank = build_filter_bank(EwtBoundaries(edges), n, gamma)
+    expected_gamma = min([gamma, *((b - a) / (b + a) for a, b in zip(edges, edges[1:]))])
+    assert bank.gamma == expected_gamma
+    assert bank.gamma_clipped == (expected_gamma < gamma)
+    expected = filter_bank_full_grid(edges, n, expected_gamma)
+    assert bank.responses.tobytes() == expected.tobytes()
+    assert np.abs(bank.responses.sum(axis=0) - 1.0).max() <= 1e-12
 
 
 @settings(deadline=None)

@@ -1141,10 +1141,11 @@ def test_forecasts_match_the_full_fft_feature_build_within_tolerance(tmp_path, m
 @pytest.mark.parametrize("failing_bands", [None, 2])
 def test_report_files_equal_those_of_one_feature_build_per_candidate(tmp_path, monkeypatch,
                                                                      family, failing_bands):
-    # Adaptive candidates that differ only in n_bands and gamma share one
-    # walk-forward pass over the origins. Every output file must read as when
-    # each candidate builds its own rows, and a build error of one band count
-    # must fail only that count's candidates, each in its usual leaderboard slot.
+    # Candidates that differ only in n_bands and gamma share one walk-forward
+    # pass over the origins, in either boundary mode. Every output file must
+    # read as when each candidate builds its own rows, and a build error of one
+    # band count must fail only that count's candidates, each in its usual
+    # leaderboard slot.
     values = np.sin(np.arange(360) * 0.23) + 0.2 * np.random.default_rng(41).normal(size=360)
     path = write_series(tmp_path, values)
     grid = GridSpace(n_enhancement=(10,), regularization=(1.0, 10.0), lags=(4, 6),
@@ -1177,6 +1178,26 @@ def test_report_files_equal_those_of_one_feature_build_per_candidate(tmp_path, m
     failed = [entry["pipeline"]["n_bands"] for entry in json.loads(grouped[0])["leaderboard"]
               if entry["error"] is not None]
     assert failed == ([] if failing_bands is None else [failing_bands] * 8)
+
+
+def test_walkforward_candidates_form_one_family_per_lags_and_boundary_mode(tmp_path,
+                                                                           monkeypatch):
+    values = np.sin(np.arange(360) * 0.23) + 0.2 * np.random.default_rng(43).normal(size=360)
+    grid = GridSpace(n_enhancement=(10,), regularization=(1.0,), lags=(4, 6), n_bands=(2, 3),
+                     gamma=(0.1, 0.3), boundary_mode=("adaptive_per_step", "frozen_from_train"))
+    cfg = walk_config(tmp_path, write_series(tmp_path, values), pipeline="walkforward_ewt",
+                      grid=grid)
+    families = []
+
+    def build_family(ts, cfgs, *args):
+        families.append([(c.lags, c.boundary_mode, c.n_bands, c.gamma) for c in cfgs])
+        return walkforward._build_family(ts, cfgs, *args)
+
+    monkeypatch.setattr(harness, "_build_family", build_family)
+    run_experiment(cfg)
+    bands_and_gammas = [(k, g) for k in (2, 3) for g in (0.1, 0.3)]
+    assert families == [[(lags, mode, k, g) for k, g in bands_and_gammas]
+                        for lags in (4, 6) for mode in ("adaptive_per_step", "frozen_from_train")]
 
 
 def _expit_in_place(x):

@@ -33,7 +33,9 @@ def axis(values):
 finite = st.floats(min_value=1e-6, max_value=1e6)
 grids = st.builds(
     GridSpace,
-    n_enhancement=axis(st.integers(0, 500)), regularization=axis(finite),
+    # A grid whose every node count is 0 is a configuration error for edrvfl.
+    n_enhancement=axis(st.integers(0, 500)).filter(lambda nodes: max(nodes) >= 1),
+    regularization=axis(finite),
     activation=axis(st.sampled_from(sorted(ACTIVATIONS))), input_scale=axis(finite),
     lags=axis(st.integers(1, 64)), n_bands=axis(st.integers(1, 8)),
     gamma=axis(st.floats(0.01, 0.99)), direct_link=axis(st.booleans()),

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -353,6 +353,50 @@ def test_strongly_indefinite_system_raises(caplog):
 
 def relative_error(got, ref):
     return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+def test_targets_of_1e150_are_solved_as_any_other():
+    # H'Y reaches ~1e151, where B'A^-1 B would exceed the bordered corner's
+    # 1e300 had the right side not been scaled before the factorization.
+    rng = np.random.default_rng(0)
+    H = rng.normal(size=(200, 10))
+    Y = 1e150 * rng.normal(size=(200, 1))
+    ref = np.linalg.solve(H.T @ H + np.eye(10), H.T @ Y)
+    assert relative_error(fit_output_weights(H, Y, 1.0), ref) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(2, 40), n_cols=st.integers(1, 30),
+       widths=st.sets(st.integers(1, 30), min_size=1, max_size=3),
+       log_scale=st.floats(-150, 150), power=st.integers(-400, 400), log_c=st.floats(-3, 8))
+@example(seed=0, n_rows=40, n_cols=10, widths={4, 10}, log_scale=150.0, power=0, log_c=0.0)
+def test_nested_ridge_path_equals_a_plain_solve_at_any_target_scale(seed, n_rows, n_cols, widths,
+                                                                    log_scale, power, log_c):
+    # Wherever the system is well enough conditioned to compare, every width
+    # equals its own system solved by np.linalg.solve, within the forward error
+    # bound of two backward-stable solves, whatever the scale of the targets;
+    # and targets scaled by a power of two give weights scaled by it, bit for bit.
+    rng = np.random.default_rng(seed)
+    H = rng.normal(size=(n_rows, n_cols))
+    Y = 10.0 ** log_scale * rng.normal(size=(n_rows, 2))
+    widths = sorted({min(w, n_cols) for w in widths})
+    c_reg = 10.0 ** log_c
+    path = nested_ridge_path(H, Y, widths, [c_reg])
+    scaled = nested_ridge_path(H, np.ldexp(Y, power), widths, [c_reg])
+    for w, [beta], [beta_scaled] in zip(widths, path, scaled):
+        assert isinstance(beta, np.ndarray), beta
+        assert np.ldexp(beta, power).tobytes() == beta_scaled.tobytes()
+        Hw = H[:, :w]
+        if w <= n_rows:
+            system = Hw.T @ Hw + np.eye(w) / c_reg
+            ref = np.linalg.solve(system, Hw.T @ Y)
+        else:
+            system = Hw @ Hw.T + np.eye(n_rows) / c_reg
+            ref = Hw.T @ np.linalg.solve(system, Y)
+        cond = np.linalg.cond(system)
+        if cond < 1e10:
+            tol = 2 * (3 * system.shape[0] + 1) * np.finfo(float).eps * cond
+            assert relative_error(beta, ref) <= tol
 
 
 def nested_problem(n_rows, activation, output_bias, nodes, seed=0):

@@ -14,7 +14,6 @@ from ewtforecast.ewt import (
     build_filter_bank,
     decompose,
     detect_boundaries,
-    filter_bank_responses,
     magnitude_spectrum,
 )
 from ewtforecast.series import TimeSeries
@@ -445,12 +444,19 @@ def test_frozen_taps_equal_the_full_grid_complex_ifft(seed, width, n_bands, lags
     omegas = np.sort(np.random.default_rng(seed).uniform(0.05, np.pi - 0.05, n_bands - 1))
     if np.any(np.diff(omegas) <= 0.0):
         return  # a tie: no valid bank
-    ((responses, _),) = filter_bank_responses([omegas[None]], width, [gamma])
-    taps = walkforward._frozen_taps(responses[0], width, lags)
     bank = build_filter_bank(EwtBoundaries(omegas), width, gamma)
+    taps = walkforward._frozen_taps(bank.responses[:, :width // 2 + 1], width, lags)
     expected = oracles.frozen_taps_ifft(bank, lags)
     assert taps.shape == expected.shape == (width, n_bands * lags)
     assert np.abs(taps - expected).max() <= 1e-15
+
+
+def test_adaptive_builds_take_no_frozen_edges():
+    ts = TimeSeries(noisy_two_tone(400, seed=3))
+    cfg = WalkForwardConfig(n_bands=3, lags=4, window=64)
+    frozen = freeze_boundaries(ts, cfg, 63)
+    with pytest.raises(ValueError, match="frozen band edges need boundary_mode"):
+        build_walkforward_features(ts, cfg, 63, 200, frozen)
 
 
 def test_a_frozen_build_holds_its_rows_once():
