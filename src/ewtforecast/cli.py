@@ -101,7 +101,7 @@ def _load_reports(directory: Path) -> list[dict]:
     for path in candidates:
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, UnicodeDecodeError):
             continue
         if isinstance(raw, dict) and "forecasts" in raw and "test_metrics" in raw:
             raw["_path"] = str(path)

@@ -23,9 +23,9 @@ of fitting the candidate from scratch to within rounding
 (:data:`SEARCH_RTOL`), and the winner's validation forecast comes from the
 search, not from a refit. The winner is refitted and forecasts the test rows
 in one place (:func:`_test_forecast`).
-Adaptive walk-forward candidates that differ only in band count and gamma get
-their tuning rows from one pass over the origins, bit for bit the rows each
-would build alone.
+Walk-forward candidates that share lags and boundary mode (a family) come one
+after another and get their tuning rows from one pass over the origins, bit
+for bit the rows each would build alone.
 
 Reports embed their fully-resolved configuration, so rerunning a report of
 this schema version reproduces its forecasts bit for bit; a report of another
@@ -213,7 +213,9 @@ class GridSpace:
         return [ModelParams(*c) for c in itertools.product(*(sorted(set(a)) for a in axes))]
 
     def pipeline_candidates(self, pipeline: str) -> list[dict]:
-        """Distinct feature-build settings in sorted order.
+        """Distinct feature-build settings, sorted by lags, boundary mode, band
+        count and gamma, so that the candidates of one walk-forward family
+        (one ``lags`` and boundary mode) come one after another.
 
         The full-series decomposition of ``leaky_ewt`` has no boundary mode, so
         its candidates pin that axis to its first sorted value.
@@ -222,12 +224,12 @@ class GridSpace:
             return [{"lags": int(l)} for l in sorted(set(self.lags))]
         modes = sorted(set(self.boundary_mode))
         combos = itertools.product(
-            sorted(set(self.lags)), sorted(set(self.n_bands)), sorted(set(self.gamma)),
-            modes[:1] if pipeline == "leaky_ewt" else modes,
+            sorted(set(self.lags)), modes[:1] if pipeline == "leaky_ewt" else modes,
+            sorted(set(self.n_bands)), sorted(set(self.gamma)),
         )
         return [
             {"lags": int(l), "n_bands": int(k), "gamma": float(g), "boundary_mode": m}
-            for l, k, g, m in combos
+            for l, m, k, g in combos
         ]
 
     @classmethod
@@ -621,48 +623,14 @@ class _PipelineBuild:
     can touch them before tuning is over. A ``"auto"`` window is the
     walk-forward width at the last training origin, and frozen band edges are
     detected once, on the first tuning origin's window, for both builds.
-    :meth:`group` makes the builds of several candidates at once.
+    :func:`_candidate_builds` gives the builds of one walk-forward family
+    their tuning rows from one pass.
     """
 
     def __init__(self, ts: TimeSeries, pipeline: str, params: dict, horizon: int,
                  window_policy, i_train: int, i_val: int):
         self._setup(ts, pipeline, params, horizon, window_policy, i_train, i_val)
-        self._keep_tune()
-
-    @classmethod
-    def group(cls, ts: TimeSeries, pipeline: str, params_list: list, horizon: int,
-               window_policy, i_train: int, i_val: int) -> list:
-        """Builds of candidates that differ only in ``n_bands`` and ``gamma``.
-
-        Entry k is, bit for bit, the build ``cls(ts, pipeline, params_list[k],
-        ...)`` makes, or the ``ValueError`` that construction raises. The
-        walk-forward tuning rows of the whole group come from one pass over
-        the origins (:func:`walkforward._build_family`); other pipelines build
-        each candidate's rows on their own.
-        """
-        builds: list = []
-        for params in params_list:
-            build = object.__new__(cls)
-            try:
-                build._setup(ts, pipeline, params, horizon, window_policy, i_train, i_val)
-            except ValueError as exc:
-                build = exc
-            builds.append(build)
-        live = [i for i, build in enumerate(builds) if isinstance(build, cls)]
-        tunes = [None] * len(live)
-        if pipeline == "walkforward_ewt" and live:
-            first = builds[live[0]]
-            try:
-                tunes = _build_family(ts, [builds[i].wf_cfg for i in live], first.start,
-                                      first.tune_stop, [builds[i].frozen for i in live])
-            except ValueError as exc:
-                tunes = [exc] * len(live)
-        for i, tune in zip(live, tunes):
-            try:
-                builds[i]._keep_tune(tune)
-            except ValueError as exc:
-                builds[i] = exc
-        return builds
+        self._keep_tune(self._build(self.start, self.tune_stop))
 
     def _setup(self, ts: TimeSeries, pipeline: str, params: dict, horizon: int,
                window_policy, i_train: int, i_val: int) -> None:
@@ -690,12 +658,9 @@ class _PipelineBuild:
         if pipeline == "walkforward_ewt" and self.wf_cfg.boundary_mode == FROZEN_FROM_TRAIN:
             self.frozen = freeze_boundaries(ts, self.wf_cfg, self.start)
 
-    def _keep_tune(self, tune=None) -> None:
-        """Keep the tuning rows, built here unless given, and count those whose
-        targets lie in the training span; a given ``tune`` may be the
-        ``ValueError`` its build raised."""
-        if tune is None:
-            tune = self._build(self.start, self.tune_stop)
+    def _keep_tune(self, tune) -> None:
+        """Keep the tuning rows and count those whose targets lie in the
+        training span; ``tune`` may be the ``ValueError`` its build raised."""
         if isinstance(tune, ValueError):
             raise tune
         self.tune = tune
@@ -931,27 +896,47 @@ def _candidate_builds(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val
     """Yield each pipeline candidate in order with its build, or the
     ``ValueError`` the build raised.
 
-    Walk-forward candidates that differ only in ``n_bands`` and ``gamma``
-    are one :meth:`_PipelineBuild.group`, built when its first candidate
-    comes up; every other candidate is a group of one.
+    Walk-forward candidates come family by family, a family being those that
+    share ``lags`` and boundary mode (:meth:`GridSpace.pipeline_candidates`).
+    The tuning rows of a family come from one pass over the origins
+    (:func:`walkforward._build_family`), and its builds are handed out one at
+    a time, so that a build that was searched and beaten is freed: besides
+    the search's best so far, at most one family is alive. Every other
+    candidate builds its own rows.
     """
+    rest = (cfg.horizon, cfg.window, i_train, i_val)
     candidates = cfg.grid.pipeline_candidates(cfg.pipeline)
-
-    def group_key(p: dict) -> tuple:
-        if cfg.pipeline == "walkforward_ewt":
-            return p["lags"], p["boundary_mode"]
-        return tuple(p.values())
-
-    groups = _groups(candidates, group_key)
-    group_of = {i: group for group in groups for i in group}
-    built: dict = {}
-    for i, params in enumerate(candidates):
-        if i not in built:
-            members = group_of[i]
-            built.update(zip(members, _PipelineBuild.group(
-                ts, cfg.pipeline, [candidates[j] for j in members], cfg.horizon, cfg.window,
-                i_train, i_val)))
-        yield params, built.pop(i)
+    if cfg.pipeline != "walkforward_ewt":
+        for params in candidates:
+            try:
+                build = _PipelineBuild(ts, cfg.pipeline, params, *rest)
+            except ValueError as exc:
+                build = exc
+            yield params, build
+        return
+    for _, family in itertools.groupby(candidates, lambda p: (p["lags"], p["boundary_mode"])):
+        family = list(family)
+        builds = [object.__new__(_PipelineBuild) for _ in family]
+        for i, params in enumerate(family):
+            try:
+                builds[i]._setup(ts, cfg.pipeline, params, *rest)
+            except ValueError as exc:
+                builds[i] = exc
+        live = [build for build in builds if isinstance(build, _PipelineBuild)]
+        try:
+            tunes = _build_family(ts, [b.wf_cfg for b in live], live[0].start, live[0].tune_stop,
+                                  [b.frozen for b in live]) if live else []
+        except ValueError as exc:
+            tunes = [exc] * len(live)
+        del live  # each build is then held only by the list it is popped from
+        for params in family:
+            build = builds.pop(0)
+            if isinstance(build, _PipelineBuild):
+                try:
+                    build._keep_tune(tunes.pop(0))
+                except ValueError as exc:
+                    build = exc
+            yield params, build
 
 
 def _tune_family(cfg: ExperimentConfig, ts: TimeSeries, i_train: int, i_val: int,

@@ -1,5 +1,6 @@
 import csv
 import json
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -1198,6 +1199,33 @@ def test_walkforward_candidates_form_one_family_per_lags_and_boundary_mode(tmp_p
     bands_and_gammas = [(k, g) for k in (2, 3) for g in (0.1, 0.3)]
     assert families == [[(lags, mode, k, g) for k, g in bands_and_gammas]
                         for lags in (4, 6) for mode in ("adaptive_per_step", "frozen_from_train")]
+
+
+def test_a_mixed_mode_search_keeps_one_family_of_builds_alive(tmp_path, monkeypatch):
+    # Candidates come family by family, and a build that was searched and
+    # beaten is freed: whenever a model search starts, at most one family's
+    # builds (four here) and the best build so far are alive.
+    values = np.sin(np.arange(360) * 0.23) + 0.2 * np.random.default_rng(43).normal(size=360)
+    grid = GridSpace(n_enhancement=(10,), regularization=(1.0,), lags=(4, 6), n_bands=(2, 3),
+                     gamma=(0.1, 0.3), boundary_mode=("adaptive_per_step", "frozen_from_train"))
+    cfg = walk_config(tmp_path, write_series(tmp_path, values), pipeline="walkforward_ewt",
+                      grid=grid)
+    live, counts = weakref.WeakSet(), []
+    setup = harness._PipelineBuild._setup
+
+    def tracked_setup(self, *args):
+        live.add(self)
+        setup(self, *args)
+
+    def counting_grid_search(*args, **kwargs):
+        counts.append(len(live))
+        return grid_search(*args, **kwargs)
+
+    monkeypatch.setattr(harness._PipelineBuild, "_setup", tracked_setup)
+    monkeypatch.setattr(harness, "grid_search", counting_grid_search)
+    run_experiment(cfg)
+    assert len(counts) > 16  # the 16 candidates, then the linear baseline's search
+    assert max(counts) <= 4 + 1
 
 
 def _expit_in_place(x):
